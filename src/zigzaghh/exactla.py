@@ -20,16 +20,36 @@ from typing import Iterable, Optional, Union
 Scalar = Union[int, Fraction]
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n below _PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError("characteristic %d is too large: primality is only decided below %d"
+                         % (n, _PRIME_TEST_BOUND))
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -147,58 +167,67 @@ def _scale_integral(row: dict) -> dict[int, int]:
     return {c: v for c, v in out.items() if v}
 
 
+def _normalized(row: dict, p: int) -> dict[int, int]:
+    """A row in the kernel's representation: integral over Q, residues mod p."""
+    if p == 0:
+        return _scale_integral(row)
+    return {c: v % p for c, v in row.items() if v % p}
+
+
+def _reduce(r: dict[int, int], ech: Echelon, pivot_at: dict[int, int], p: int) -> dict[int, int]:
+    """Eliminate r against the echelon rows until its leading column is free.
+
+    Returns the reduced row, empty when r lies in the echelon's row space.
+    """
+    while r:
+        c = min(r)
+        hit = pivot_at.get(c)
+        if hit is None:
+            break
+        pr = ech.rows[hit]
+        if p == 0:
+            a, b = pr[c], r[c]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            new = {}
+            for col, v in r.items():
+                new[col] = v * ma
+            for col, v in pr.items():
+                w = new.get(col, 0) - v * mb
+                if w:
+                    new[col] = w
+                elif col in new:
+                    del new[col]
+            g2 = 0
+            for v in new.values():
+                g2 = gcd(g2, v)
+            if g2 > 1:
+                new = {col: v // g2 for col, v in new.items()}
+            r = new
+        else:
+            f = (r[c] * pow(pr[c], p - 2, p)) % p
+            new = dict(r)
+            for col, v in pr.items():
+                w = (new.get(col, 0) - f * v) % p
+                if w:
+                    new[col] = w
+                elif col in new:
+                    del new[col]
+            r = new
+    return r
+
+
 def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     """Reduce a spanning set of row vectors to (sparse) row echelon form."""
     p = field.characteristic
     ech = Echelon(field, ncols)
     # pivot_at[col] -> index into ech.rows
     pivot_at: dict[int, int] = {}
-    work: list[dict[int, int]] = []
-    for row in rows:
-        if p == 0:
-            r = _scale_integral(row)
-        else:
-            r = {c: v % p for c, v in row.items() if v % p}
-        if r:
-            work.append(r)
+    work = [r for r in (_normalized(row, p) for row in rows) if r]
 
     # eliminate each row against the current echelon, then install it
     for r in work:
-        while r:
-            c = min(r)
-            hit = pivot_at.get(c)
-            if hit is None:
-                break
-            pr = ech.rows[hit]
-            if p == 0:
-                a, b = pr[c], r[c]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                new = {}
-                for col, v in r.items():
-                    new[col] = v * ma
-                for col, v in pr.items():
-                    w = new.get(col, 0) - v * mb
-                    if w:
-                        new[col] = w
-                    elif col in new:
-                        del new[col]
-                g2 = 0
-                for v in new.values():
-                    g2 = gcd(g2, v)
-                if g2 > 1:
-                    new = {col: v // g2 for col, v in new.items()}
-                r = new
-            else:
-                f = (r[c] * pow(pr[c], p - 2, p)) % p
-                new = dict(r)
-                for col, v in pr.items():
-                    w = (new.get(col, 0) - f * v) % p
-                    if w:
-                        new[col] = w
-                    elif col in new:
-                        del new[col]
-                r = new
+        r = _reduce(r, ech, pivot_at, p)
         if r:
             c = min(r)
             pivot_at[c] = len(ech.rows)
@@ -241,42 +270,8 @@ def span_info(fld: FieldSpec, vectors: Iterable[dict], ambient_dim: int) -> Span
 def in_span(fld: FieldSpec, ech: Echelon, vector: dict) -> bool:
     """Exact membership of a vector in an echelonized row space."""
     p = fld.characteristic
-    if p == 0:
-        r = _scale_integral(vector)
-    else:
-        r = {c: v % p for c, v in vector.items() if v % p}
     pivot_at = {c: i for i, c in enumerate(ech.pivot_cols)}
-    while r:
-        c = min(r)
-        hit = pivot_at.get(c)
-        if hit is None:
-            return False
-        pr = ech.rows[hit]
-        if p == 0:
-            a, b = pr[c], r[c]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new = {}
-            for col, v in r.items():
-                new[col] = v * ma
-            for col, v in pr.items():
-                w = new.get(col, 0) - v * mb
-                if w:
-                    new[col] = w
-                elif col in new:
-                    del new[col]
-            r = new
-        else:
-            f = (r[c] * pow(pr[c], p - 2, p)) % p
-            new = dict(r)
-            for col, v in pr.items():
-                w = (new.get(col, 0) - f * v) % p
-                if w:
-                    new[col] = w
-                elif col in new:
-                    del new[col]
-            r = new
-    return True
+    return not _reduce(_normalized(vector, p), ech, pivot_at, p)
 
 
 class ExactMatrix:

@@ -7,10 +7,20 @@ is span(length-n words) modulo span{x r_v y} where r_v = e_v r e_v and
 |x| + |y| = n - 2.  No rewriting and no normal forms: quotients are rank
 computations over the chosen field.
 
-The trace space (algebra modulo commutators) is computed on the cyclic
-block only: every non-cyclic word w equals the commutator [e_src(w), w],
-so after quotienting out non-cycles the remaining generators are the
-cyclic relation rows and commutators [u, v] whose products are cycles.
+The trace space (algebra modulo commutators) is computed on necklaces,
+i.e. cycles up to rotation (Ginzburg, Calabi-Yau algebras,
+arXiv:math/0612139).  Modulo commutators every non-cyclic word vanishes
+(w = [e_src(w), w]) and every cycle equals each of its rotations, so the
+commutator quotient of the cycles is the span of the necklaces.  A
+relation row x r_v y rotates into r_v (y x), so the relations are the
+rows [r_v w] for closed walks w at v of length n - 2.  A necklace is
+represented by its lexicographically largest rotation c_max, and the
+columns are sorted by representative.  In the full matrix (all cycles
+against all relations and commutators) every other rotation c is an
+earlier column than c_max, so c - c_max makes it a pivot; on the
+representatives that matrix's row space projects onto the span of the
+rows [r_v w].  Hence both matrices have the same free columns, and the
+witness cycles do not depend on which one is eliminated.
 
 The same machinery, fed the relation "sum of all 2-cycles at each
 vertex", computes the quadratic dual of the zigzag algebra for an
@@ -91,48 +101,47 @@ class TracePiece:
     witnesses: Optional[list[Path]] = None
 
 
-def _by_target(qd, length: int) -> dict[int, list[Path]]:
-    table: dict[int, list[Path]] = {}
-    for (s, t), paths in words_by_endpoints(qd, length).items():
-        table.setdefault(t, []).extend(paths)
-    return table
+def _unique(rows) -> list[dict[int, int]]:
+    """Drop zero entries, zero rows and repeated rows, keeping first-seen order."""
+    out = []
+    seen = set()
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        if not row:
+            continue
+        key = tuple(sorted(row.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def _relation_rows(qd, rels: RelationTable, n: int, index: dict[Path, int],
-                   cyclic_only: bool = False):
-    """Spanning vectors x r_v y with |x| + |y| = n - 2, deduplicated."""
-    rows = []
-    seen = set()
-    for la in range(n - 1):
-        lb = n - 2 - la
-        left = words_by_endpoints(qd, la)
-        right = words_by_endpoints(qd, lb)
-        for (i, v), lefts in sorted(left.items()):
-            terms = rels.get(v)
-            if not terms:
-                continue
-            for (w, j), rights in sorted(right.items()):
-                if w != v:
+                   ends: Optional[tuple[int, int]] = None):
+    """Spanning vectors x r_v y with |x| + |y| = n - 2, deduplicated.
+
+    With ends = (i, j) only the rows of the block e_i (...) e_j are built.
+    """
+    def rows():
+        for la in range(n - 1):
+            left = words_by_endpoints(qd, la)
+            right = words_by_endpoints(qd, n - 2 - la)
+            for (i, v), lefts in sorted(left.items()):
+                terms = rels.get(v)
+                if not terms or (ends and i != ends[0]):
                     continue
-                if cyclic_only and j != i:
-                    continue
-                for a in lefts:
-                    for b in rights:
-                        row: dict[int, int] = {}
-                        for coeff, (l1, l2) in terms:
-                            word = Path(i, a.letters + (l1, l2) + b.letters, j)
-                            col = index.get(word)
-                            if col is None:
-                                continue
-                            row[col] = row.get(col, 0) + coeff
-                        row = {c: x for c, x in row.items() if x}
-                        if not row:
-                            continue
-                        key = tuple(sorted(row.items()))
-                        if key not in seen:
-                            seen.add(key)
-                            rows.append(row)
-    return rows
+                for (w, j), rights in sorted(right.items()):
+                    if w != v or (ends and j != ends[1]):
+                        continue
+                    for a in lefts:
+                        for b in rights:
+                            row: dict[int, int] = {}
+                            for coeff, (l1, l2) in terms:
+                                col = index.get(Path(i, a.letters + (l1, l2) + b.letters, j))
+                                if col is not None:
+                                    row[col] = row.get(col, 0) + coeff
+                            yield row
+    return _unique(rows())
 
 
 def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec) -> GradedQuotientPiece:
@@ -168,85 +177,49 @@ def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
     if not ambient:
         return 0
     index = {p: k for k, p in enumerate(ambient)}
-    rels = preprojective_relations(q)
-    rows = []
-    if n >= 2:
-        seen = set()
-        for la in range(n - 1):
-            lb = n - 2 - la
-            lefts = words_by_endpoints(qd, la)
-            rights = words_by_endpoints(qd, lb)
-            for (s, v), la_paths in sorted(lefts.items()):
-                if s != i:
-                    continue
-                terms = rels.get(v)
-                if not terms:
-                    continue
-                for a in la_paths:
-                    for b in rights.get((v, i), []):
-                        row: dict[int, int] = {}
-                        for coeff, (l1, l2) in terms:
-                            word = Path(i, a.letters + (l1, l2) + b.letters, i)
-                            col = index.get(word)
-                            if col is not None:
-                                row[col] = row.get(col, 0) + coeff
-                        row = {c: x for c, x in row.items() if x}
-                        if row:
-                            key = tuple(sorted(row.items()))
-                            if key not in seen:
-                                seen.add(key)
-                                rows.append(row)
-    info = span_info(fld, rows, len(ambient))
-    return info.quotient_dim
+    rows = _relation_rows(qd, preprojective_relations(q), n, index, (i, i)) if n >= 2 else []
+    return span_info(fld, rows, len(ambient)).quotient_dim
 
 
-def _commutator_rows(qd, n: int, index: dict[Path, int]):
-    """[u, v] for words with |u| + |v| = n and cyclic products."""
-    rows = []
-    seen = set()
-    for lu in range(1, n // 2 + 1):
-        lv = n - lu
-        halved = lu == lv
-        left = words_by_endpoints(qd, lu)
-        right = words_by_endpoints(qd, lv)
-        for (x, y), us in sorted(left.items()):
-            vs = right.get((y, x))
-            if not vs:
+def _necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically largest rotation of a cyclic word."""
+    if not letters:
+        return letters
+    top = max(letters)
+    return max(letters[k:] + letters[:k] for k, a in enumerate(letters) if a == top)
+
+
+def _necklace_space(qd, rels: RelationTable, n: int):
+    """Degree-n necklaces and the relation rows [r_v w] among them.
+
+    Columns are the necklaces in the order of their representatives,
+    index maps a representative's letters to its column, and there is one
+    row per vertex v and closed walk w at v of length n - 2.
+    """
+    necklaces = [c for c in all_cycles(qd, n) if c.letters == _necklace(c.letters)]
+    index = {c.letters: k for k, c in enumerate(necklaces)}
+
+    def rows():
+        if n < 2:
+            return
+        for (v, j), walks in sorted(words_by_endpoints(qd, n - 2).items()):
+            terms = rels.get(v)
+            if j != v or not terms:
                 continue
-            for u in us:
-                for v in vs:
-                    if halved and u.letters >= v.letters:
-                        continue
-                    row: dict[int, int] = {}
-                    cu = index[Path(x, u.letters + v.letters, x)]
-                    cv = index[Path(y, v.letters + u.letters, y)]
-                    row[cu] = row.get(cu, 0) + 1
-                    row[cv] = row.get(cv, 0) - 1
-                    row = {c: w for c, w in row.items() if w}
-                    if not row:
-                        continue
-                    key = tuple(sorted(row.items()))
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
-    return rows
+            for w in walks:
+                row: dict[int, int] = {}
+                for coeff, pair in terms:
+                    col = index[_necklace(pair + w.letters)]
+                    row[col] = row.get(col, 0) + coeff
+                yield row
+    return necklaces, index, _unique(rows())
 
 
 def _trace_piece(qd, rels: RelationTable, n: int, fld: FieldSpec,
                  want_witnesses: bool = True) -> TracePiece:
-    if n == 0:
-        # degree-0 commutators vanish, so the idempotents stay independent
-        return TracePiece(0, qd.vertex_count,
-                          [Path(v, (), v) for v in range(1, qd.vertex_count + 1)]
-                          if want_witnesses else None)
-    cycles = all_cycles(qd, n)
-    if not cycles:
-        return TracePiece(n, 0, [] if want_witnesses else None)
-    index = {p: i for i, p in enumerate(cycles)}
-    rows = _relation_rows(qd, rels, n, index, cyclic_only=True) if n >= 2 else []
-    rows += _commutator_rows(qd, n, index)
-    info = span_info(fld, rows, len(cycles))
-    witnesses = [cycles[c] for c in info.free_coords] if want_witnesses else None
+    necklaces, _, rows = _necklace_space(qd, rels, n)
+    info = span_info(fld, rows, len(necklaces))
+    witnesses = [necklaces[c] for c in info.free_coords] if want_witnesses else None
     return TracePiece(n, info.quotient_dim, witnesses)
 
 
@@ -284,11 +257,8 @@ def cycle_class_in_trace_is_zero(q: Quiver, cycle: Path, fld: FieldSpec) -> bool
         raise ValueError("not a cycle: %r" % (cycle,))
     qd = doubled_of(q)
     n = cycle.length
-    cycles = all_cycles(qd, n)
-    index = {p: i for i, p in enumerate(cycles)}
-    if cycle not in index:
+    if cycle not in all_cycles(qd, n):
         raise ValueError("cycle does not belong to this quiver")
-    rows = _relation_rows(qd, preprojective_relations(q), n, index, cyclic_only=True)
-    rows += _commutator_rows(qd, n, index)
-    ech = echelonize(fld, rows, len(cycles))
-    return in_span(fld, ech, {index[cycle]: 1})
+    necklaces, index, rows = _necklace_space(qd, preprojective_relations(q), n)
+    ech = echelonize(fld, rows, len(necklaces))
+    return in_span(fld, ech, {index[_necklace(cycle.letters)]: 1})

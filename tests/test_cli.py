@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zigzaghh.cli import main
 
 
@@ -83,6 +85,31 @@ def test_hh2_invalid_graph_label(capsys):
 
 def test_hh2_invalid_characteristic(capsys):
     assert main(["hh2", "--graph", "A2", "--char", "6", "--q", "1"]) == 2
+
+
+def test_hh2_large_prime_characteristic(capsys):
+    code, doc = _run_json(capsys, "hh2", "--graph", "A2", "--char", str(2 ** 61 - 1), "--q", "1")
+    assert code == 0
+    assert all(r["dim"] == 0 for r in doc["results"])
+
+
+def test_hh2_large_composite_characteristic(capsys):
+    composite = (2 ** 61 - 1) * 1000003
+    assert main(["hh2", "--graph", "A2", "--char", str(composite), "--q", "1"]) == 2
+    assert main(["hh2", "--graph", "A2", "--char", str(10 ** 30), "--q", "1"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, char, witness", [
+    ("D~8", "3", "a8* a8 a7* a7"),
+    ("E8", "5", "a7* a7 a7* a7 a7* a7 a7* a7 a3* a3"),
+    ("E~8", "0", "a8* a8 a7* a7 a8* a8 a7* a7 a8* a8 a7* a7"),
+    ("D~4", "0", "a4* a4 a2* a2"),
+])
+def test_classify_witness_cycles_pinned(capsys, graph, char, witness):
+    code, doc = _run_json(capsys, "classify", "--graph", graph, "--char", char, "--max", "10")
+    assert code == 0
+    assert doc["witness_cycle"] == witness
 
 
 def test_classify_a5_consistent_with_formality(capsys):

@@ -1,6 +1,7 @@
 """Exact linear algebra: pinned examples and randomized invariants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,37 @@ def test_fieldspec_validation():
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec(-2)
+
+
+def test_fieldspec_small_characteristics_match_trial_division():
+    def is_prime(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    for n in range(1, 3000):
+        if is_prime(n):
+            assert FieldSpec(n).characteristic == n
+        else:
+            with pytest.raises(ValueError):
+                FieldSpec(n)
+
+
+def test_fieldspec_large_prime_is_quick():
+    start = time.perf_counter()
+    fld = FieldSpec(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert fld.mul(fld.inv(3), 3) == 1
+
+
+def test_fieldspec_rejects_strong_pseudoprimes():
+    # each is a strong pseudoprime to every prime base up to some bound < 41
+    for n in (2047, 1373653, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            FieldSpec(n)
+
+
+def test_fieldspec_refuses_characteristics_beyond_the_primality_bound():
+    with pytest.raises(ValueError, match="too large"):
+        FieldSpec(3317044064679887385961981)
 
 
 def test_scalar_canonical_forms():

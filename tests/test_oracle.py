@@ -6,7 +6,7 @@ from zigzaghh.exactla import GF, QQ
 from zigzaghh.oracle import (OracleInfeasible, oracle_hh_unreduced, oracle_lambda_dim,
                              oracle_trace_dim)
 from zigzaghh.preproj import lambda_piece, trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite
+from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
 from zigzaghh.zigzag import build_zigzag, hochschild_dim
 
 
@@ -30,13 +30,20 @@ def test_oracle_matches_pipeline_on_small_quivers():
 
 
 def test_oracle_trace_matches_cyclic_block_shortcut():
-    # the production trace works on the cyclic block only; the oracle
-    # carries every word and every commutator
+    # the production trace works on necklaces; the oracle carries every
+    # word and every commutator
     for family, n, fld in (("A", 2, QQ), ("A", 3, QQ), ("D", 4, GF(2))):
         q = _q(family, n)
         for deg in range(6):
             assert (oracle_trace_dim(q, deg, fld)
                     == trace_piece(q, deg, fld).dimension), (family, n, deg)
+    quivers = [_q("D~", 4), _q("A~", 3), _q("E", 6),
+               orient_by_edge_order(catalog("A~", 2))]  # the triangle is not bipartite
+    for q in quivers:
+        for fld in (QQ, GF(2), GF(3)):
+            for deg in range(7):
+                assert (oracle_trace_dim(q, deg, fld)
+                        == trace_piece(q, deg, fld).dimension), (q.name, fld, deg)
 
 
 def test_oracle_unreduced_hh_z_a1():

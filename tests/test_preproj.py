@@ -216,3 +216,78 @@ def test_cycle_class_membership():
     assert cycle_class_in_trace_is_zero(q4, w4, QQ)
     with pytest.raises(ValueError):
         cycle_class_in_trace_is_zero(q4, qd_path(qd4, ["a1"]), QQ)
+
+
+def _class_is_zero(q, vector, fld):
+    """Membership of a combination of equal-length cycles in relations + commutators.
+
+    Projects the vector onto necklaces, which is exact modulo commutators,
+    and tests it against the production necklace relation rows.
+    """
+    from zigzaghh.exactla import echelonize, in_span
+    from zigzaghh.preproj import _necklace, _necklace_space, doubled_of, preprojective_relations
+
+    (n,) = {c.length for c in vector}
+    necklaces, index, rows = _necklace_space(doubled_of(q), preprojective_relations(q), n)
+    image: dict[int, int] = {}
+    for c, x in vector.items():
+        k = index[_necklace(c.letters)]
+        image[k] = image.get(k, 0) + x
+    return in_span(fld, echelonize(fld, rows, len(necklaces)), image)
+
+
+def test_trace_witnesses_have_nonzero_classes():
+    for label in ("D4", "E6", "D~4", "A~3"):
+        q = _q(label)
+        for fld in (QQ, GF(2), GF(3)):
+            for n in range(9):
+                for w in trace_piece(q, n, fld).witnesses:
+                    assert not cycle_class_in_trace_is_zero(q, w, fld), (label, fld, n, w)
+
+
+def test_rotations_of_a_cycle_share_its_class():
+    import random
+
+    from zigzaghh.pathalg import all_cycles, make_path
+    from zigzaghh.preproj import doubled_of
+
+    rng = random.Random(29)
+    for label in ("D4", "D~4", "A~3", "E6"):
+        q = _q(label)
+        qd = doubled_of(q)
+        for fld in (QQ, GF(2), GF(3)):
+            for n in (4, 5, 6):
+                cycles = all_cycles(qd, n)
+                for c in rng.sample(cycles, min(8, len(cycles))):
+                    zero = cycle_class_in_trace_is_zero(q, c, fld)
+                    for k in range(1, n):
+                        r = make_path(qd, c.letters[k:] + c.letters[:k])
+                        assert cycle_class_in_trace_is_zero(q, r, fld) == zero
+                        if r != c:
+                            assert _class_is_zero(q, {c: 1, r: -1}, fld)
+
+
+def test_relation_times_closed_walk_has_zero_class():
+    # r_v w for every closed walk w at v, and every rotation x r_v y of it
+    from zigzaghh.pathalg import Path, words_by_endpoints
+    from zigzaghh.preproj import doubled_of, preprojective_relations
+
+    for label in ("D4", "D~4", "A~3"):
+        q = _q(label)
+        qd = doubled_of(q)
+        rels = preprojective_relations(q)
+        for fld in (QQ, GF(2)):
+            for n in (2, 4, 6):
+                for (v, j), walks in words_by_endpoints(qd, n - 2).items():
+                    if v != j:
+                        continue
+                    for w in walks:
+                        for k in range(n - 1):
+                            x, y = w.letters[k:], w.letters[:k]
+                            vector = {}
+                            for coeff, pair in rels[v]:
+                                word = x + pair + y
+                                src = qd.arrow_source[word[0]]
+                                cyc = Path(src, word, src)
+                                vector[cyc] = vector.get(cyc, 0) + coeff
+                            assert _class_is_zero(q, vector, fld), (label, fld, v, w, k)
