@@ -1,9 +1,7 @@
 """Command-line surface: preproj, hh2, classify, ainfty-check.
 
 Output is a plain table or JSON on stdout.  Identical jobs produce
-byte-identical JSON: no timestamps, sorted keys, and a thread-count
-environment variable (ZIGZAGHH_THREADS) that fans work out over Adams
-degrees without ever affecting the gathered results.
+byte-identical JSON: no timestamps and sorted keys.
 
 Exit codes: 0 success, 2 invalid input, 3 method inapplicable to the
 given graph.
@@ -15,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ainfty, ginzburg, preproj, zigzag
 from .exactla import FieldSpec
@@ -66,22 +63,6 @@ def _parse_qrange(text: str) -> tuple[int, int]:
     return v, v
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZIGZAGHH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, possibly in a thread pool, preserving order."""
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(payload: dict, fmt: str, table_lines: list[str]):
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -111,7 +92,7 @@ def cmd_preproj(args) -> int:
             tr = preproj.trace_piece(quiv, n, fld, want_witnesses=False)
         return piece.dimension, tr.dimension
 
-    dims = _map_ordered(one, degrees)
+    dims = [one(n) for n in degrees]
     zero_run = 0
     finite = False
     for _, (d, _) in zip(degrees, dims):
@@ -143,12 +124,6 @@ def cmd_preproj(args) -> int:
     return EXIT_OK
 
 
-def _zigzag_feasible(g: Graph, q: int) -> bool:
-    # bar-complex cost grows fast; keep automatic runs at desk scale
-    limit = 3 if g.vertex_count <= 5 else 2
-    return q <= limit
-
-
 def cmd_hh2(args) -> int:
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
@@ -156,37 +131,43 @@ def cmd_hh2(args) -> int:
     if qlo > qhi:
         raise CliError("empty q range %r" % (args.q,))
     methods = [args.method] if args.method != "all" else ["ginzburg", "trace", "zigzag"]
-    if "zigzag" in methods and not g.is_tree():
-        if args.method == "zigzag":
-            raise CliError("zigzag method needs a tree (derived Koszul duality hypothesis)",
-                           EXIT_INAPPLICABLE)
-        methods = [m for m in methods if m != "zigzag"]
+    if args.method == "zigzag" and not g.is_tree():
+        raise CliError("zigzag method needs a tree (derived Koszul duality hypothesis)",
+                       EXIT_INAPPLICABLE)
     quiv, orient_label = _orient(g, args.orientation)
-    alg = zigzag.build_zigzag(g, fld) if "zigzag" in methods else None
+    # bar-complex cost grows fast; keep automatic runs at desk scale
+    zigzag_cap = 3 if g.vertex_count <= 5 else 2
 
     jobs = []
+    skipped = []
     for q in range(qlo, qhi + 1):
         for m in methods:
-            if m == "zigzag" and args.method == "all" and not _zigzag_feasible(g, q):
-                continue
-            jobs.append((q, m))
+            reason = None
+            if m == "zigzag" and args.method == "all":
+                if not g.is_tree():
+                    reason = "graph is not a tree (derived Koszul duality hypothesis)"
+                elif q > zigzag_cap:
+                    reason = ("bar complex above the automatic size cap q <= %d; "
+                              "run --method zigzag" % zigzag_cap)
+            if reason:
+                skipped.append({"q": q, "method": m, "reason": reason})
+            else:
+                jobs.append((q, m))
+    alg = zigzag.build_zigzag(g, fld) if any(m == "zigzag" for _, m in jobs) else None
 
-    def one(job):
-        q, m = job
+    def one(q, m):
         if m == "ginzburg":
-            rep = ginzburg.hh2_dim(quiv, q, fld, want_witnesses=args.witnesses)
-        elif m == "trace":
+            return ginzburg.hh2_dim(quiv, q, fld, want_witnesses=args.witnesses)
+        if m == "trace":
             tr = preproj.trace_piece(quiv, q + 2, fld, want_witnesses=args.witnesses)
             reps = None
             if args.witnesses:
                 qd = preproj.doubled_of(quiv)
                 reps = tuple(path_name(qd, w) for w in (tr.witnesses or []))
-            rep = HHReport(2, q, "trace", tr.dimension, reps)
-        else:
-            rep = zigzag.hochschild_dim(alg, 2, q, want_witnesses=args.witnesses)
-        return rep
+            return HHReport(2, q, "trace", tr.dimension, reps)
+        return zigzag.hochschild_dim(alg, 2, q, want_witnesses=args.witnesses)
 
-    reports = _map_ordered(one, jobs)
+    reports = [one(q, m) for q, m in jobs]
     by_q: dict[int, dict[str, int]] = {}
     results = []
     for rep in reports:
@@ -205,12 +186,16 @@ def cmd_hh2(args) -> int:
     }
     if args.method == "all":
         payload["agreement"] = agreement
+    if skipped:
+        payload["skipped"] = skipped
     lines = ["# HH^{2,q} of %s over char %d" % (args.graph, args.char),
              "%4s %10s %6s" % ("q", "method", "dim")]
     for entry in results:
         lines.append("%4d %10s %6d" % (entry["q"], entry["method"], entry["dim"]))
         if "witnesses" in entry and entry["witnesses"]:
             lines.append("        witnesses: %s" % "; ".join(entry["witnesses"]))
+    for s in skipped:
+        lines.append("skipped: q=%d %s (%s)" % (s["q"], s["method"], s["reason"]))
     if args.method == "all":
         lines.append("agreement across methods: %s" % ("yes" if agreement else "NO"))
     _emit(payload, args.out, lines)
@@ -223,11 +208,7 @@ def cmd_classify(args) -> int:
     quiv, orient_label = _orient(g, args.orientation)
     qs = list(range(1, args.max + 1))
 
-    def one(q):
-        tr = preproj.trace_piece(quiv, q + 2, fld, want_witnesses=True)
-        return tr
-
-    traces = _map_ordered(one, qs)
+    traces = [preproj.trace_piece(quiv, q + 2, fld, want_witnesses=True) for q in qs]
     nonzero = [q for q, tr in zip(qs, traces) if tr.dimension > 0]
     qd = preproj.doubled_of(quiv)
     witness = None
@@ -276,12 +257,17 @@ def cmd_classify(args) -> int:
 def _load_m4_file(path: str, alg) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    terms = doc.get("terms", []) if isinstance(doc, dict) else None
+    if not isinstance(terms, list):
+        raise CliError("m4 file must be a JSON object with a \"terms\" list")
     table = {}
-    for term in doc.get("terms", []):
+    for term in terms:
+        if not (isinstance(term, dict) and isinstance(term.get("inputs"), list)
+                and "output" in term and isinstance(term.get("coeff", 1), int)):
+            raise CliError("m4 term %r needs an \"inputs\" list, an \"output\" and an "
+                           "integer \"coeff\"" % (term,))
         word = tuple(alg.index_of(n) for n in term["inputs"])
-        out = alg.index_of(term["output"])
-        coeff = term.get("coeff", 1)
-        table.setdefault(word, {})[out] = coeff
+        table.setdefault(word, {})[alg.index_of(term["output"])] = term.get("coeff", 1)
     return table
 
 

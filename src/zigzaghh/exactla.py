@@ -64,10 +64,6 @@ class FieldSpec:
         if c < 0 or (c != 0 and not _is_prime(c)):
             raise ValueError("characteristic must be 0 or a prime, got %r" % (c,))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def element(self, value) -> Scalar:
         """Coerce an int or Fraction to a canonical field element."""
         if self.characteristic == 0:
@@ -306,10 +302,6 @@ class ExactMatrix:
         return cls(fld, nrows, ncols, rows)
 
     @classmethod
-    def from_rows(cls, fld: FieldSpec, rows: list[dict], ncols: int) -> "ExactMatrix":
-        return cls(fld, len(rows), ncols, [dict(r) for r in rows])
-
-    @classmethod
     def from_columns(cls, fld: FieldSpec, cols: list[dict], nrows: int) -> "ExactMatrix":
         rows: list[dict] = [dict() for _ in range(nrows)]
         for j, col in enumerate(cols):
@@ -329,13 +321,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i].get(j, self.field.zero())
-
-    def transpose(self) -> "ExactMatrix":
-        rows: list[dict] = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                rows[j][i] = v
-        return ExactMatrix(self.field, self.ncols, self.nrows, rows)
 
     def mul_vector(self, x: list[Scalar]) -> list[Scalar]:
         f = self.field

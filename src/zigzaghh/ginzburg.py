@@ -14,6 +14,7 @@ correctness witness, never as the production pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,15 +25,10 @@ from .preproj import cycle_class_in_trace_is_zero, doubled_of, preprojective_rel
 from .quiver import GinzburgQuiver, Quiver, ginzburg_extend
 from .reports import HHReport
 
-_ginzburg_memo: dict[Quiver, GinzburgQuiver] = {}
 
-
+@functools.cache
 def ginzburg_of(q: Quiver) -> GinzburgQuiver:
-    qg = _ginzburg_memo.get(q)
-    if qg is None:
-        qg = ginzburg_extend(doubled_of(q))
-        _ginzburg_memo[q] = qg
-    return qg
+    return ginzburg_extend(doubled_of(q))
 
 
 def _vertex_relations(qg: GinzburgQuiver) -> dict[int, list[tuple[int, tuple[int, int]]]]:
@@ -119,18 +115,11 @@ class HH2Complex:
     dom1: list[tuple[int, Path]]   # (doubled arrow, value path of length q+1)
     dom2: list[Path]               # diagonal one-loop words, q arrows
     codomain: list[Path]           # length-(q+2) cycles in the double quiver
-    d1: ExactMatrix
-    d2: ExactMatrix
+    cols1: list[dict]              # sparse columns {codomain index: coeff} of dom1
+    cols2: list[dict]              # and of dom2
 
     def combined_columns(self) -> list[dict]:
-        cols = []
-        for m in (self.d1, self.d2):
-            by_col: dict[int, dict] = {}
-            for i, row in enumerate(m.rows):
-                for j, v in row.items():
-                    by_col.setdefault(j, {})[i] = v
-            cols.extend(by_col.get(j, {}) for j in range(m.ncols))
-        return cols
+        return self.cols1 + self.cols2
 
 
 def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
@@ -174,9 +163,7 @@ def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
                 col[i] = col.get(i, 0) + coeff
             cols2.append({i: v2 for i, v2 in col.items() if v2})
 
-    d1 = ExactMatrix.from_columns(fld, cols1, len(codomain))
-    d2 = ExactMatrix.from_columns(fld, cols2, len(codomain))
-    return HH2Complex(adams, fld, dom1, dom2, codomain, d1, d2)
+    return HH2Complex(adams, fld, dom1, dom2, codomain, cols1, cols2)
 
 
 def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:

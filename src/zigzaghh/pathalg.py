@@ -83,17 +83,9 @@ def path_bidegree(q, p: Path) -> tuple[int, int]:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
-def _word_cache(q) -> dict:
-    cache = getattr(q, "_word_cache", None)
-    if cache is None:
-        cache = {}
-        q._word_cache = cache
-    return cache
-
-
 def all_words(q, n: int) -> list[Path]:
     """All length-n words in the quiver, in lexicographic letter order."""
-    cache = _word_cache(q)
+    cache = q._cache
     hit = cache.get(n)
     if hit is not None:
         return hit
@@ -124,7 +116,7 @@ def all_words(q, n: int) -> list[Path]:
 
 
 def words_by_endpoints(q, n: int) -> dict[tuple[int, int], list[Path]]:
-    cache = _word_cache(q)
+    cache = q._cache
     key = ("by_st", n)
     hit = cache.get(key)
     if hit is not None:
@@ -143,10 +135,6 @@ def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
     return words_by_endpoints(qd, n).get((i, j), [])
 
 
-def cycles_at(q, v: int, n: int) -> list[Path]:
-    return words_by_endpoints(q, n).get((v, v), [])
-
-
 def all_cycles(q, n: int) -> list[Path]:
     """All length-n cycles, in global lexicographic letter order."""
     out = [p for p in all_words(q, n) if p.is_cycle()]
@@ -162,7 +150,7 @@ def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
     if arrows < 0:
         return []
     n = loops + arrows
-    cache = _word_cache(qg)
+    cache = qg._cache
     key = ("bideg", p, q)
     hit = cache.get(key)
     if hit is not None:

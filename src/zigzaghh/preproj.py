@@ -29,6 +29,7 @@ arbitrary graph (no orientation needed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,24 +40,17 @@ from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 # relation term: (coefficient, (first letter, second letter)) at a vertex
 RelationTable = dict[int, list[tuple[int, tuple[int, int]]]]
 
-_doubled_memo: dict[Quiver, DoubledQuiver] = {}
-_graph_doubled_memo: dict[Graph, DoubledQuiver] = {}
 
-
+# Keyed by the frozen quiver's value and kept for the process, so equal
+# quivers built apart share one double and with it its word tables.
+@functools.cache
 def doubled_of(q: Quiver) -> DoubledQuiver:
-    qd = _doubled_memo.get(q)
-    if qd is None:
-        qd = double(q)
-        _doubled_memo[q] = qd
-    return qd
+    return double(q)
 
 
+@functools.cache
 def doubled_of_graph(g: Graph) -> DoubledQuiver:
-    qd = _graph_doubled_memo.get(g)
-    if qd is None:
-        qd = double(orient_by_edge_order(g))
-        _graph_doubled_memo[g] = qd
-    return qd
+    return double(orient_by_edge_order(g))
 
 
 def preprojective_relations(q: Quiver) -> RelationTable:

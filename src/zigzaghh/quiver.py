@@ -44,7 +44,9 @@ class Graph:
             seen.add(key)
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
-        if not self._connected():
+        # fewer than n - 1 edges cannot connect n vertices; testing that first
+        # refuses a huge vertex count without building its adjacency
+        if len(norm) < n - 1 or not self._connected():
             raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
@@ -112,13 +114,6 @@ class Quiver:
     def arrow_count(self) -> int:
         return len(self.arrows)
 
-    def underlying_graph(self) -> Graph:
-        return Graph(self.vertex_count, tuple((min(s, t), max(s, t)) for s, t in self.arrows),
-                     name=self.name)
-
-    def reversed(self) -> "Quiver":
-        return Quiver(self.vertex_count, tuple((t, s) for s, t in self.arrows), name=self.name)
-
 
 class DoubledQuiver:
     """Double quiver: base arrow k is index 2k, its reverse (star) is 2k+1."""
@@ -139,6 +134,7 @@ class DoubledQuiver:
         self.arrow_source = src
         self.arrow_target = tgt
         self.arrow_names = names
+        self._cache: dict = {}  # word tables (pathalg), living as long as the quiver
 
     @property
     def arrow_count(self) -> int:
@@ -152,9 +148,6 @@ class DoubledQuiver:
 
     def is_loop(self, k: int) -> bool:
         return False
-
-    def arrows_from(self, v: int) -> list[int]:
-        return [k for k in range(self.arrow_count) if self.arrow_source[k] == v]
 
     def __repr__(self):
         return "DoubledQuiver(%d vertices, %d arrows)" % (self.vertex_count, self.arrow_count)
@@ -182,6 +175,7 @@ class GinzburgQuiver:
             self.arrow_target.append(v)
             self.arrow_names.append("t%d" % v)
         self._first_loop = m2
+        self._cache: dict = {}  # word tables (pathalg), living as long as the quiver
 
     @property
     def arrow_count(self) -> int:
@@ -367,8 +361,15 @@ def parse_graph_document(text: str, name: Optional[str] = None) -> Graph:
         data = {"vertices": int(fields["vertices"]), "edges": json.loads(fields["edges"])}
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph document needs 'vertices' and 'edges'")
-    edges = tuple((int(i), int(j)) for i, j in data["edges"])
-    return Graph(int(data["vertices"]), edges, name=name)
+    vertices, edges = data["vertices"], data["edges"]
+    if type(vertices) is not int:
+        raise ValueError("graph 'vertices' must be an integer, got %r" % (vertices,))
+    if not isinstance(edges, list):
+        raise ValueError("graph 'edges' must be a list of [i, j] pairs, got %r" % (edges,))
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+            raise ValueError("graph edge %r is not a pair of integers" % (e,))
+    return Graph(vertices, tuple((i, j) for i, j in edges), name=name)
 
 
 def load_graph(path: str) -> Graph:

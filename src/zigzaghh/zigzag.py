@@ -61,9 +61,6 @@ class ZigzagAlgebra:
     def dim_in_degree(self, k: int) -> int:
         return sum(1 for d in self.degrees if d == k)
 
-    def basis_name(self, i: int) -> str:
-        return self.names[i]
-
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .exactla import FieldSpec
-from .quiver import Quiver
-from .zigzag import ZigzagAlgebra
+from zigzaghh.exactla import FieldSpec
+from zigzaghh.quiver import Quiver
+from zigzaghh.zigzag import ZigzagAlgebra
 
 
 class OracleInfeasible(RuntimeError):

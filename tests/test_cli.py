@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, file ingestion."""
 
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,40 @@ def test_hh2_zigzag_method_rejects_non_trees(capsys, tmp_path):
     f.write_text('{"vertices": 3, "edges": [[1,2],[2,3],[1,3]]}')
     code = main(["hh2", "--graph", str(f), "--char", "0", "--q", "1", "--method", "zigzag"])
     assert code == 3
+
+
+def test_hh2_all_reports_skipped_zigzag_degrees(capsys):
+    code, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..5")
+    assert code == 0
+    assert {r["q"] for r in doc["results"] if r["method"] == "zigzag"} == {1, 2, 3}
+    assert [(s["q"], s["method"]) for s in doc["skipped"]] == [(4, "zigzag"), (5, "zigzag")]
+    assert all("cap" in s["reason"] for s in doc["skipped"])
+    _, out = _run(capsys, "hh2", "--graph", "D4", "--q", "1..5")
+    assert out.count("skipped: ") == 2
+    _, doc = _run_json(capsys, "hh2", "--graph", "A~3", "--q", "2")
+    assert doc["skipped"] == [{"q": 2, "method": "zigzag",
+                               "reason": "graph is not a tree (derived Koszul duality hypothesis)"}]
+    _, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..3")
+    assert "skipped" not in doc
+
+
+@pytest.mark.parametrize("text", ['{"vertices": 3, "edges": [1, 2]}',
+                                  '{"vertices": null, "edges": []}',
+                                  '{"vertices": 3, "edges": "ab"}'])
+def test_malformed_graph_file_exits_2(capsys, tmp_path, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["classify", "--graph", str(f), "--max", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_huge_disconnected_graph_refused_quickly(capsys, tmp_path):
+    f = tmp_path / "sparse.json"
+    f.write_text('{"vertices": %d, "edges": [[1, 2]]}' % 10 ** 12)
+    t0 = time.perf_counter()
+    assert main(["classify", "--graph", str(f), "--max", "2"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "not connected" in capsys.readouterr().err
 
 
 def test_hh2_invalid_graph_label(capsys):
@@ -170,21 +205,23 @@ def test_ainfty_check_zero_m4_fails(capsys, tmp_path):
     assert doc["coboundary"] is True
 
 
+@pytest.mark.parametrize("text", ['{"terms": [{"output": "e1"}]}',
+                                  '[{"inputs": ["a1"], "output": "e1"}]',
+                                  '{"terms": [{"inputs": ["a1", "a1*", "a1", "a1*"], '
+                                  '"output": "e1", "coeff": [1]}]}'])
+def test_ainfty_check_malformed_m4_file_exits_2(capsys, tmp_path, text):
+    f = tmp_path / "bad_m4.json"
+    f.write_text(text)
+    assert main(["ainfty-check", "--m4-file", str(f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_json_deterministic_across_runs(capsys):
     _, out1 = _run(capsys, "hh2", "--graph", "D4", "--char", "2", "--q", "1..4",
                    "--out", "json")
     _, out2 = _run(capsys, "hh2", "--graph", "D4", "--char", "2", "--q", "1..4",
                    "--out", "json")
     assert out1 == out2
-
-
-def test_thread_env_does_not_change_results(capsys, monkeypatch):
-    _, base = _run(capsys, "hh2", "--graph", "D4", "--char", "0", "--q", "1..4",
-                   "--out", "json")
-    monkeypatch.setenv("ZIGZAGHH_THREADS", "4")
-    _, threaded = _run(capsys, "hh2", "--graph", "D4", "--char", "0", "--q", "1..4",
-                       "--out", "json")
-    assert base == threaded
 
 
 def test_json_roundtrip_lossless(capsys):

@@ -83,6 +83,17 @@ def test_h0_equals_lambda():
                 assert h0_dim(q, adams, fld) == lambda_piece(q, adams, fld).dimension
 
 
+def test_equal_quivers_share_double_ginzburg_and_word_tables():
+    # built apart, equal by value: warm batch callers rely on this reuse
+    q1, q2 = _q("D~", 5), _q("D~", 5)
+    assert q1 == q2 and q1 is not q2
+    assert doubled_of(q1) is doubled_of(q2)
+    assert ginzburg_of(q1) is ginzburg_of(q2)
+    assert ginzburg_of(q1).doubled is doubled_of(q1)
+    assert all_words(doubled_of(q1), 3) is all_words(doubled_of(q2), 3)
+    assert all_words(ginzburg_of(q1), 2) is all_words(ginzburg_of(q2), 2)
+
+
 def test_hh2_complex_a2_q0_dimensions():
     cx = hh2_complex(_q("A", 2), 0, QQ)
     assert len(cx.dom1) == 2

@@ -1,17 +1,23 @@
 """Brute-force oracles, and agreement between oracles and the pipelines."""
 
+import importlib.util
+
 import pytest
 
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.oracle import (OracleInfeasible, oracle_hh_unreduced, oracle_lambda_dim,
-                             oracle_trace_dim)
 from zigzaghh.preproj import lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
 from zigzaghh.zigzag import build_zigzag, hochschild_dim
 
+from oracle import OracleInfeasible, oracle_hh_unreduced, oracle_lambda_dim, oracle_trace_dim
+
 
 def _q(family, n):
     return orient_bipartite(catalog(family, n))
+
+
+def test_oracle_is_not_part_of_the_package():
+    assert importlib.util.find_spec("zigzaghh.oracle") is None
 
 
 def test_oracle_lambda_hand_values():

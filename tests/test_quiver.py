@@ -142,3 +142,7 @@ def test_parse_graph_document_json_and_text(tmp_path):
         parse_graph_document("vertices: 3")
     with pytest.raises(ValueError):
         parse_graph_document("just nonsense")
+    for bad in ('{"vertices": 3, "edges": [1, 2]}', '{"vertices": "3", "edges": []}',
+                '{"vertices": 2, "edges": [[1, 2, 3]]}', '{"vertices": 2, "edges": [[1, 2.0]]}'):
+        with pytest.raises(ValueError):
+            parse_graph_document(bad)

@@ -198,6 +198,6 @@ def test_cochain_validation_rejects_bad_values():
 
 
 def test_reduced_equals_unreduced_spot():
-    from zigzaghh.oracle import oracle_hh_unreduced
+    from oracle import oracle_hh_unreduced
     alg = build_zigzag(catalog("A", 2), QQ)
     assert hochschild_dim(alg, 2, 1).dimension == oracle_hh_unreduced(alg, 2, 1)
