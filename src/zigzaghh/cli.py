@@ -76,6 +76,8 @@ def _emit(payload: dict, fmt: str, table_lines: list[str]):
 
 
 def cmd_preproj(args) -> int:
+    if args.max < 0:
+        raise CliError("--max must be >= 0, got %d" % args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
     quiv, orient_label = (None, "none (graph-level quotient)") \
@@ -153,7 +155,9 @@ def cmd_hh2(args) -> int:
                 skipped.append({"q": q, "method": m, "reason": reason})
             else:
                 jobs.append((q, m))
-    alg = zigzag.build_zigzag(g, fld) if any(m == "zigzag" for _, m in jobs) else None
+    # the methods that ran at some q: the ones `agreement` compares
+    compared = [m for m in methods if any(m == jm for _, jm in jobs)]
+    alg = zigzag.build_zigzag(g, fld) if "zigzag" in compared else None
 
     def one(q, m):
         if m == "ginzburg":
@@ -186,6 +190,7 @@ def cmd_hh2(args) -> int:
     }
     if args.method == "all":
         payload["agreement"] = agreement
+        payload["compared"] = compared
     if skipped:
         payload["skipped"] = skipped
     lines = ["# HH^{2,q} of %s over char %d" % (args.graph, args.char),
@@ -197,12 +202,15 @@ def cmd_hh2(args) -> int:
     for s in skipped:
         lines.append("skipped: q=%d %s (%s)" % (s["q"], s["method"], s["reason"]))
     if args.method == "all":
-        lines.append("agreement across methods: %s" % ("yes" if agreement else "NO"))
+        lines.append("agreement across methods: %s (%s)"
+                     % ("yes" if agreement else "NO", ", ".join(compared)))
     _emit(payload, args.out, lines)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
+    if args.max < 1:
+        raise CliError("--max must be >= 1 (classify searches 0 < q <= max), got %d" % args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
     quiv, orient_label = _orient(g, args.orientation)

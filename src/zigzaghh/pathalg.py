@@ -5,6 +5,12 @@ to right, so pq means "traverse p, then q" and requires target(p) =
 source(q); e_i a e_j is a path from i to j.  Words are ordered
 lexicographically by their arrow-id sequences, which fixes every basis
 ordering in the package.
+
+Enumeration is driven by constraints: one depth-first walk extends a
+word only by letters its budget still allows (any letter for `all_words`;
+loop and other letters counted apart for `basis_of_bidegree`, which so
+builds no word of another bidegree) and emits the words already in that
+order, with no sort.
 """
 
 from __future__ import annotations
@@ -83,36 +89,54 @@ def path_bidegree(q, p: Path) -> tuple[int, int]:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
+def _words(q, n: int, loops: Optional[int] = None) -> list[Path]:
+    """Length-n words in lexicographic letter order, from one depth-first walk.
+
+    With `loops` given, only the words with exactly that many loop letters:
+    a loop is tried only while loops remain, any other letter only while
+    arrows remain.  Loops carry the largest arrow ids (see GinzburgQuiver),
+    so trying the other letters first keeps the order.
+    """
+    if n == 0:
+        return [trivial_path(v) for v in range(1, q.vertex_count + 1)]
+    src = q.arrow_source
+    tgt = q.arrow_target
+    # steps[v] = (non-loop letters, loop letters) leaving v; steps[0] holds
+    # every letter, for the first position
+    steps = {v: ([], []) for v in range(q.vertex_count + 1)}
+    for k in range(q.arrow_count):
+        kind = loops is not None and q.is_loop(k)
+        steps[src[k]][kind].append(k)
+        steps[0][kind].append(k)
+    out: list[Path] = []
+    word = [0] * n
+
+    def extend(pos: int, at: int, arrows_left: int, loops_left: int):
+        if pos == n:
+            out.append(Path(src[word[0]], tuple(word), at))
+            return
+        arrow_steps, loop_steps = steps[at]
+        if arrows_left:
+            for k in arrow_steps:
+                word[pos] = k
+                extend(pos + 1, tgt[k], arrows_left - 1, loops_left)
+        if loops_left:
+            for k in loop_steps:
+                word[pos] = k
+                extend(pos + 1, tgt[k], arrows_left, loops_left - 1)
+
+    loops = loops or 0
+    extend(0, 0, n - loops, loops)
+    return out
+
+
 def all_words(q, n: int) -> list[Path]:
     """All length-n words in the quiver, in lexicographic letter order."""
     cache = q._cache
     hit = cache.get(n)
-    if hit is not None:
-        return hit
-    if n == 0:
-        out = [trivial_path(v) for v in range(1, q.vertex_count + 1)]
-    else:
-        src = q.arrow_source
-        tgt = q.arrow_target
-        by_source: dict[int, list[int]] = {v: [] for v in range(1, q.vertex_count + 1)}
-        for k in range(q.arrow_count):
-            by_source[src[k]].append(k)
-        out = []
-        word = [0] * n
-
-        def extend(pos: int, at: int):
-            if pos == n:
-                out.append(Path(src[word[0]], tuple(word), at))
-                return
-            for k in by_source[at]:
-                word[pos] = k
-                extend(pos + 1, tgt[k])
-
-        for k in range(q.arrow_count):
-            word[0] = k
-            extend(1, tgt[k])
-    cache[n] = out
-    return out
+    if hit is None:
+        hit = cache[n] = _words(q, n)
+    return hit
 
 
 def words_by_endpoints(q, n: int) -> dict[tuple[int, int], list[Path]]:
@@ -155,7 +179,7 @@ def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    out = [w for w in all_words(qg, n) if loop_count(qg, w) == loops]
+    out = _words(qg, n, loops)
     cache[key] = out
     return out
 

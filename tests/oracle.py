@@ -2,9 +2,9 @@
 
 These pin expected values before the main pipelines are trusted.  They
 deliberately share no code with the optimized modules beyond the field
-type: paths are enumerated by a separate breadth-first routine, matrices
-are plain row dicts over Fractions / residues, and elimination is the
-textbook algorithm with no fraction-free tricks.
+and path types: paths are enumerated by a separate breadth-first
+routine, matrices are plain row dicts over Fractions / residues, and
+elimination is the textbook algorithm with no fraction-free tricks.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from zigzaghh.exactla import FieldSpec
+from zigzaghh.pathalg import Path
 from zigzaghh.quiver import Quiver
 from zigzaghh.zigzag import ZigzagAlgebra
 
@@ -92,6 +93,22 @@ def _walks(arrows: list[tuple[int, int]], vertex_count: int, n: int) -> list[tup
                     nxt.append((word + (k,), s, t2))
         level = nxt
     return level
+
+
+def oracle_basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
+    """Ginzburg words of bidegree (p, q) by filtering every word of length q + p.
+
+    The definition the enumerator replaced: keep the words with exactly -p
+    loop letters.  Words come from `_walks`, which is lexicographic in
+    arrow ids like the package's enumeration.
+    """
+    loops = -p
+    arrows = q + 2 * p
+    if arrows < 0:
+        return []
+    arrow_list = list(zip(qg.arrow_source, qg.arrow_target))
+    return [Path(s, word, t) for word, s, t in _walks(arrow_list, qg.vertex_count, loops + arrows)
+            if sum(1 for k in word if qg.is_loop(k)) == loops]
 
 
 def oracle_lambda_dim(q: Quiver, n: int, fld: FieldSpec) -> int:

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, file ingestion."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -55,6 +56,7 @@ def test_hh2_d4_good_char_all_methods_agree(capsys):
                           "--q", "1..6", "--method", "all")
     assert code == 0
     assert doc["agreement"] is True
+    assert doc["compared"] == ["ginzburg", "trace", "zigzag"]
     assert all(r["dim"] == 0 for r in doc["results"])
 
 
@@ -88,11 +90,44 @@ def test_hh2_all_reports_skipped_zigzag_degrees(capsys):
     assert all("cap" in s["reason"] for s in doc["skipped"])
     _, out = _run(capsys, "hh2", "--graph", "D4", "--q", "1..5")
     assert out.count("skipped: ") == 2
+    assert "agreement across methods: yes (ginzburg, trace, zigzag)\n" in out
     _, doc = _run_json(capsys, "hh2", "--graph", "A~3", "--q", "2")
     assert doc["skipped"] == [{"q": 2, "method": "zigzag",
                                "reason": "graph is not a tree (derived Koszul duality hypothesis)"}]
+    assert doc["compared"] == ["ginzburg", "trace"]
+    _, out = _run(capsys, "hh2", "--graph", "A~3", "--q", "2")
+    assert out.endswith("agreement across methods: yes (ginzburg, trace)\n")
     _, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..3")
     assert "skipped" not in doc
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_hh2_ginzburg_witnesses_pinned(capsys, char):
+    # recorded before basis_of_bidegree walked by loop budget; the basis
+    # order fixes every matrix and witness, and single-method runs carry
+    # no "compared" list
+    golden = pathlib.Path(__file__).parent / "golden" / ("hh2-ginzburg-D~4-char%d.json" % char)
+    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", str(char), "--q", "1..8",
+                     "--method", "ginzburg", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("argv", [("classify", "--max", "0"), ("classify", "--max", "-3"),
+                                  ("preproj", "--max", "-1"), ("preproj", "--max", "-2")])
+def test_empty_search_bound_exits_2(capsys, argv):
+    # a verdict over no degrees at all would claim more than was searched
+    assert main([argv[0], "--graph", "A3", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max must be >= ")
+
+
+def test_smallest_search_bounds_still_run(capsys):
+    code, doc = _run_json(capsys, "classify", "--graph", "A3", "--max", "1")
+    assert code == 0 and [r["q"] for r in doc["results"]] == [1]
+    code, doc = _run_json(capsys, "preproj", "--graph", "A3", "--max", "0")
+    assert code == 0 and [r["q"] for r in doc["results"]] == [0, 0]
 
 
 @pytest.mark.parametrize("text", ['{"vertices": 3, "edges": [1, 2]}',

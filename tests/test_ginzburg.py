@@ -94,6 +94,17 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
     assert all_words(ginzburg_of(q1), 2) is all_words(ginzburg_of(q2), 2)
 
 
+def test_hh2_builds_no_ginzburg_word_table():
+    # basis_of_bidegree walks by loop budget; filtering all_words(qg, n)
+    # would leave its tables of every Ginzburg word behind
+    q = _q("E~", 6)
+    qg = ginzburg_of(q)
+    qg._cache.clear()
+    hh2_dim(q, 8, GF(2))
+    assert ("bideg", -1, 10) in qg._cache
+    assert [k for k in qg._cache if isinstance(k, int) and k > 0] == []
+
+
 def test_hh2_complex_a2_q0_dimensions():
     cx = hh2_complex(_q("A", 2), 0, QQ)
     assert len(cx.dom1) == 2

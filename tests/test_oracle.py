@@ -5,11 +5,14 @@ import importlib.util
 import pytest
 
 from zigzaghh.exactla import GF, QQ
+from zigzaghh.ginzburg import ginzburg_of
+from zigzaghh.pathalg import basis_of_bidegree
 from zigzaghh.preproj import lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
 from zigzaghh.zigzag import build_zigzag, hochschild_dim
 
-from oracle import OracleInfeasible, oracle_hh_unreduced, oracle_lambda_dim, oracle_trace_dim
+from oracle import (OracleInfeasible, oracle_basis_of_bidegree, oracle_hh_unreduced,
+                    oracle_lambda_dim, oracle_trace_dim)
 
 
 def _q(family, n):
@@ -50,6 +53,18 @@ def test_oracle_trace_matches_cyclic_block_shortcut():
             for deg in range(7):
                 assert (oracle_trace_dim(q, deg, fld)
                         == trace_piece(q, deg, fld).dimension), (q.name, fld, deg)
+
+
+def test_oracle_basis_of_bidegree_matches_budgeted_walk():
+    # lists equal in order too: the order fixes every Ginzburg basis and matrix
+    quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
+               orient_by_edge_order(catalog("A~", 2))]
+    for quiv in quivers:
+        qg = ginzburg_of(quiv)
+        for p in range(-3, 1):
+            for q in range(9):  # covers n == 0, arrows == 0 and arrows < 0
+                assert basis_of_bidegree(qg, p, q) == oracle_basis_of_bidegree(qg, p, q), \
+                    (quiv.name, p, q)
 
 
 def test_oracle_unreduced_hh_z_a1():
