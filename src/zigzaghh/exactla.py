@@ -3,11 +3,20 @@
 Every rank, kernel, cokernel and membership question in this package is
 answered here with exact arithmetic: arbitrary-precision rationals in
 characteristic 0, reduced residues mod p otherwise.  Matrices are kept
-sparse (one dict per row); elimination over Q is fraction-free, i.e. a
-cross-multiplication followed by a gcd division, so rows stay integral
-and coefficient growth stays tame on the path-algebra matrices we feed
-in.  Pivot columns are always taken in increasing column order, which
-makes ranks, kernels and quotient representatives reproducible.
+sparse (one dict per row).  Elimination is structured (LaMacchia and
+Odlyzko, *Solving large sparse linear systems over finite fields*, 1990):
+rows with one or two terms, such as the rotation relations of the
+Ginzburg complex, never enter it.  A weighted union-find over the columns
+settles them, keeping e_c = w_c e_root modulo the short rows, with the
+largest column of a component as its root; a one-term row, or a cycle
+whose weights disagree, sets a whole component to zero.  Only the longer
+rows, projected onto the live roots, reach the sparse core, whose
+elimination over Q is fraction-free, i.e. a cross-multiplication followed
+by a gcd division, so rows stay integral and coefficient growth stays
+tame on the path-algebra matrices we feed in.  Pivot columns are always
+taken in increasing column order, and the pivot set of an echelon form
+depends only on the row space, which makes ranks, kernels and quotient
+representatives reproducible.
 """
 
 from __future__ import annotations
@@ -123,7 +132,7 @@ def GF(p: int) -> FieldSpec:
 # against the installed pivots and then claim their leading column, so
 # each pivot is the first nonzero available in column order; the pivot
 # profile is the rank profile of the row space and does not depend on
-# the input ordering.
+# the input ordering, nor on which rows the union-find settled.
 # ---------------------------------------------------------------------------
 
 
@@ -149,15 +158,18 @@ def _scale_integral(row: dict) -> dict[int, int]:
     """Clear denominators and divide by the content, keeping exactness."""
     if not row:
         return {}
-    lcm = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    out = {c: int(v * lcm) for c, v in row.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
+    # `type(v) is int` skips the ABC instance check isinstance(v, Fraction)
+    # pays for every int entry
+    if all(type(v) is int for v in row.values()):
+        out = row
+    else:
+        lcm = 1
+        for v in row.values():
+            if isinstance(v, Fraction):
+                d = v.denominator
+                lcm = lcm * d // gcd(lcm, d)
+        out = {c: int(v * lcm) for c, v in row.items()}
+    g = gcd(*out.values())
     if g > 1:
         out = {c: v // g for c, v in out.items()}
     return {c: v for c, v in out.items() if v}
@@ -214,26 +226,111 @@ def _reduce(r: dict[int, int], ech: Echelon, pivot_at: dict[int, int], p: int) -
 
 
 def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
-    """Reduce a spanning set of row vectors to (sparse) row echelon form."""
-    p = field.characteristic
-    ech = Echelon(field, ncols)
-    # pivot_at[col] -> index into ech.rows
-    pivot_at: dict[int, int] = {}
-    work = [r for r in (_normalized(row, p) for row in rows) if r]
+    """Reduce a spanning set of row vectors to (sparse) row echelon form.
 
-    # eliminate each row against the current echelon, then install it
-    for r in work:
-        r = _reduce(r, ech, pivot_at, p)
+    One- and two-term rows go to a weighted union-find over the columns;
+    the longer rows are projected onto its live roots and reduced by
+    `_reduce`.  The echelon holds e_c - w_c e_root for each non-root c of
+    a live component, e_c for each c of a zero component, and the reduced
+    long rows, sorted by pivot.
+    """
+    p = field.characteristic
+    # e_c = weight[c] * e_parent[c] modulo the short rows; a root, the largest
+    # column of its component, has no parent entry, so every short-row
+    # echelon row e_c - w e_root leads with c
+    parent: dict[int, int] = {}
+    weight: dict[int, Scalar] = {}
+    dead: set[int] = set()   # roots of components the short rows set to zero
+
+    if p:
+        def mul(a, b):
+            return a * b % p
+
+        def ratio(a, b):
+            return a * pow(b, p - 2, p) % p
+    else:
+        def whole(x):   # weights stay ints wherever the division is exact
+            return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+        def mul(a, b):
+            return whole(a * b)
+
+        def ratio(a, b):
+            if type(a) is int and type(b) is int and a % b == 0:
+                return a // b
+            return whole(Fraction(a, b))
+
+    def find(c):
+        """(root, w) with e_c = w * e_root modulo the short rows."""
+        up = parent.get(c)
+        if up is None:
+            return c, 1
+        path = [c]
+        nxt = parent.get(up)
+        while nxt is not None:
+            path.append(up)
+            up, nxt = nxt, parent.get(nxt)
+        w = 1
+        for node in reversed(path):
+            w = mul(weight[node], w)
+            weight[node] = w
+            parent[node] = up
+        return up, w
+
+    long_rows = []
+    for row in rows:
+        r = _normalized(row, p)
+        if len(r) > 2:
+            long_rows.append(r)
+        elif len(r) == 2:
+            (i, a), (j, b) = r.items()
+            ri, wi = find(i)
+            rj, wj = find(j)
+            a, b = mul(a, wi), mul(b, wj)   # a e_ri + b e_rj = 0
+            if ri == rj:
+                if not field.is_zero(a + b):
+                    dead.add(ri)
+                continue
+            if ri > rj:
+                ri, rj, a, b = rj, ri, b, a
+            parent[ri] = rj
+            weight[ri] = ratio(-b, a)
+            if ri in dead:
+                dead.add(rj)
+        elif r:
+            dead.add(find(next(iter(r)))[0])
+
+    ech = Echelon(field, ncols)
+    pivot_at: dict[int, int] = {}   # core pivot column -> index into ech.rows
+    for r in long_rows:
+        proj: dict[int, Scalar] = {}
+        for c, v in r.items():
+            root, w = find(c)
+            if root not in dead:
+                proj[root] = proj.get(root, 0) + v * w
+        r = _reduce(_normalized(proj, p), ech, pivot_at, p)
         if r:
             c = min(r)
             pivot_at[c] = len(ech.rows)
             ech.rows.append(r)
             ech.pivot_cols.append(c)
 
+    pivots = list(zip(ech.pivot_cols, ech.rows))
+    for c in parent:
+        root, w = find(c)
+        if root in dead:
+            pivots.append((c, {c: 1}))
+        elif p:
+            pivots.append((c, {c: 1, root: -w % p}))
+        elif type(w) is int:
+            pivots.append((c, {c: 1, root: -w}))
+        else:
+            pivots.append((c, {c: w.denominator, root: -w.numerator}))
+    pivots += [(c, {c: 1}) for c in dead if c not in parent]
     # sort echelon by pivot column so back-substitution can walk upward
-    order = sorted(range(len(ech.rows)), key=lambda i: ech.pivot_cols[i])
-    ech.rows = [ech.rows[i] for i in order]
-    ech.pivot_cols = [ech.pivot_cols[i] for i in order]
+    pivots.sort(key=lambda t: t[0])
+    ech.pivot_cols = [c for c, _ in pivots]
+    ech.rows = [r for _, r in pivots]
     return ech
 
 

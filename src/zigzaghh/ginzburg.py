@@ -150,9 +150,7 @@ def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
     dom2: list[Path] = []
     cols2: list[dict] = []
     if adams >= 0:
-        for w in basis_of_bidegree(qg, -1, adams + 2):
-            if not w.is_cycle():
-                continue
+        for w in basis_of_bidegree(qg, -1, adams + 2, closed=True):
             dom2.append(w)
             pos = next(k for k, a in enumerate(w.letters) if qg.is_loop(a))
             v = qg.arrow_source[w.letters[pos]]

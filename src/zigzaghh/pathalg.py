@@ -9,8 +9,9 @@ ordering in the package.
 Enumeration is driven by constraints: one depth-first walk extends a
 word only by letters its budget still allows (any letter for `all_words`;
 loop and other letters counted apart for `basis_of_bidegree`, which so
-builds no word of another bidegree) and emits the words already in that
-order, with no sort.
+builds no word of another bidegree; with `closed`, a last letter only
+back to the first letter's source, so no open word is built either) and
+emits the words already in that order, with no sort.
 """
 
 from __future__ import annotations
@@ -89,33 +90,45 @@ def path_bidegree(q, p: Path) -> tuple[int, int]:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
-def _words(q, n: int, loops: Optional[int] = None) -> list[Path]:
+def _words(q, n: int, loops: Optional[int] = None, closed: bool = False) -> list[Path]:
     """Length-n words in lexicographic letter order, from one depth-first walk.
 
     With `loops` given, only the words with exactly that many loop letters:
     a loop is tried only while loops remain, any other letter only while
     arrows remain.  Loops carry the largest arrow ids (see GinzburgQuiver),
-    so trying the other letters first keeps the order.
+    so trying the other letters first keeps the order.  With `closed`, only
+    the cycles: the last letter must return to the first letter's source.
     """
     if n == 0:
         return [trivial_path(v) for v in range(1, q.vertex_count + 1)]
     src = q.arrow_source
     tgt = q.arrow_target
     # steps[v] = (non-loop letters, loop letters) leaving v; steps[0] holds
-    # every letter, for the first position
+    # every letter, for the first position.  ends[v, s] splits the letters
+    # from v back to s alike; ends[0, 0], the letters from a vertex back to
+    # itself, close a one-letter walk.
     steps = {v: ([], []) for v in range(q.vertex_count + 1)}
+    ends: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for k in range(q.arrow_count):
         kind = loops is not None and q.is_loop(k)
         steps[src[k]][kind].append(k)
         steps[0][kind].append(k)
+        ends.setdefault((src[k], tgt[k]), ([], []))[kind].append(k)
+        if src[k] == tgt[k]:
+            ends.setdefault((0, 0), ([], []))[kind].append(k)
     out: list[Path] = []
     word = [0] * n
+    last = n - 1 if closed else n
+    nothing = ([], [])
 
     def extend(pos: int, at: int, arrows_left: int, loops_left: int):
         if pos == n:
             out.append(Path(src[word[0]], tuple(word), at))
             return
-        arrow_steps, loop_steps = steps[at]
+        if pos == last:
+            arrow_steps, loop_steps = ends.get((at, src[word[0]] if pos else 0), nothing)
+        else:
+            arrow_steps, loop_steps = steps[at]
         if arrows_left:
             for k in arrow_steps:
                 word[pos] = k
@@ -165,8 +178,11 @@ def all_cycles(q, n: int) -> list[Path]:
     return out
 
 
-def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
-    """All Ginzburg words of bidegree (p, q): -p loops and q+2p arrows."""
+def basis_of_bidegree(qg, p: int, q: int, closed: bool = False) -> list[Path]:
+    """All Ginzburg words of bidegree (p, q): -p loops and q+2p arrows.
+
+    With `closed`, only those words that are cycles.
+    """
     if p > 0:
         raise ValueError("Ginzburg words live in non-positive cohomological degree")
     loops = -p
@@ -175,11 +191,11 @@ def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
         return []
     n = loops + arrows
     cache = qg._cache
-    key = ("bideg", p, q)
+    key = ("bideg", p, q, "closed") if closed else ("bideg", p, q)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    out = _words(qg, n, loops)
+    out = _words(qg, n, loops, closed)
     cache[key] = out
     return out
 

@@ -101,13 +101,18 @@ def test_hh2_all_reports_skipped_zigzag_degrees(capsys):
     assert "skipped" not in doc
 
 
-@pytest.mark.parametrize("char", [0, 2])
-def test_hh2_ginzburg_witnesses_pinned(capsys, char):
-    # recorded before basis_of_bidegree walked by loop budget; the basis
-    # order fixes every matrix and witness, and single-method runs carry
-    # no "compared" list
-    golden = pathlib.Path(__file__).parent / "golden" / ("hh2-ginzburg-D~4-char%d.json" % char)
-    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", str(char), "--q", "1..8",
+@pytest.mark.parametrize("graph,char", [pytest.param("D~4", 0, id="0"),
+                                        pytest.param("D~4", 2, id="2"),
+                                        pytest.param("D~6", 0, id="D~6-0"),
+                                        pytest.param("E~6", 3, id="E~6-3")])
+def test_hh2_ginzburg_witnesses_pinned(capsys, graph, char):
+    # D~4 recorded before basis_of_bidegree walked by loop budget, D~6 and
+    # E~6 before the short rows went to the union-find: the basis order and
+    # the pivot profile fix every witness, and single-method runs carry no
+    # "compared" list
+    golden = pathlib.Path(__file__).parent / "golden" / ("hh2-ginzburg-%s-char%d.json"
+                                                         % (graph, char))
+    code, out = _run(capsys, "hh2", "--graph", graph, "--char", str(char), "--q", "1..8",
                      "--method", "ginzburg", "--witnesses", "--out", "json")
     assert code == 0
     assert out == golden.read_text()

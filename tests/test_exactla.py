@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from zigzaghh.exactla import GF, QQ, ExactMatrix, FieldSpec, span_info
+from zigzaghh.exactla import GF, QQ, ExactMatrix, FieldSpec, echelonize, in_span, span_info
+
+from oracle import _row_reduce_rank
 
 
 def test_fieldspec_validation():
@@ -197,3 +199,124 @@ def test_kernel_vectors_exact_over_many_fields():
         m = ExactMatrix.from_dense(fld, rows)
         for v in m.kernel_basis():
             assert all(fld.is_zero(x) for x in m.mul_vector(v))
+
+
+# ---------------------------------------------------------------------------
+# matrices dominated by one- and two-term rows, against the textbook oracle
+# ---------------------------------------------------------------------------
+
+def _entry(rng, kind):
+    if kind == "int":
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == "fraction":
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+    return rng.randint(0, 12)   # residues, some of them zero mod p
+
+
+def _short_heavy_rows(rng, kind, ncols):
+    """Mostly one- and two-term rows, plus zero rows, duplicates, a few long
+    rows, and a closed chain whose weights multiply to -1."""
+    rows = []
+    for _ in range(rng.randint(ncols // 2, ncols + 4)):
+        roll = rng.random()
+        if roll < 0.05:
+            rows.append({})
+        elif roll < 0.1:
+            rows.append({rng.randrange(ncols): 0})
+        elif roll < 0.2:
+            rows.append({rng.randrange(ncols): _entry(rng, kind)})
+        elif roll < 0.75:
+            i, j = rng.sample(range(ncols), 2)
+            rows.append({i: _entry(rng, kind), j: _entry(rng, kind)})
+        elif roll < 0.85 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            cols = rng.sample(range(ncols), rng.randint(3, min(6, ncols)))
+            rows.append({c: _entry(rng, kind) for c in cols})
+    # e_c1 - e_c2, ..., e_c(k-1) - e_ck, e_ck + e_c1: zero over Q and F_p, p odd
+    chain = rng.sample(range(ncols), rng.randint(2, min(5, ncols)))
+    rows += [{a: 1, b: -1} for a, b in zip(chain, chain[1:])]
+    rows.append({chain[-1]: 1, chain[0]: 1})
+    rng.shuffle(rows)
+    return rows
+
+
+def _reference_pivots(fld, rows, ncols):
+    # leading columns are the smallest, so c is a pivot exactly when
+    # column c is not in the span of the columns before it
+    ranks = [_row_reduce_rank(fld, [{j: v for j, v in r.items() if j < c} for r in rows])
+             for c in range(ncols + 1)]
+    return [c for c in range(ncols) if ranks[c + 1] > ranks[c]]
+
+
+_SHORT_HEAVY_CASES = [(QQ, "int"), (QQ, "fraction"), (GF(2), "residue"),
+                      (GF(3), "residue"), (GF(5), "residue")]
+
+
+@pytest.mark.parametrize("fld,kind", _SHORT_HEAVY_CASES)
+def test_short_row_echelon_matches_textbook_pivots(fld, kind):
+    rng = random.Random(9000 + fld.characteristic * 10 + len(kind))
+    for _ in range(40):
+        ncols = rng.randint(4, 24)
+        rows = _short_heavy_rows(rng, kind, ncols)
+        ech = echelonize(fld, rows, ncols)
+        assert ech.pivot_cols == _reference_pivots(fld, rows, ncols)
+        # a valid echelon of the same space: each row leads with its pivot
+        assert all(min(r) == c for r, c in zip(ech.rows, ech.pivot_cols))
+        assert all(type(v) is int for r in ech.rows for v in r.values())
+        for r in rows:
+            assert in_span(fld, ech, r)
+
+
+def test_inconsistent_cycle_depends_on_the_field():
+    # e0 = e1 = e2 = -e0: zero over Q and F3, a live line over F2
+    rows = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}]
+    assert echelonize(QQ, rows, 3).pivot_cols == [0, 1, 2]
+    assert echelonize(GF(3), rows, 3).pivot_cols == [0, 1, 2]
+    ech = echelonize(GF(2), rows, 3)
+    assert ech.pivot_cols == [0, 1]
+    assert not in_span(GF(2), ech, {2: 1})
+
+
+@pytest.mark.parametrize("fld,kind", _SHORT_HEAVY_CASES)
+def test_short_row_matrices_kernel_solve_and_membership(fld, kind):
+    rng = random.Random(7000 + fld.characteristic * 10 + len(kind))
+    for _ in range(25):
+        ncols = rng.randint(4, 16)
+        rows = _short_heavy_rows(rng, kind, ncols)
+        m = ExactMatrix(fld, len(rows), ncols, rows)
+        rank = _row_reduce_rank(fld, rows)
+        assert m.rank() == rank
+        kernel = m.kernel_basis()
+        assert len(kernel) == ncols - rank
+        assert _row_reduce_rank(fld, [dict(enumerate(v)) for v in kernel]) == len(kernel)
+        for v in kernel:
+            assert all(fld.is_zero(x) for x in m.mul_vector(v))
+        x0 = [fld.element(rng.randint(-2, 2)) for _ in range(ncols)]
+        b = m.mul_vector(x0)
+        x = m.solve(b)
+        assert x is not None and m.mul_vector(x) == b
+        b = [fld.element(rng.randint(-2, 2)) for _ in range(len(rows))]
+        aug = [{**r, ncols: bv} for r, bv in zip(rows, b)]
+        solvable = _row_reduce_rank(fld, aug) == rank
+        x = m.solve(b)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert m.mul_vector(x) == b
+        ech = echelonize(fld, rows, ncols)
+        v = {c: _entry(rng, kind) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        assert in_span(fld, ech, v) == (_row_reduce_rank(fld, rows + [v]) == rank)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3)])
+def test_long_two_term_chain_is_quick(fld):
+    # rows in chain order make the deepest union-find path before any
+    # compression; find must not recurse along it
+    n = 5000
+    rows = [{i: 1, i + 1: -1} for i in range(n - 1)]
+    start = time.perf_counter()
+    ech = echelonize(fld, rows, n)
+    assert time.perf_counter() - start < 1.0
+    assert ech.pivot_cols == list(range(n - 1))
+    assert in_span(fld, ech, {0: 1, n - 1: -1})
+    assert not in_span(fld, ech, {0: 1})

@@ -95,14 +95,14 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
 
 
 def test_hh2_builds_no_ginzburg_word_table():
-    # basis_of_bidegree walks by loop budget; filtering all_words(qg, n)
-    # would leave its tables of every Ginzburg word behind
+    # basis_of_bidegree walks by loop budget and hh2 asks it for the closed
+    # walks only; filtering all_words(qg, n) would leave its tables of every
+    # Ginzburg word behind, and filtering every one-loop word its open ones
     q = _q("E~", 6)
     qg = ginzburg_of(q)
     qg._cache.clear()
     hh2_dim(q, 8, GF(2))
-    assert ("bideg", -1, 10) in qg._cache
-    assert [k for k in qg._cache if isinstance(k, int) and k > 0] == []
+    assert list(qg._cache) == [("bideg", -1, 10, "closed")]
 
 
 def test_hh2_complex_a2_q0_dimensions():

@@ -56,15 +56,19 @@ def test_oracle_trace_matches_cyclic_block_shortcut():
 
 
 def test_oracle_basis_of_bidegree_matches_budgeted_walk():
-    # lists equal in order too: the order fixes every Ginzburg basis and matrix
-    quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
-               orient_by_edge_order(catalog("A~", 2))]
+    # lists equal in order too: the order fixes every Ginzburg basis and matrix;
+    # the closed walk must give exactly the cycles among them (A1's one-letter
+    # cycles are its loops)
+    quivers = [_q("A", 1), _q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
+               orient_by_edge_order(catalog("A~", 2)), _q("E~", 6)]
     for quiv in quivers:
         qg = ginzburg_of(quiv)
         for p in range(-3, 1):
             for q in range(9):  # covers n == 0, arrows == 0 and arrows < 0
-                assert basis_of_bidegree(qg, p, q) == oracle_basis_of_bidegree(qg, p, q), \
-                    (quiv.name, p, q)
+                words = oracle_basis_of_bidegree(qg, p, q)
+                assert basis_of_bidegree(qg, p, q) == words, (quiv.name, p, q)
+                assert (basis_of_bidegree(qg, p, q, closed=True)
+                        == [w for w in words if w.source == w.target]), (quiv.name, p, q)
 
 
 def test_oracle_unreduced_hh_z_a1():
