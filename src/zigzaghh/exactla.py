@@ -444,6 +444,7 @@ class ExactMatrix:
         """Canonical basis of the right null space (one vector per free column)."""
         ech = self._echelon()
         f = self.field
+        zero = f.zero()
         basis = []
         for fc in ech.free_cols():
             # solve ech.x = 0 with the free coordinate pinned to 1
@@ -451,7 +452,7 @@ class ExactMatrix:
             for i in range(len(ech.rows) - 1, -1, -1):
                 row = ech.rows[i]
                 c = ech.pivot_cols[i]
-                s = f.zero()
+                s = zero
                 for col, v in row.items():
                     if col != c and col in x and x[col] != 0:
                         s = f.add(s, f.mul(f.element(v), x[col]))
@@ -461,7 +462,7 @@ class ExactMatrix:
                     x[c] = -Fraction(s) / Fraction(row[c])
                 else:
                     x[c] = (-s * pow(row[c], f.characteristic - 2, f.characteristic)) % f.characteristic
-            basis.append([x.get(c, f.zero()) for c in range(self.ncols)])
+            basis.append([x.get(c, zero) for c in range(self.ncols)])
         return basis
 
     def cokernel_dim(self) -> int:

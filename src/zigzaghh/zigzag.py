@@ -17,6 +17,11 @@ length = input length - q.  The differential is
 
     (df)(a_1,..,a_{n+1}) = a_1 f(a_2,..) + sum_j (-1)^j f(.., a_j a_{j+1}, ..)
                            + (-1)^{n+1} f(a_1,..,a_n) a_{n+1}.
+
+A (p, q) input word has p+q letters; with c of them cycle classes its
+degree is p+q+c, so the output degree is p + c.  That must be at most
+2, so the words of C^{p,q} are walked within a budget of 2 - p cycle
+classes, and C^{p,q} is empty for p >= 3.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactla import ExactMatrix, FieldSpec, Scalar, span_info
+from .exactla import ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
 from .quiver import Graph
 from .reports import HHReport
 
@@ -162,32 +167,46 @@ def _check_associativity(alg: ZigzagAlgebra):
 Word = tuple[int, ...]
 
 
-def _words(alg: ZigzagAlgebra, n: int) -> list[Word]:
-    """Composable length-n words over the positive-degree basis, lex order."""
-    hit = alg._cache.get(("words", n))
+def _letters(alg: ZigzagAlgebra) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Positive letters out of and into each vertex, each list in index order."""
+    hit = alg._cache.get("letters")
+    if hit is None:
+        out_of: dict[int, list[int]] = {}
+        into: dict[int, list[int]] = {}
+        for i in range(alg.dim):
+            if alg.degrees[i] > 0:
+                out_of.setdefault(alg.src[i], []).append(i)
+                into.setdefault(alg.tgt[i], []).append(i)
+        hit = alg._cache["letters"] = (out_of, into)
+    return hit
+
+
+def _words(alg: ZigzagAlgebra, n: int, cycles: Optional[int] = None) -> list[Word]:
+    """Composable length-n words over the positive-degree basis, lex order.
+
+    With `cycles` given, only the words holding at most that many cycle
+    classes are walked: a cycle class is tried only while budget remains.
+    Every per-vertex letter list is in index order, so the walk is
+    lexicographic and pruning keeps that order.
+    """
+    key = ("words", n, cycles)
+    hit = alg._cache.get(key)
     if hit is not None:
         return hit
     if n == 0:
         out: list[Word] = [()]
     else:
-        pos = alg.positive
-        by_source: dict[int, list[int]] = {}
-        for i in pos:
-            by_source.setdefault(alg.src[i], []).append(i)
-        out = []
-
-        def extend(word: list[int], at: int):
-            if len(word) == n:
-                out.append(tuple(word))
-                return
-            for i in by_source.get(at, []):
-                word.append(i)
-                extend(word, alg.tgt[i])
-                word.pop()
-
-        for i in pos:
-            extend([i], alg.tgt[i])
-    alg._cache[("words", n)] = out
+        out_of, _ = _letters(alg)
+        # (letter, its target, cycle classes it spends); None starts a word
+        steps = {v: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in letters]
+                 for v, letters in out_of.items()}
+        steps[None] = [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]
+        level = [((), None, n if cycles is None else cycles)]
+        for _ in range(n - 1):
+            level = [(w + (i,), t, b - c) for w, v, b in level
+                     for i, t, c in steps[v] if c <= b]
+        out = [w + (i,) for w, v, b in level for i, _, c in steps[v] if c <= b]
+    alg._cache[key] = out
     return out
 
 
@@ -213,11 +232,12 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     part and outputs an element of length (input length) - q matching the
     word's endpoints.  For zero tensor factors the inputs are the
     idempotents, encoded as the empty word with the output carrying the
-    vertex.
+    vertex.  A word with c cycle classes has output degree p + c, so only
+    the words with at most 2 - p of them are walked.
     """
     n = p + q
-    if n < 0:
-        return []
+    if n < 0 or p > 2:
+        return []   # for p > 2 the output degree p + c exceeds 2 on every word
     key = ("cbasis", p, q)
     hit = alg._cache.get(key)
     if hit is not None:
@@ -228,7 +248,7 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
             for z in _outputs(alg, v, v, -q):
                 basis.append(((), z))
     else:
-        for w in _words(alg, n):
+        for w in _words(alg, n, 2 - p):
             deg = _word_degree(alg, w) - q
             if 0 <= deg <= 2:
                 s = alg.src[w[0]]
@@ -256,25 +276,22 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
         else:
             col.pop(i, None)
 
+    out_of, into = _letters(alg)
+    table = alg.table
     n = len(w)
-    pos = alg.positive
     if n == 0:
         v = alg.src[z]
-        for x in pos:
-            if alg.tgt[x] == v:
-                put((x,), alg.mult(x, z), 1)
-            if alg.src[x] == v:
-                put((x,), alg.mult(z, x), -1)
+        for x in into[v]:
+            put((x,), table.get((x, z)), 1)
+        for x in out_of[v]:
+            put((x,), table.get((z, x)), -1)
         return col
 
-    head = alg.src[w[0]]
-    tail = alg.tgt[w[-1]]
     last_sign = -1 if (n + 1) % 2 else 1
-    for x in pos:
-        if alg.tgt[x] == head:
-            put((x,) + w, alg.mult(x, z), 1)
-        if alg.src[x] == tail:
-            put(w + (x,), alg.mult(z, x), last_sign)
+    for x in into[alg.src[w[0]]]:
+        put((x,) + w, table.get((x, z)), 1)
+    for x in out_of[alg.tgt[w[-1]]]:
+        put(w + (x,), table.get((z, x)), last_sign)
     for k in range(n):
         sign = -1 if (k + 1) % 2 else 1
         for (u, v) in alg.splits(w[k]):
@@ -311,30 +328,35 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
     dimension = len(basis) - rank_out - rank_in
     reps = None
     if want_witnesses:
-        reps = tuple(_representative_names(alg, p, q, basis, out_cols, in_cols)[:dimension])
+        reps = tuple(_representative_names(alg, basis, target_dim, out_cols, in_cols,
+                                           dimension))
     return HHReport(p, q, "zigzag", dimension, reps)
 
 
-def _representative_names(alg, p, q, basis, out_cols, in_cols):
-    """Names of cocycle representatives spanning the cohomology."""
+def _representative_names(alg, basis, target_dim, out_cols, in_cols, dimension):
+    """Names of `dimension` cocycles whose classes span the cohomology.
+
+    The kernel basis is scanned in order, and a cocycle is kept when it
+    lies outside the span of the incoming image and the cocycles kept
+    before it.
+    """
+    if not dimension:
+        return []
     fld = alg.field
-    out_matrix = ExactMatrix.from_columns(fld, out_cols, len(cochain_basis(alg, p + 1, q)))
-    kernel = out_matrix.kernel_basis()
+    kernel = ExactMatrix.from_columns(fld, out_cols, target_dim).kernel_basis()
     vectors = list(in_cols)
+    ech = echelonize(fld, vectors, len(basis))
     names = []
-    base_rank = span_info(fld, vectors, len(basis)).rank
     for kv in kernel:
         cand = {i: v for i, v in enumerate(kv) if v != 0}
+        if in_span(fld, ech, cand):
+            continue
+        names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1", alg.names[z])
+                              for w, z in (basis[i] for i in sorted(cand))))
+        if len(names) == dimension:
+            break
         vectors.append(cand)
-        r = span_info(fld, vectors, len(basis)).rank
-        if r > base_rank:
-            base_rank = r
-            support = sorted(cand)
-            label = "+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1", alg.names[z])
-                             for w, z in (basis[i] for i in support))
-            names.append(label)
-        else:
-            vectors.pop()
+        ech = echelonize(fld, vectors, len(basis))
     return names
 
 

@@ -9,6 +9,7 @@ elimination is the textbook algorithm with no fraction-free tricks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from zigzaghh.exactla import FieldSpec
@@ -109,6 +110,52 @@ def oracle_basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
     arrow_list = list(zip(qg.arrow_source, qg.arrow_target))
     return [Path(s, word, t) for word, s, t in _walks(arrow_list, qg.vertex_count, loops + arrows)
             if sum(1 for k in word if qg.is_loop(k)) == loops]
+
+
+@functools.lru_cache(maxsize=2)
+def _graded_walks(letters: tuple[tuple[int, int, int, int], ...], vertex_count: int,
+                  n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """(word, source, target, degree) of every composable length-n word.
+
+    letters are (basis index, source, target, degree) in index order.
+    Breadth first: length n extends each word of length n - 1, the last
+    table is kept, so callers that go one length at a time walk each
+    length once.
+    """
+    if n == 0:
+        return [((), v, v, 0) for v in range(1, vertex_count + 1)]
+    if n == 1:
+        return [((i,), s, t, d) for i, s, t, d in letters]
+    leaving: dict[int, list[tuple[int, int, int]]] = {}
+    for i, s, t, d in letters:
+        leaving.setdefault(s, []).append((i, t, d))
+    return [(w + (i,), s, t2, dw + d)
+            for w, s, t, dw in _graded_walks(letters, vertex_count, n - 1)
+            for i, t2, d in leaving.get(t, [])]
+
+
+def oracle_cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """Reduced (p, q) zigzag cochain basis by filtering every word of length p + q.
+
+    The definition the budgeted walk replaced: every composable word of
+    positive basis letters (lexicographic in basis index), paired with
+    each basis element of degree (word degree - q) in 0..2 that runs
+    between the word's endpoints.  Zero letters means the idempotent
+    inputs, one per vertex.
+    """
+    n = p + q
+    if n < 0:
+        return []
+    letters = tuple((i, alg.src[i], alg.tgt[i], alg.degrees[i])
+                    for i in range(alg.dim) if alg.degrees[i] > 0)
+    outputs: dict[tuple[int, int, int], list[int]] = {}   # keyed by word degree
+    for z in range(alg.dim):
+        outputs.setdefault((alg.degrees[z] + q, alg.src[z], alg.tgt[z]), []).append(z)
+    out = []
+    for word, s, t, word_deg in _graded_walks(letters, alg.graph.vertex_count, n):
+        if q <= word_deg <= q + 2:
+            out += [(word, z) for z in outputs.get((word_deg, s, t), [])]
+    return out
 
 
 def oracle_lambda_dim(q: Quiver, n: int, fld: FieldSpec) -> int:

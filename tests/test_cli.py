@@ -83,12 +83,12 @@ def test_hh2_zigzag_method_rejects_non_trees(capsys, tmp_path):
 
 
 def test_hh2_all_reports_skipped_zigzag_degrees(capsys):
-    code, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..5")
+    code, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..10")
     assert code == 0
-    assert {r["q"] for r in doc["results"] if r["method"] == "zigzag"} == {1, 2, 3}
-    assert [(s["q"], s["method"]) for s in doc["skipped"]] == [(4, "zigzag"), (5, "zigzag")]
+    assert {r["q"] for r in doc["results"] if r["method"] == "zigzag"} == set(range(1, 9))
+    assert [(s["q"], s["method"]) for s in doc["skipped"]] == [(9, "zigzag"), (10, "zigzag")]
     assert all("cap" in s["reason"] for s in doc["skipped"])
-    _, out = _run(capsys, "hh2", "--graph", "D4", "--q", "1..5")
+    _, out = _run(capsys, "hh2", "--graph", "D4", "--q", "1..10")
     assert out.count("skipped: ") == 2
     assert "agreement across methods: yes (ginzburg, trace, zigzag)\n" in out
     _, doc = _run_json(capsys, "hh2", "--graph", "A~3", "--q", "2")
@@ -97,8 +97,39 @@ def test_hh2_all_reports_skipped_zigzag_degrees(capsys):
     assert doc["compared"] == ["ginzburg", "trace"]
     _, out = _run(capsys, "hh2", "--graph", "A~3", "--q", "2")
     assert out.endswith("agreement across methods: yes (ginzburg, trace)\n")
-    _, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..3")
+    _, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..8")
     assert "skipped" not in doc
+
+
+def test_hh2_all_disagreement_exits_4(capsys, monkeypatch):
+    from zigzaghh import cli
+    from zigzaghh.reports import HHReport
+    hh2_dim = cli.ginzburg.hh2_dim
+
+    def off_by_one(*args, **kwargs):
+        rep = hh2_dim(*args, **kwargs)
+        return HHReport(rep.p, rep.q, rep.method, rep.dimension + 1, rep.representatives)
+
+    monkeypatch.setattr(cli.ginzburg, "hh2_dim", off_by_one)
+    code, doc = _run_json(capsys, "hh2", "--graph", "D4", "--q", "1..2")
+    assert code == cli.EXIT_DISAGREE == 4
+    assert doc["agreement"] is False
+    code, out = _run(capsys, "hh2", "--graph", "D4", "--q", "1..2")
+    assert code == 4
+    assert out.endswith("agreement across methods: NO (ginzburg, trace, zigzag)\n")
+    # a single method has nothing to disagree with
+    assert main(["hh2", "--graph", "D4", "--q", "1..2", "--method", "ginzburg"]) == 0
+
+
+def test_hh2_zigzag_witnesses_pinned(capsys):
+    # recorded before the cochain words were walked by cycle budget and the
+    # witnesses kept one echelon: the basis order and the kernel basis fix
+    # every witness
+    golden = pathlib.Path(__file__).parent / "golden" / "hh2-zigzag-D~4-char0.json"
+    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", "0", "--q", "1..6",
+                     "--method", "zigzag", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
 
 
 @pytest.mark.parametrize("graph,char", [pytest.param("D~4", 0, id="0"),

@@ -40,6 +40,20 @@ def test_random_trees_three_pipelines_agree():
                 assert z == gz, (g.edges, fld.characteristic, adams)
 
 
+def test_three_pipelines_agree_deep():
+    # the degrees `hh2 --method all` reached only with the budgeted bar complex
+    for family, n in (("D", 5), ("D~", 4), ("E~", 6)):
+        g = catalog(family, n)
+        quiv = orient_bipartite(g)
+        for fld in (QQ, GF(2)):
+            alg = build_zigzag(g, fld)
+            for q in range(4, 9):
+                z = hochschild_dim(alg, 2, q).dimension
+                gz = hh2_dim(quiv, q, fld).dimension
+                tr = trace_piece(quiv, q + 2, fld).dimension
+                assert z == gz == tr, (family, n, fld.characteristic, q, z, gz, tr)
+
+
 def test_random_orientations_do_not_change_dimensions():
     rng = random.Random(77)
     for _ in range(4):

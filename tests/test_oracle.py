@@ -9,10 +9,10 @@ from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import basis_of_bidegree
 from zigzaghh.preproj import lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
-from zigzaghh.zigzag import build_zigzag, hochschild_dim
+from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
-from oracle import (OracleInfeasible, oracle_basis_of_bidegree, oracle_hh_unreduced,
-                    oracle_lambda_dim, oracle_trace_dim)
+from oracle import (OracleInfeasible, oracle_basis_of_bidegree, oracle_cochain_basis,
+                    oracle_hh_unreduced, oracle_lambda_dim, oracle_trace_dim)
 
 
 def _q(family, n):
@@ -69,6 +69,21 @@ def test_oracle_basis_of_bidegree_matches_budgeted_walk():
                 assert basis_of_bidegree(qg, p, q) == words, (quiv.name, p, q)
                 assert (basis_of_bidegree(qg, p, q, closed=True)
                         == [w for w in words if w.source == w.target]), (quiv.name, p, q)
+
+
+def test_oracle_cochain_basis_matches_budgeted_walk():
+    # lists equal in order too: the order fixes every zigzag matrix and witness;
+    # p 3 and 4 check that the walk skips spaces the definition leaves empty
+    # (lengths in increasing order, so the oracle walks each length once)
+    for family, n in (("D", 4), ("E", 6), ("D~", 4), ("E~", 6), ("A~", 3)):
+        algs = [build_zigzag(catalog(family, n), fld) for fld in (QQ, GF(2))]
+        for length in range(11):
+            for p in range(5):
+                q = length - p
+                if 0 <= q <= 6:
+                    want = oracle_cochain_basis(algs[0], p, q)
+                    for alg in algs:
+                        assert cochain_basis(alg, p, q) == want, (family, n, p, q)
 
 
 def test_oracle_unreduced_hh_z_a1():

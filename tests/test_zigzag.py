@@ -98,6 +98,15 @@ def test_cochain_basis_empty_when_target_degree_out_of_range():
     assert hochschild_dim(alg, 2, 1).dimension == 0
 
 
+def test_hh2_walks_only_the_budgeted_word_tables():
+    # C^{2,6} keeps arrow-only words of length 8, C^{1,6} words of length 7
+    # with at most one cycle class, and C^{3,6} is empty: no length-9 table
+    alg = build_zigzag(catalog("E~", 6), QQ)
+    hochschild_dim(alg, 2, 6)
+    tables = sorted(k[1:] for k in alg._cache if isinstance(k, tuple) and k[0] == "words")
+    assert tables == [(7, 1), (8, 0)]
+
+
 def test_hochschild_dim_a2_vanishing():
     alg = build_zigzag(catalog("A", 2), QQ)
     for q in (1, 2, 3):
