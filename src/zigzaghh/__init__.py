@@ -20,8 +20,7 @@ from .pathalg import BigradedElement, Path, basis_of_bidegree, commutator, multi
 from .preproj import (GradedQuotientPiece, TracePiece, cyclic_piece_dim,
                       koszul_dual_zigzag_piece, lambda_piece, trace_piece,
                       trace_piece_general)
-from .ginzburg import (differential, first_order_deformation_check, h0_dim, hh2_complex,
-                       hh2_dim, verify_cone_resolution)
+from .ginzburg import differential, first_order_deformation_check, h0_dim, hh2_complex, hh2_dim
 from .zigzag import (HochschildCochain, ZigzagAlgebra, build_zigzag, cochain_differential,
                      hochschild_dim, is_coboundary, is_cocycle)
 from .ainfty import AInftyCandidate, StasheffReport, check_stasheff, class_of, extended_d4_m4
@@ -36,7 +35,7 @@ __all__ = [
     "GradedQuotientPiece", "TracePiece", "cyclic_piece_dim",
     "koszul_dual_zigzag_piece", "lambda_piece", "trace_piece", "trace_piece_general",
     "differential", "first_order_deformation_check", "h0_dim", "hh2_complex",
-    "hh2_dim", "verify_cone_resolution",
+    "hh2_dim",
     "HochschildCochain", "ZigzagAlgebra", "build_zigzag", "cochain_differential",
     "hochschild_dim", "is_coboundary", "is_cocycle",
     "AInftyCandidate", "StasheffReport", "check_stasheff", "class_of", "extended_d4_m4",

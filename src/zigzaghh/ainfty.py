@@ -66,14 +66,6 @@ class AInftyCandidate:
     def max_specified(self) -> int:
         return max(self.products.keys(), default=2)
 
-    def scale(self, coeff) -> "AInftyCandidate":
-        fld = self.algebra.field
-        c = fld.element(coeff)
-        prods = {n: {w: {z: fld.mul(v, c) for z, v in outs.items()}
-                     for w, outs in table.items()}
-                 for n, table in self.products.items()}
-        return AInftyCandidate(self.algebra, prods)
-
 
 @dataclass
 class StasheffViolation:

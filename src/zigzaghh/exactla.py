@@ -21,10 +21,11 @@ representatives reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -152,6 +153,35 @@ class Echelon:
     def free_cols(self) -> list[int]:
         piv = set(self.pivot_cols)
         return [c for c in range(self.ncols) if c not in piv]
+
+    def kernel_vector(self, f: int) -> dict[int, Scalar]:
+        """The null vector at free column f, sparse: x_f = 1, 0 at the other free columns.
+
+        This is the one back-substitution of the package.  Each row leads
+        with its pivot and the rows are sorted by pivot, so the pivot
+        coordinates are filled in from the bottom row up; every row whose
+        pivot lies right of f holds only zero coordinates and is skipped.
+        """
+        p = self.field.characteristic
+        x: dict[int, Scalar] = {f: 1 if p else Fraction(1)}
+        for i in range(bisect_left(self.pivot_cols, f) - 1, -1, -1):
+            row = self.rows[i]
+            s = 0
+            for col, v in row.items():
+                if col in x:   # never the pivot itself: x holds only columns right of it
+                    s += v * x[col]
+            c = self.pivot_cols[i]
+            if p:
+                s = -s * pow(row[c], p - 2, p) % p
+                if s:
+                    x[c] = s
+            elif s:
+                x[c] = -s / row[c]
+        return x
+
+    def kernel_vectors(self) -> Iterator[dict[int, Scalar]]:
+        """kernel_vector(f) for each free column f in order, each built only when asked for."""
+        return (self.kernel_vector(f) for f in self.free_cols())
 
 
 def _scale_integral(row: dict) -> dict[int, int]:
@@ -342,7 +372,6 @@ class SpanInfo:
     rank: int
     pivot_coords: list[int]
     free_coords: list[int]
-    echelon: Echelon = field(repr=False, default=None)
 
     @property
     def quotient_dim(self) -> int:
@@ -357,7 +386,7 @@ def span_info(fld: FieldSpec, vectors: Iterable[dict], ambient_dim: int) -> Span
     ambient/span.
     """
     ech = echelonize(fld, vectors, ambient_dim)
-    return SpanInfo(ambient_dim, ech.rank, list(ech.pivot_cols), ech.free_cols(), ech)
+    return SpanInfo(ambient_dim, ech.rank, list(ech.pivot_cols), ech.free_cols())
 
 
 def in_span(fld: FieldSpec, ech: Echelon, vector: dict) -> bool:
@@ -442,28 +471,9 @@ class ExactMatrix:
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Canonical basis of the right null space (one vector per free column)."""
-        ech = self._echelon()
-        f = self.field
-        zero = f.zero()
-        basis = []
-        for fc in ech.free_cols():
-            # solve ech.x = 0 with the free coordinate pinned to 1
-            x: dict[int, Scalar] = {fc: f.one()}
-            for i in range(len(ech.rows) - 1, -1, -1):
-                row = ech.rows[i]
-                c = ech.pivot_cols[i]
-                s = zero
-                for col, v in row.items():
-                    if col != c and col in x and x[col] != 0:
-                        s = f.add(s, f.mul(f.element(v), x[col]))
-                if f.is_zero(s):
-                    continue
-                if f.characteristic == 0:
-                    x[c] = -Fraction(s) / Fraction(row[c])
-                else:
-                    x[c] = (-s * pow(row[c], f.characteristic - 2, f.characteristic)) % f.characteristic
-            basis.append([x.get(c, zero) for c in range(self.ncols)])
-        return basis
+        zero = self.field.zero()
+        return [[x.get(c, zero) for c in range(self.ncols)]
+                for x in self._echelon().kernel_vectors()]
 
     def cokernel_dim(self) -> int:
         """Dimension of target/image for a map into a space of dim = nrows."""
@@ -475,31 +485,14 @@ class ExactMatrix:
             raise ValueError("dimension mismatch: len(b)=%d, nrows=%d" % (len(b), self.nrows))
         f = self.field
         bcol = self.ncols  # augmented column index
-        aug = []
-        for i, row in enumerate(self.rows):
-            r = dict(row)
-            bv = f.element(b[i])
-            if not f.is_zero(bv):
-                r[bcol] = bv
-            aug.append(r)
+        # echelonize drops the zero entries of b
+        aug = [{**row, bcol: f.element(bv)} for row, bv in zip(self.rows, b)]
         ech = echelonize(f, aug, self.ncols + 1)
         if bcol in ech.pivot_cols:
             return None  # an echelon row is supported on b alone: inconsistent
-        # back-substitute with free variables set to zero
-        x: dict[int, Scalar] = {}
-        for i in range(len(ech.rows) - 1, -1, -1):
-            row = ech.rows[i]
-            c = ech.pivot_cols[i]
-            s = f.neg(f.element(row.get(bcol, 0)))
-            for col, v in row.items():
-                if col != c and col != bcol and col in x and x[col] != 0:
-                    s = f.add(s, f.mul(f.element(v), x[col]))
-            s = f.neg(s)
-            if f.characteristic == 0:
-                x[c] = Fraction(s) / Fraction(row[c]) if s else Fraction(0)
-            else:
-                x[c] = (s * pow(row[c], f.characteristic - 2, f.characteristic)) % f.characteristic
-        return [x.get(c, f.zero()) for c in range(self.ncols)]
+        # the null vector at b's column solves M(-x) = b, free variables zero
+        x = ech.kernel_vector(bcol)
+        return [f.neg(x[c]) if c in x else f.zero() for c in range(self.ncols)]
 
     def image_profile(self) -> SpanInfo:
         """Pivot profile of the column space inside the target coordinates.

@@ -33,7 +33,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactla import ExactMatrix, FieldSpec, echelonize, in_span, span_info
+from .exactla import FieldSpec, echelonize, in_span, span_info
 from .pathalg import Path, all_cycles, all_words, words_by_endpoints
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
@@ -77,7 +77,6 @@ class GradedQuotientPiece:
     degree: int
     field: FieldSpec
     ambient: list[Path]
-    relations: ExactMatrix
     dimension: int
     representatives: list[Path]
 
@@ -143,9 +142,8 @@ def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec) -> GradedQu
     index = {p: i for i, p in enumerate(ambient)}
     rows = _relation_rows(qd, rels, n, index) if n >= 2 else []
     info = span_info(fld, rows, len(ambient))
-    matrix = ExactMatrix(fld, len(rows), len(ambient), rows)
     reps = [ambient[c] for c in info.free_coords]
-    return GradedQuotientPiece(n, fld, ambient, matrix, info.quotient_dim, reps)
+    return GradedQuotientPiece(n, fld, ambient, info.quotient_dim, reps)
 
 
 def lambda_piece(q: Quiver, n: int, fld: FieldSpec) -> GradedQuotientPiece:

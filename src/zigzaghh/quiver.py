@@ -71,9 +71,6 @@ class Graph:
             adj[v].sort()
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
-
     def is_tree(self) -> bool:
         return len(self.edges) == self.vertex_count - 1
 
@@ -143,9 +140,6 @@ class DoubledQuiver:
     def star(self, k: int) -> int:
         return k ^ 1
 
-    def is_star(self, k: int) -> bool:
-        return k % 2 == 1
-
     def is_loop(self, k: int) -> bool:
         return False
 
@@ -183,9 +177,6 @@ class GinzburgQuiver:
 
     def is_loop(self, k: int) -> bool:
         return k >= self._first_loop
-
-    def is_star(self, k: int) -> bool:
-        return k < self._first_loop and k % 2 == 1
 
     def star(self, k: int) -> int:
         if self.is_loop(k):

@@ -41,7 +41,6 @@ class ZigzagAlgebra:
     graph: Graph
     field: FieldSpec
     names: list[str]
-    kinds: list[str]        # "e" | "arrow" | "cycle"
     degrees: list[int]
     src: list[int]
     tgt: list[int]
@@ -83,7 +82,6 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     """Basis and multiplication table of the zigzag algebra of g."""
     n = g.vertex_count
     names: list[str] = []
-    kinds: list[str] = []
     degrees: list[int] = []
     src: list[int] = []
     tgt: list[int] = []
@@ -94,27 +92,23 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     for v in range(1, n + 1):
         e_index[v] = len(names)
         names.append("e%d" % v)
-        kinds.append("e")
         degrees.append(0)
         src.append(v)
         tgt.append(v)
     for k, (i, j) in enumerate(g.edges):
         arrow_index[(i, j)] = len(names)
         names.append("a%d" % (k + 1))
-        kinds.append("arrow")
         degrees.append(1)
         src.append(i)
         tgt.append(j)
         arrow_index[(j, i)] = len(names)
         names.append("a%d*" % (k + 1))
-        kinds.append("arrow")
         degrees.append(1)
         src.append(j)
         tgt.append(i)
     for v in range(1, n + 1):
         cycle_index[v] = len(names)
         names.append("c%d" % v)
-        kinds.append("cycle")
         degrees.append(2)
         src.append(v)
         tgt.append(v)
@@ -136,7 +130,7 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
                     table[(i, j)] = cycle_index[src[i]]
             # total degree >= 3 vanishes
 
-    alg = ZigzagAlgebra(g, fld, names, kinds, degrees, src, tgt, table,
+    alg = ZigzagAlgebra(g, fld, names, degrees, src, tgt, table,
                         e_index, arrow_index, cycle_index)
     _check_associativity(alg)
     return alg
@@ -336,19 +330,19 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
 def _representative_names(alg, basis, target_dim, out_cols, in_cols, dimension):
     """Names of `dimension` cocycles whose classes span the cohomology.
 
-    The kernel basis is scanned in order, and a cocycle is kept when it
-    lies outside the span of the incoming image and the cocycles kept
-    before it.
+    The sparse kernel vectors are built one at a time, in free-column
+    order, and a cocycle is kept when it lies outside the span of the
+    incoming image and the cocycles kept before it.
     """
     if not dimension:
         return []
     fld = alg.field
-    kernel = ExactMatrix.from_columns(fld, out_cols, target_dim).kernel_basis()
+    rows = ExactMatrix.from_columns(fld, out_cols, target_dim).rows
+    kernel = echelonize(fld, rows, len(basis)).kernel_vectors()
     vectors = list(in_cols)
     ech = echelonize(fld, vectors, len(basis))
     names = []
-    for kv in kernel:
-        cand = {i: v for i, v in enumerate(kv) if v != 0}
+    for cand in kernel:
         if in_span(fld, ech, cand):
             continue
         names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1", alg.names[z])
@@ -408,13 +402,6 @@ class HochschildCochain:
                 vec[index[(w, z)]] = c
         return vec
 
-    def scale(self, coeff) -> "HochschildCochain":
-        fld = self.algebra.field
-        c = fld.element(coeff)
-        vals = {w: {z: fld.mul(v, c) for z, v in outs.items()}
-                for w, outs in self.values.items()}
-        return HochschildCochain(self.algebra, self.p, self.q, vals)
-
 
 def zero_cochain(alg: ZigzagAlgebra, p: int, q: int) -> HochschildCochain:
     return HochschildCochain(alg, p, q, {})
@@ -449,14 +436,10 @@ def is_cocycle(c: HochschildCochain) -> bool:
 def is_coboundary(c: HochschildCochain) -> bool:
     """Exact membership of c in the image of the incoming differential."""
     alg = c.algebra
-    fld = alg.field
-    basis = cochain_basis(alg, c.p, c.q)
     vec = c.vector()
     if not vec:
         return True
     if c.p < 1:
         return False
-    _, _, in_cols = delta_columns(alg, c.p - 1, c.q)
-    matrix = ExactMatrix.from_columns(fld, in_cols, len(basis))
-    dense = [vec.get(i, fld.zero()) for i in range(len(basis))]
-    return matrix.solve(dense) is not None
+    _, basis, in_cols = delta_columns(alg, c.p - 1, c.q)
+    return in_span(alg.field, echelonize(alg.field, in_cols, len(basis)), vec)

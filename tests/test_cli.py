@@ -132,6 +132,16 @@ def test_hh2_zigzag_witnesses_pinned(capsys):
     assert out == golden.read_text()
 
 
+def test_hh2_zigzag_witnesses_pinned_deep(capsys):
+    # recorded before the witness scan walked sparse kernel vectors one at
+    # a time; at q = 8 every cochain is a cocycle and two names are kept
+    golden = pathlib.Path(__file__).parent / "golden" / "hh2-zigzag-D~4-char0-q7-8.json"
+    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", "0", "--q", "7..8",
+                     "--method", "zigzag", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("graph,char", [pytest.param("D~4", 0, id="0"),
                                         pytest.param("D~4", 2, id="2"),
                                         pytest.param("D~6", 0, id="D~6-0"),
@@ -266,6 +276,27 @@ def test_ainfty_check_default(capsys):
 def test_ainfty_check_scaled(capsys):
     code, doc = _run_json(capsys, "ainfty-check", "--scale", "7")
     assert code == 0 and doc["cocycle"] and not doc["coboundary"]
+
+
+def test_ainfty_check_arity_above_max_exits_2_before_any_walk(capsys, monkeypatch):
+    from zigzaghh import cli
+    calls = []
+    check_stasheff = cli.ainfty.check_stasheff
+
+    def spy(candidate, max_arity):
+        calls.append(max_arity)
+        return check_stasheff(candidate, 2)
+
+    monkeypatch.setattr(cli.ainfty, "check_stasheff", spy)
+    assert cli.MAX_ARITY >= 7   # the benchmark runs --arity 7
+    for arity in (cli.MAX_ARITY + 1, 12, 10 ** 6):
+        assert main(["ainfty-check", "--arity", str(arity)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--arity must be <= %d" % cli.MAX_ARITY in captured.err
+    assert calls == []
+    assert main(["ainfty-check", "--arity", str(cli.MAX_ARITY)]) == 0
+    assert calls == [cli.MAX_ARITY]
 
 
 def test_ainfty_check_zero_m4_fails(capsys, tmp_path):

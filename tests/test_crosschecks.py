@@ -54,6 +54,32 @@ def test_three_pipelines_agree_deep():
                 assert z == gz == tr, (family, n, fld.characteristic, q, z, gz, tr)
 
 
+def test_random_nontrees_ginzburg_equals_trace():
+    # a random tree plus 1-3 extra edges: mostly odd cycles, so most of
+    # these take the edge-order orientation, as the CLI does
+    rng = random.Random(4711)
+    odd = 0
+    for _ in range(8):
+        n = rng.randint(4, 7)
+        tree = _random_tree(rng, n)
+        missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   if (i, j) not in tree.edges]
+        g = Graph(n, tree.edges + tuple(rng.sample(missing, rng.randint(1, 3))),
+                  name="random-nontree-%d" % n)
+        assert not g.is_tree()
+        if g.is_bipartite():
+            quiv = orient_bipartite(g)
+        else:
+            quiv = orient_by_edge_order(g)
+            odd += 1
+        for fld in (QQ, GF(2), GF(3)):
+            for adams in range(0, 5):
+                gz = hh2_dim(quiv, adams, fld).dimension
+                tr = trace_piece(quiv, adams + 2, fld, want_witnesses=False).dimension
+                assert gz == tr, (g.edges, fld.characteristic, adams)
+    assert odd >= 5
+
+
 def test_random_orientations_do_not_change_dimensions():
     rng = random.Random(77)
     for _ in range(4):

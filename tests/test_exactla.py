@@ -201,6 +201,27 @@ def test_kernel_vectors_exact_over_many_fields():
             assert all(fld.is_zero(x) for x in m.mul_vector(v))
 
 
+def test_kernel_vectors_are_sparse_null_vectors_at_the_free_columns():
+    rng = random.Random(90)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        rows = _random_int_matrix(rng, nrows, ncols, density=0.4)
+        for fld in (QQ, GF(2), GF(7)):
+            m = ExactMatrix.from_dense(fld, rows)
+            ech = echelonize(fld, m.rows, ncols)
+            free = ech.free_cols()
+            vectors = list(ech.kernel_vectors())
+            assert len(vectors) == len(free)
+            for f, x in zip(free, vectors):
+                assert all(not fld.is_zero(v) for v in x.values())   # zeros are not stored
+                assert {c for c in free if c in x} == {f} and x[f] == 1
+                assert all(c <= f for c in x)   # pivots right of f stay zero
+                dense = [x.get(c, fld.zero()) for c in range(ncols)]
+                assert all(fld.is_zero(v) for v in m.mul_vector(dense))
+            assert m.kernel_basis() == [[x.get(c, fld.zero()) for c in range(ncols)]
+                                        for x in vectors]
+
+
 # ---------------------------------------------------------------------------
 # matrices dominated by one- and two-term rows, against the textbook oracle
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import (differential, dg_piece, element_differential,
                                first_order_deformation_check, ginzburg_of, h0_dim,
-                               hh2_complex, hh2_dim, verify_cone_resolution)
+                               hh2_complex, hh2_dim)
 from zigzaghh.pathalg import (BigradedElement, Path, all_words, loop_count,
                               make_path, path_from_names)
 from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite
+
+from cone import verify_cone_resolution
 
 
 def _q(family, n):
