@@ -145,6 +145,7 @@ class Echelon:
         self.ncols = ncols
         self.rows: list[dict[int, int]] = []   # echelon rows, pivot order
         self.pivot_cols: list[int] = []
+        self.pivot_row: dict[int, dict[int, int]] = {}   # pivot column -> its row
 
     @property
     def rank(self) -> int:
@@ -183,6 +184,22 @@ class Echelon:
         """kernel_vector(f) for each free column f in order, each built only when asked for."""
         return (self.kernel_vector(f) for f in self.free_cols())
 
+    def add(self, vector: dict) -> bool:
+        """Reduce vector against the rows and install any residue, keeping pivot order.
+
+        Returns False when vector already lies in the row space.
+        """
+        p = self.field.characteristic
+        r = _reduce(_normalized(vector, p), self.pivot_row, p)
+        if not r:
+            return False
+        c = min(r)
+        k = bisect_left(self.pivot_cols, c)
+        self.pivot_cols.insert(k, c)
+        self.rows.insert(k, r)
+        self.pivot_row[c] = r
+        return True
+
 
 def _scale_integral(row: dict) -> dict[int, int]:
     """Clear denominators and divide by the content, keeping exactness."""
@@ -212,17 +229,16 @@ def _normalized(row: dict, p: int) -> dict[int, int]:
     return {c: v % p for c, v in row.items() if v % p}
 
 
-def _reduce(r: dict[int, int], ech: Echelon, pivot_at: dict[int, int], p: int) -> dict[int, int]:
+def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]], p: int) -> dict[int, int]:
     """Eliminate r against the echelon rows until its leading column is free.
 
     Returns the reduced row, empty when r lies in the echelon's row space.
     """
     while r:
         c = min(r)
-        hit = pivot_at.get(c)
-        if hit is None:
+        pr = pivot_row.get(c)
+        if pr is None:
             break
-        pr = ech.rows[hit]
         if p == 0:
             a, b = pr[c], r[c]
             g = gcd(a, b)
@@ -331,21 +347,15 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
             dead.add(find(next(iter(r)))[0])
 
     ech = Echelon(field, ncols)
-    pivot_at: dict[int, int] = {}   # core pivot column -> index into ech.rows
     for r in long_rows:
         proj: dict[int, Scalar] = {}
         for c, v in r.items():
             root, w = find(c)
             if root not in dead:
                 proj[root] = proj.get(root, 0) + v * w
-        r = _reduce(_normalized(proj, p), ech, pivot_at, p)
-        if r:
-            c = min(r)
-            pivot_at[c] = len(ech.rows)
-            ech.rows.append(r)
-            ech.pivot_cols.append(c)
+        ech.add(proj)
 
-    pivots = list(zip(ech.pivot_cols, ech.rows))
+    pivots = list(ech.pivot_row.items())
     for c in parent:
         root, w = find(c)
         if root in dead:
@@ -361,6 +371,7 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     pivots.sort(key=lambda t: t[0])
     ech.pivot_cols = [c for c, _ in pivots]
     ech.rows = [r for _, r in pivots]
+    ech.pivot_row = dict(pivots)
     return ech
 
 
@@ -392,8 +403,7 @@ def span_info(fld: FieldSpec, vectors: Iterable[dict], ambient_dim: int) -> Span
 def in_span(fld: FieldSpec, ech: Echelon, vector: dict) -> bool:
     """Exact membership of a vector in an echelonized row space."""
     p = fld.characteristic
-    pivot_at = {c: i for i, c in enumerate(ech.pivot_cols)}
-    return not _reduce(_normalized(vector, p), ech, pivot_at, p)
+    return not _reduce(_normalized(vector, p), ech.pivot_row, p)
 
 
 class ExactMatrix:

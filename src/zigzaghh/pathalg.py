@@ -11,7 +11,9 @@ word only by letters its budget still allows (any letter for `all_words`;
 loop and other letters counted apart for `basis_of_bidegree`, which so
 builds no word of another bidegree; with `closed`, a last letter only
 back to the first letter's source, so no open word is built either) and
-emits the words already in that order, with no sort.
+emits the words already in that order, with no sort.  Cycles come only
+from the closed walk (`all_cycles`, `basis_of_bidegree(..., closed=True)`);
+no code filters a word table for them.
 """
 
 from __future__ import annotations
@@ -174,8 +176,12 @@ def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
 
 def all_cycles(q, n: int) -> list[Path]:
     """All length-n cycles, in global lexicographic letter order."""
-    out = [p for p in all_words(q, n) if p.is_cycle()]
-    return out
+    cache = q._cache
+    key = ("closed", n)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _words(q, n, closed=True)
+    return hit
 
 
 def basis_of_bidegree(qg, p: int, q: int, closed: bool = False) -> list[Path]:

@@ -13,7 +13,8 @@ arXiv:math/0612139).  Modulo commutators every non-cyclic word vanishes
 (w = [e_src(w), w]) and every cycle equals each of its rotations, so the
 commutator quotient of the cycles is the span of the necklaces.  A
 relation row x r_v y rotates into r_v (y x), so the relations are the
-rows [r_v w] for closed walks w at v of length n - 2.  A necklace is
+rows [r_v w] for the closed walks w of length n - 2, each at its source
+v, taken from the same closed walk as the cycles.  A necklace is
 represented by its lexicographically largest rotation c_max, and the
 columns are sorted by representative.  In the full matrix (all cycles
 against all relations and commutators) every other rotation c is an
@@ -21,6 +22,10 @@ earlier column than c_max, so c - c_max makes it a pivot; on the
 representatives that matrix's row space projects onto the span of the
 rows [r_v w].  Hence both matrices have the same free columns, and the
 witness cycles do not depend on which one is eliminated.
+
+Relation rows go to the kernel as built, not deduplicated: echelonize
+drops zero entries and zero rows, and a repeated row costs one
+union-find step or one reduction to zero.
 
 The same machinery, fed the relation "sum of all 2-cycles at each
 vertex", computes the quadratic dual of the zigzag algebra for an
@@ -94,53 +99,36 @@ class TracePiece:
     witnesses: Optional[list[Path]] = None
 
 
-def _unique(rows) -> list[dict[int, int]]:
-    """Drop zero entries, zero rows and repeated rows, keeping first-seen order."""
-    out = []
-    seen = set()
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def _relation_rows(qd, rels: RelationTable, n: int, index: dict[Path, int],
                    ends: Optional[tuple[int, int]] = None):
-    """Spanning vectors x r_v y with |x| + |y| = n - 2, deduplicated.
+    """Spanning vectors x r_v y with |x| + |y| = n - 2, yielded as built.
 
     With ends = (i, j) only the rows of the block e_i (...) e_j are built.
     """
-    def rows():
-        for la in range(n - 1):
-            left = words_by_endpoints(qd, la)
-            right = words_by_endpoints(qd, n - 2 - la)
-            for (i, v), lefts in sorted(left.items()):
-                terms = rels.get(v)
-                if not terms or (ends and i != ends[0]):
+    for la in range(n - 1):
+        left = words_by_endpoints(qd, la)
+        right = words_by_endpoints(qd, n - 2 - la)
+        for (i, v), lefts in sorted(left.items()):
+            terms = rels.get(v)
+            if not terms or (ends and i != ends[0]):
+                continue
+            for (w, j), rights in sorted(right.items()):
+                if w != v or (ends and j != ends[1]):
                     continue
-                for (w, j), rights in sorted(right.items()):
-                    if w != v or (ends and j != ends[1]):
-                        continue
-                    for a in lefts:
-                        for b in rights:
-                            row: dict[int, int] = {}
-                            for coeff, (l1, l2) in terms:
-                                col = index.get(Path(i, a.letters + (l1, l2) + b.letters, j))
-                                if col is not None:
-                                    row[col] = row.get(col, 0) + coeff
-                            yield row
-    return _unique(rows())
+                for a in lefts:
+                    for b in rights:
+                        row: dict[int, int] = {}
+                        for coeff, (l1, l2) in terms:
+                            col = index.get(Path(i, a.letters + (l1, l2) + b.letters, j))
+                            if col is not None:
+                                row[col] = row.get(col, 0) + coeff
+                        yield row
 
 
 def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     ambient = all_words(qd, n)
     index = {p: i for i, p in enumerate(ambient)}
-    rows = _relation_rows(qd, rels, n, index) if n >= 2 else []
+    rows = _relation_rows(qd, rels, n, index)
     info = span_info(fld, rows, len(ambient))
     reps = [ambient[c] for c in info.free_coords]
     return GradedQuotientPiece(n, fld, ambient, info.quotient_dim, reps)
@@ -169,7 +157,7 @@ def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
     if not ambient:
         return 0
     index = {p: k for k, p in enumerate(ambient)}
-    rows = _relation_rows(qd, preprojective_relations(q), n, index, (i, i)) if n >= 2 else []
+    rows = _relation_rows(qd, preprojective_relations(q), n, index, (i, i))
     return span_info(fld, rows, len(ambient)).quotient_dim
 
 
@@ -186,25 +174,18 @@ def _necklace_space(qd, rels: RelationTable, n: int):
 
     Columns are the necklaces in the order of their representatives,
     index maps a representative's letters to its column, and there is one
-    row per vertex v and closed walk w at v of length n - 2.
+    row per closed walk w of length n - 2, at v = w.source.
     """
     necklaces = [c for c in all_cycles(qd, n) if c.letters == _necklace(c.letters)]
     index = {c.letters: k for k, c in enumerate(necklaces)}
-
-    def rows():
-        if n < 2:
-            return
-        for (v, j), walks in sorted(words_by_endpoints(qd, n - 2).items()):
-            terms = rels.get(v)
-            if j != v or not terms:
-                continue
-            for w in walks:
-                row: dict[int, int] = {}
-                for coeff, pair in terms:
-                    col = index[_necklace(pair + w.letters)]
-                    row[col] = row.get(col, 0) + coeff
-                yield row
-    return necklaces, index, _unique(rows())
+    rows = []
+    for w in all_cycles(qd, n - 2) if n >= 2 else ():
+        row: dict[int, int] = {}
+        for coeff, pair in rels[w.source]:
+            col = index[_necklace(pair + w.letters)]
+            row[col] = row.get(col, 0) + coeff
+        rows.append(row)
+    return necklaces, index, rows
 
 
 def _trace_piece(qd, rels: RelationTable, n: int, fld: FieldSpec,

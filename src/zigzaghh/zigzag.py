@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactla import ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
+from .exactla import Echelon, ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
 from .quiver import Graph
 from .reports import HHReport
 
@@ -314,43 +314,37 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
     _, _, out_cols = delta_columns(alg, p, q)
     target_dim = len(cochain_basis(alg, p + 1, q))
     rank_out = span_info(alg.field, out_cols, target_dim).rank
-    rank_in = 0
-    in_cols: list[dict[int, int]] = []
+    image = Echelon(alg.field, len(basis))
     if p >= 1 and p - 1 + q >= 0:
         _, _, in_cols = delta_columns(alg, p - 1, q)
-        rank_in = span_info(alg.field, in_cols, len(basis)).rank
-    dimension = len(basis) - rank_out - rank_in
+        image = echelonize(alg.field, in_cols, len(basis))
+    dimension = len(basis) - rank_out - image.rank
     reps = None
     if want_witnesses:
-        reps = tuple(_representative_names(alg, basis, target_dim, out_cols, in_cols,
-                                           dimension))
+        reps = tuple(_representative_names(alg, basis, target_dim, out_cols, image, dimension))
     return HHReport(p, q, "zigzag", dimension, reps)
 
 
-def _representative_names(alg, basis, target_dim, out_cols, in_cols, dimension):
+def _representative_names(alg, basis, target_dim, out_cols, image, dimension):
     """Names of `dimension` cocycles whose classes span the cohomology.
 
     The sparse kernel vectors are built one at a time, in free-column
-    order, and a cocycle is kept when it lies outside the span of the
-    incoming image and the cocycles kept before it.
+    order, and a cocycle is kept when `image`, the echelon of the incoming
+    columns and of the cocycles kept before it, takes it in with `add`.
     """
     if not dimension:
         return []
     fld = alg.field
     rows = ExactMatrix.from_columns(fld, out_cols, target_dim).rows
     kernel = echelonize(fld, rows, len(basis)).kernel_vectors()
-    vectors = list(in_cols)
-    ech = echelonize(fld, vectors, len(basis))
     names = []
     for cand in kernel:
-        if in_span(fld, ech, cand):
+        if not image.add(cand):
             continue
         names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1", alg.names[z])
                               for w, z in (basis[i] for i in sorted(cand))))
         if len(names) == dimension:
             break
-        vectors.append(cand)
-        ech = echelonize(fld, vectors, len(basis))
     return names
 
 

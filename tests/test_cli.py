@@ -159,6 +159,20 @@ def test_hh2_ginzburg_witnesses_pinned(capsys, graph, char):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("command,graph,char", [("classify", "E~8", 0), ("classify", "D~8", 3),
+                                                ("classify", "E8", 5), ("preproj", "E~8", 0)])
+def test_trace_classify_jobs_pinned(capsys, command, graph, char):
+    # recorded before all_cycles became the closed walk and the relation
+    # rows went to the kernel without deduplication: the necklace order and
+    # the pivot profile fix every dimension and witness
+    golden = pathlib.Path(__file__).parent / "golden" / ("%s-%s-char%d.json"
+                                                         % (command, graph, char))
+    code, out = _run(capsys, command, "--graph", graph, "--char", str(char), "--max", "10",
+                     "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("argv", [("classify", "--max", "0"), ("classify", "--max", "-3"),
                                   ("preproj", "--max", "-1"), ("preproj", "--max", "-2")])
 def test_empty_search_bound_exits_2(capsys, argv):

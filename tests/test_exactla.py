@@ -287,6 +287,19 @@ def test_short_row_echelon_matches_textbook_pivots(fld, kind):
         assert all(type(v) is int for r in ech.rows for v in r.values())
         for r in rows:
             assert in_span(fld, ech, r)
+        # an echelon of a prefix grown by add is an echelon of the same space:
+        # add reports exactly the rows that raise the rank, and the rows stay
+        # in pivot order, so kernel_vector still gives null vectors
+        k = len(rows) // 2
+        grown = echelonize(fld, rows[:k], ncols)
+        for i in range(k, len(rows)):
+            raised = _row_reduce_rank(fld, rows[:i + 1]) > _row_reduce_rank(fld, rows[:i])
+            assert grown.add(rows[i]) == raised
+        assert grown.pivot_cols == ech.pivot_cols
+        assert all(min(r) == c for r, c in zip(grown.rows, grown.pivot_cols))
+        for x in grown.kernel_vectors():
+            for r in rows:
+                assert fld.is_zero(sum(fld.element(v) * x.get(c, 0) for c, v in r.items()))
 
 
 def test_inconsistent_cycle_depends_on_the_field():

@@ -99,12 +99,17 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
 def test_hh2_builds_no_ginzburg_word_table():
     # basis_of_bidegree walks by loop budget and hh2 asks it for the closed
     # walks only; filtering all_words(qg, n) would leave its tables of every
-    # Ginzburg word behind, and filtering every one-loop word its open ones
+    # Ginzburg word behind, and filtering every one-loop word its open ones.
+    # The codomain cycles come from the doubled quiver's closed walk, with
+    # no open table of length 10 behind them; only dom1's values, open
+    # paths of length 9, need an open table
     q = _q("E~", 6)
     qg = ginzburg_of(q)
     qg._cache.clear()
+    doubled_of(q)._cache.clear()
     hh2_dim(q, 8, GF(2))
     assert list(qg._cache) == [("bideg", -1, 10, "closed")]
+    assert list(doubled_of(q)._cache) == [("closed", 10), 9, ("by_st", 9)]
 
 
 def test_hh2_complex_a2_q0_dimensions():

@@ -6,12 +6,12 @@ import pytest
 
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import ginzburg_of
-from zigzaghh.pathalg import basis_of_bidegree
-from zigzaghh.preproj import lambda_piece, trace_piece
+from zigzaghh.pathalg import Path, all_cycles, basis_of_bidegree
+from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
-from oracle import (OracleInfeasible, oracle_basis_of_bidegree, oracle_cochain_basis,
+from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
                     oracle_hh_unreduced, oracle_lambda_dim, oracle_trace_dim)
 
 
@@ -69,6 +69,19 @@ def test_oracle_basis_of_bidegree_matches_budgeted_walk():
                 assert basis_of_bidegree(qg, p, q) == words, (quiv.name, p, q)
                 assert (basis_of_bidegree(qg, p, q, closed=True)
                         == [w for w in words if w.source == w.target]), (quiv.name, p, q)
+
+
+def test_all_cycles_is_the_oracle_walk_filtered_to_cycles():
+    # in order too: the order fixes the necklace columns and the relation rows
+    quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
+               orient_by_edge_order(catalog("A~", 2))]
+    for quiv in quivers:
+        qd = doubled_of(quiv)
+        arrows = list(zip(qd.arrow_source, qd.arrow_target))
+        for n in range(9):
+            want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
+                    if s == t]
+            assert all_cycles(qd, n) == want, (quiv.name, n)
 
 
 def test_oracle_cochain_basis_matches_budgeted_walk():

@@ -267,6 +267,22 @@ def test_rotations_of_a_cycle_share_its_class():
                             assert _class_is_zero(q, {c: 1, r: -1}, fld)
 
 
+def test_trace_reads_only_closed_walks():
+    # the necklaces, the relation walks and the membership check all come
+    # from all_cycles; an open word table left in the cache would mean a
+    # second way of making cycles
+    from zigzaghh.pathalg import make_path
+    from zigzaghh.preproj import doubled_of
+
+    q = _q("E~6")
+    qd = doubled_of(q)
+    qd._cache.clear()
+    trace_piece(q, 10, GF(2))
+    cycle_class_in_trace_is_zero(q, make_path(qd, (0, 1) * 3), GF(2))
+    assert qd._cache and all(type(key) is tuple and key[0] == "closed" for key in qd._cache), \
+        list(qd._cache)
+
+
 def test_relation_times_closed_walk_has_zero_class():
     # r_v w for every closed walk w at v, and every rotation x r_v y of it
     from zigzaghh.pathalg import Path, words_by_endpoints

@@ -136,6 +136,25 @@ def test_witness_scan_keeps_kernel_vectors_sparse():
     assert peak < 10 * 2 ** 20, peak
 
 
+def test_witness_scan_eliminates_the_incoming_columns_once(monkeypatch):
+    # outgoing rank, incoming echelon and the kernel: the scan adds each
+    # kept cocycle to the incoming echelon instead of eliminating again
+    from zigzaghh import exactla, zigzag
+
+    real = exactla.echelonize
+    calls = []
+
+    def spy(fld, rows, ncols):
+        calls.append(ncols)
+        return real(fld, rows, ncols)
+
+    monkeypatch.setattr(exactla, "echelonize", spy)
+    monkeypatch.setattr(zigzag, "echelonize", spy)
+    rep = hochschild_dim(build_zigzag(catalog("D~", 4), QQ), 2, 8, want_witnesses=True)
+    assert len(rep.representatives) == 2
+    assert len(calls) == 3, calls
+
+
 def test_hochschild_chain_against_other_pipelines():
     # the three-pipeline equality on every catalog tree with <= 6 vertices,
     # over four fields, up to the bar-complex feasibility bound
