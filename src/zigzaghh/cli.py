@@ -32,6 +32,12 @@ EXIT_DISAGREE = 4
 # about 1.2 s (2-vCPU Xeon, Python 3.11)
 MAX_ARITY = 8
 
+# hh2's ginzburg and trace methods walk every closed walk of length q + 2 in
+# the double quiver, tr(A^(q+2)) of them for the adjacency matrix A: E~8 has
+# 135,488 at q = 14, where ginzburg takes about 3 s and 220 MB, and 535,846
+# at q = 16 (2-vCPU Xeon, Python 3.11)
+MAX_CYCLES = 300_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
@@ -68,6 +74,44 @@ def _parse_qrange(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     v = int(text)
     return v, v
+
+
+def _check_cycle_count(g: Graph, qlo: int, qhi: int):
+    """Exit 2 if some q in qlo..qhi has more than MAX_CYCLES closed walks of length q + 2.
+
+    tr(A^n) is stepped one length at a time over sparse integer rows of A^n.
+    On a connected graph with an edge, a step out and back in front of a
+    closed walk is one of length n + 2, so the count of each parity never
+    falls: once every parity that can have walks (only even lengths on a
+    bipartite graph) is past the cap, every longer q is too, and stepping
+    stops there, naming a lower bound for a q beyond it.
+    """
+    adj = g.adjacency()
+    rows = {v: {v: 1} for v in adj}
+    live = {0} if g.is_bipartite() else {0, 1}
+    over: dict[int, int] = {}
+    for n in range(qhi + 3):
+        if n:
+            stepped = {}
+            for v, row in rows.items():
+                nxt: dict[int, int] = {}
+                for u, c in row.items():
+                    for w in adj[u]:
+                        nxt[w] = nxt.get(w, 0) + c
+                stepped[v] = nxt
+            rows = stepped
+        count = sum(row.get(v, 0) for v, row in rows.items())
+        if count > MAX_CYCLES:
+            if n >= qlo + 2:
+                raise CliError("--q %d needs %d closed walks of length %d, above the cap of %d"
+                               % (n - 2, count, n, MAX_CYCLES))
+            over.setdefault(n % 2, count)
+            if live <= over.keys():
+                break
+    for q in range(qlo, min(qhi, qlo + 1) + 1):
+        if (q + 2) % 2 in over:
+            raise CliError("--q %d needs at least %d closed walks of length %d, above the cap of %d"
+                           % (q, over[(q + 2) % 2], q + 2, MAX_CYCLES))
 
 
 def _emit(payload: dict, fmt: str, table_lines: list[str]):
@@ -143,6 +187,8 @@ def cmd_hh2(args) -> int:
     if args.method == "zigzag" and not g.is_tree():
         raise CliError("zigzag method needs a tree (derived Koszul duality hypothesis)",
                        EXIT_INAPPLICABLE)
+    if args.method != "zigzag":
+        _check_cycle_count(g, qlo, qhi)
     quiv, orient_label = _orient(g, args.orientation)
     # bar-complex cost grows with q; at q = 8 one degree takes 0.1-0.3 s
     # (2-vCPU Xeon, Python 3.11) on every catalog tree up to E~8

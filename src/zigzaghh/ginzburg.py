@@ -5,10 +5,14 @@ loop t_i per vertex, bigraded with arrows in (0,1) and loops in (-1,2).
 The differential kills arrows and sends t_i to e_i (sum of [a, a*]) e_i,
 extended as a derivation with the sign (-1)^(degree of the prefix).
 
-HH^{2,q} is computed from a small three-term complex: elementary
-bimodule maps on the doubled arrows and diagonal one-loop words map into
-length-(q+2) cycles, and the dimension is the cokernel of the assembled
-matrix.
+HH^{2,q} is the cokernel of a small three-term complex into the
+length-(q+2) cycles.  Only columns that span its image are emitted; the
+rank and the free coordinates (the witnesses) depend only on the row
+space.  The maps pi x* - x* pi of the doubled arrows x are read off the
+codomain, one per cycle w = pi x*, x the star of w's last letter.
+Modulo them every cycle equals its rotations, so the one-loop word
+u t_v u' has the column of t_v u' u, and one column r_v c per closed
+walk c of length q at v spans them all.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from .exactla import ExactMatrix, FieldSpec, span_info
 from .pathalg import (BigradedElement, Path, all_cycles, basis_of_bidegree, make_path,
-                      path_name, paths_between)
+                      path_name)
 from .preproj import cycle_class_in_trace_is_zero, doubled_of, preprojective_relations
 from .quiver import GinzburgQuiver, Quiver, ginzburg_extend
 from .reports import HHReport
@@ -110,11 +114,11 @@ class HH2Complex:
 
     q: int
     field: FieldSpec
-    dom1: list[tuple[int, Path]]   # (doubled arrow, value path of length q+1)
-    dom2: list[Path]               # diagonal one-loop words, q arrows
+    dom1: list[tuple[int, Path]]   # (doubled arrow x, path pi of length q+1): pi x* - x* pi
+    dom2: list[Path]               # t_v c for the closed walks c of length q at v
     codomain: list[Path]           # length-(q+2) cycles in the double quiver
     cols1: list[dict]              # sparse columns {codomain index: coeff} of dom1
-    cols2: list[dict]              # and of dom2
+    cols2: list[dict]              # and of dom2: r_v c
 
     def combined_columns(self) -> list[dict]:
         return self.cols1 + self.cols2
@@ -126,38 +130,30 @@ def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
     qg = ginzburg_of(q)
     qd = qg.doubled
     codomain = all_cycles(qd, adams + 2)
-    index = {w: i for i, w in enumerate(codomain)}
+    # a cycle of positive length is fixed by its letters
+    index = {w.letters: i for i, w in enumerate(codomain)}
 
+    # one column per cycle w = pi x*, ordered by x and then by pi
     dom1: list[tuple[int, Path]] = []
     cols1: list[dict] = []
-    for x in range(qd.arrow_count if adams + 1 >= 0 else 0):
-        partner = qd.star(x)
-        for pi in paths_between(qd, qd.arrow_source[x], qd.arrow_target[x], adams + 1):
-            dom1.append((x, pi))
-            first = Path(pi.source, pi.letters + (partner,), pi.source)
-            second = Path(qd.arrow_source[partner], (partner,) + pi.letters, pi.target)
-            col: dict[int, int] = {}
-            sign = 1 if x % 2 == 0 else -1
-            for w, s in ((first, sign), (second, -sign)):
-                i = index[w]
-                col[i] = col.get(i, 0) + s
-            col = {i: v for i, v in col.items() if v}
-            cols1.append(col)
+    for i in sorted(range(len(codomain) if adams + 2 > 0 else 0),
+                    key=lambda i: qd.star(codomain[i].letters[-1])):
+        w = codomain[i]
+        partner = w.letters[-1]
+        x = qd.star(partner)
+        pi = Path(w.source, w.letters[:-1], qd.arrow_source[partner])
+        dom1.append((x, pi))
+        j = index[(partner,) + pi.letters]
+        sign = 1 if x % 2 == 0 else -1
+        cols1.append({i: sign, j: -sign} if i != j else {})
 
     rels = _vertex_relations(qg)
     dom2: list[Path] = []
     cols2: list[dict] = []
-    if adams >= 0:
-        for w in basis_of_bidegree(qg, -1, adams + 2, closed=True):
-            dom2.append(w)
-            pos = next(k for k, a in enumerate(w.letters) if qg.is_loop(a))
-            v = qg.arrow_source[w.letters[pos]]
-            col = {}
-            for coeff, (l1, l2) in rels[v]:
-                word = Path(w.source, w.letters[:pos] + (l1, l2) + w.letters[pos + 1:], w.target)
-                i = index[word]
-                col[i] = col.get(i, 0) + coeff
-            cols2.append({i: v2 for i, v2 in col.items() if v2})
+    for c in all_cycles(qd, adams) if adams >= 0 else ():
+        v = c.source
+        dom2.append(Path(v, (qg.loop_index[v],) + c.letters, v))
+        cols2.append({index[pair + c.letters]: coeff for coeff, pair in rels[v]})
 
     return HH2Complex(adams, fld, dom1, dom2, codomain, cols1, cols2)
 

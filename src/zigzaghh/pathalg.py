@@ -9,11 +9,11 @@ ordering in the package.
 Enumeration is driven by constraints: one depth-first walk extends a
 word only by letters its budget still allows (any letter for `all_words`;
 loop and other letters counted apart for `basis_of_bidegree`, which so
-builds no word of another bidegree; with `closed`, a last letter only
+builds no word of another bidegree; for `all_cycles`, a last letter only
 back to the first letter's source, so no open word is built either) and
 emits the words already in that order, with no sort.  Cycles come only
-from the closed walk (`all_cycles`, `basis_of_bidegree(..., closed=True)`);
-no code filters a word table for them.
+from the closed walk (`all_cycles`); no code filters a word table for
+them.
 """
 
 from __future__ import annotations
@@ -174,21 +174,46 @@ def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
     return words_by_endpoints(qd, n).get((i, j), [])
 
 
+def _two_colored(q) -> bool:
+    """Whether the vertices 2-color so that every arrow joins the two colors."""
+    nbrs: dict[int, list[int]] = {v: [] for v in range(1, q.vertex_count + 1)}
+    for s, t in zip(q.arrow_source, q.arrow_target):
+        nbrs[s].append(t)
+        nbrs[t].append(s)
+    side: dict[int, int] = {}
+    for root in nbrs:
+        if root in side:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in nbrs[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return False
+    return True
+
+
 def all_cycles(q, n: int) -> list[Path]:
-    """All length-n cycles, in global lexicographic letter order."""
+    """All length-n cycles, in global lexicographic letter order.
+
+    A 2-colored quiver has no cycle of odd length, and the walk for one
+    would visit every open word of length n - 1 to keep none, so it is
+    not walked.
+    """
     cache = q._cache
     key = ("closed", n)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _words(q, n, closed=True)
+        hit = cache[key] = [] if n % 2 and _two_colored(q) else _words(q, n, closed=True)
     return hit
 
 
-def basis_of_bidegree(qg, p: int, q: int, closed: bool = False) -> list[Path]:
-    """All Ginzburg words of bidegree (p, q): -p loops and q+2p arrows.
-
-    With `closed`, only those words that are cycles.
-    """
+def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
+    """All Ginzburg words of bidegree (p, q): -p loops and q+2p arrows."""
     if p > 0:
         raise ValueError("Ginzburg words live in non-positive cohomological degree")
     loops = -p
@@ -197,11 +222,11 @@ def basis_of_bidegree(qg, p: int, q: int, closed: bool = False) -> list[Path]:
         return []
     n = loops + arrows
     cache = qg._cache
-    key = ("bideg", p, q, "closed") if closed else ("bideg", p, q)
+    key = ("bideg", p, q)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    out = _words(qg, n, loops, closed)
+    out = _words(qg, n, loops)
     cache[key] = out
     return out
 

@@ -159,6 +159,19 @@ def test_hh2_ginzburg_witnesses_pinned(capsys, graph, char):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("graph,char", [("E~8", 0), ("E~6", 2), ("D~6", 0)])
+def test_hh2_ginzburg_q10_jobs_pinned(capsys, graph, char):
+    # the ginzburg-deep benchmark jobs with witnesses, recorded before the
+    # small complex dropped its redundant relation columns: the free
+    # columns depend only on the row space, so the bytes must not move
+    golden = pathlib.Path(__file__).parent / "golden" / ("hh2-ginzburg-q10-%s-char%d.json"
+                                                         % (graph, char))
+    code, out = _run(capsys, "hh2", "--graph", graph, "--char", str(char), "--q", "10",
+                     "--method", "ginzburg", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("command,graph,char", [("classify", "E~8", 0), ("classify", "D~8", 3),
                                                 ("classify", "E8", 5), ("preproj", "E~8", 0)])
 def test_trace_classify_jobs_pinned(capsys, command, graph, char):
@@ -311,6 +324,51 @@ def test_ainfty_check_arity_above_max_exits_2_before_any_walk(capsys, monkeypatc
     assert calls == []
     assert main(["ainfty-check", "--arity", str(cli.MAX_ARITY)]) == 0
     assert calls == [cli.MAX_ARITY]
+
+
+@pytest.mark.parametrize("method", ["ginzburg", "trace", "all"])
+def test_hh2_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch, method):
+    # E~8 has tr(A^18) = 535,846 closed walks of length 18: counted, not walked
+    from zigzaghh import cli, ginzburg, pathalg, preproj
+    calls = []
+
+    def spy(q, n):
+        calls.append(n)
+        return []
+
+    for module in (pathalg, ginzburg, preproj):
+        monkeypatch.setattr(module, "all_cycles", spy)
+    assert 135_488 <= cli.MAX_CYCLES < 477_434   # E~8 at q = 14, E8 at q = 16
+    for q, err in (("14..17", "--q 16 needs 535846 closed walks of length 18"),
+                   ("16", "--q 16 needs 535846 closed walks of length 18"),
+                   ("40..41", "--q 40 needs at least 535846 closed walks of length 42"),
+                   ("1000000", "--q 1000000 needs at least 535846 closed walks")):
+        assert main(["hh2", "--graph", "E~8", "--q", q, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + err)
+        assert captured.err.endswith(", above the cap of %d\n" % cli.MAX_CYCLES)
+    assert calls == []
+
+
+def test_hh2_cycle_count_bounds_each_parity():
+    # odd lengths have no closed walk on a bipartite graph, so --q 17 is
+    # admitted on E~8, and the triangle's odd walks count too
+    from zigzaghh.cli import CliError, _check_cycle_count
+    from zigzaghh.quiver import parse_label
+    _check_cycle_count(parse_label("E~8"), -5, 14)
+    _check_cycle_count(parse_label("E~8"), 17, 17)
+    _check_cycle_count(parse_label("A~2"), 15, 16)   # 2^n + 2(-1)^n walks of length n
+    with pytest.raises(CliError, match="--q 17 needs 524286 closed walks of length 19"):
+        _check_cycle_count(parse_label("A~2"), 15, 17)
+    with pytest.raises(CliError, match="--q 99 needs at least 524286 closed walks of length 101"):
+        _check_cycle_count(parse_label("A~2"), 99, 10 ** 9)
+
+
+def test_hh2_odd_length_on_bipartite_graph_walks_nothing(capsys):
+    # no closed walk of odd length exists, and none is searched for
+    code, doc = _run_json(capsys, "hh2", "--graph", "E~8", "--q", "41", "--method", "all")
+    assert code == 0 and [r["dim"] for r in doc["results"]] == [0, 0]
 
 
 def test_ainfty_check_zero_m4_fails(capsys, tmp_path):

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from zigzaghh.exactla import GF, QQ
+from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
 from zigzaghh.ginzburg import (differential, dg_piece, element_differential,
                                first_order_deformation_check, ginzburg_of, h0_dim,
                                hh2_complex, hh2_dim)
 from zigzaghh.pathalg import (BigradedElement, Path, all_words, loop_count,
-                              make_path, path_from_names)
-from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite
+                              make_path, path_from_names, paths_between)
+from zigzaghh.preproj import doubled_of, lambda_piece, preprojective_relations, trace_piece
+from zigzaghh.quiver import Graph, catalog, orient_bipartite, orient_by_edge_order
 
 from cone import verify_cone_resolution
+from oracle import oracle_basis_of_bidegree
 
 
 def _q(family, n):
@@ -97,19 +98,70 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
 
 
 def test_hh2_builds_no_ginzburg_word_table():
-    # basis_of_bidegree walks by loop budget and hh2 asks it for the closed
-    # walks only; filtering all_words(qg, n) would leave its tables of every
-    # Ginzburg word behind, and filtering every one-loop word its open ones.
-    # The codomain cycles come from the doubled quiver's closed walk, with
-    # no open table of length 10 behind them; only dom1's values, open
-    # paths of length 9, need an open table
+    # the codomain cycles and the relation columns' closed walks both come
+    # from the doubled quiver's closed walk; dom1 is read off the codomain
+    # and each relation column is r_v c, so no Ginzburg word and no open
+    # path table is built
     q = _q("E~", 6)
     qg = ginzburg_of(q)
     qg._cache.clear()
     doubled_of(q)._cache.clear()
     hh2_dim(q, 8, GF(2))
-    assert list(qg._cache) == [("bideg", -1, 10, "closed")]
-    assert list(doubled_of(q)._cache) == [("closed", 10), 9, ("by_st", 9)]
+    assert list(qg._cache) == []
+    assert list(doubled_of(q)._cache) == [("closed", 10), ("closed", 8)]
+
+
+def _random_nontree(seed: int, n: int) -> Graph:
+    rng = random.Random(seed)
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    return Graph(n, tuple(edges + rng.sample(missing, 2)), name="random-nontree-%d" % seed)
+
+
+@pytest.mark.parametrize("quiv", [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
+                                  orient_by_edge_order(catalog("A~", 2)),
+                                  orient_by_edge_order(_random_nontree(918, 6))],
+                         ids=lambda quiv: quiv.name)
+def test_hh2_complex_spans_the_full_complex(quiv):
+    # dom1 is the arrow-by-arrow complex of paths pi from s(x) to t(x), and
+    # the relation columns span what every closed one-loop word u t_v u'
+    # gives, with the loop anywhere: so rank and witnesses cannot move
+    qg = ginzburg_of(quiv)
+    qd = qg.doubled
+    rels = preprojective_relations(quiv)
+    for adams in range(-2, 7):
+        cx = hh2_complex(quiv, adams, QQ)
+        index = {w.letters: i for i, w in enumerate(cx.codomain)}
+        dom1, cols1 = [], []
+        for x in range(qd.arrow_count if adams + 1 >= 0 else 0):
+            partner = qd.star(x)
+            sign = 1 if x % 2 == 0 else -1
+            for pi in paths_between(qd, qd.arrow_source[x], qd.arrow_target[x], adams + 1):
+                dom1.append((x, pi))
+                col: dict[int, int] = {}
+                for word, s in ((pi.letters + (partner,), sign), ((partner,) + pi.letters, -sign)):
+                    col[index[word]] = col.get(index[word], 0) + s
+                cols1.append({i: c for i, c in col.items() if c})
+        assert cx.dom1 == dom1 and cx.cols1 == cols1, (quiv.name, adams)
+
+        full = []
+        for w in oracle_basis_of_bidegree(qg, -1, adams + 2):
+            if w.source != w.target:
+                continue
+            pos = next(k for k, a in enumerate(w.letters) if qg.is_loop(a))
+            col = {}
+            for coeff, pair in rels[qg.arrow_source[w.letters[pos]]]:
+                i = index[w.letters[:pos] + pair + w.letters[pos + 1:]]
+                col[i] = col.get(i, 0) + coeff
+            full.append(col)
+        assert len(cx.dom2) <= len(full)
+        for fld in (QQ, GF(2), GF(3)):
+            cx = hh2_complex(quiv, adams, fld)
+            small = cx.combined_columns()
+            ech = echelonize(fld, small, len(cx.codomain))
+            assert all(in_span(fld, ech, col) for col in full), (quiv.name, fld, adams)
+            assert (span_info(fld, small, len(cx.codomain)).free_coords
+                    == span_info(fld, cx.cols1 + full, len(cx.codomain)).free_coords)
 
 
 def test_hh2_complex_a2_q0_dimensions():
@@ -150,8 +202,7 @@ def test_hh2_matches_trace_spot_checks():
 def test_hh2_image_lands_in_commutator_span():
     # each boundary column is a sum of commutators, so it must die in the
     # trace: its image on necklaces lies in the span of the relation rows
-    from zigzaghh.exactla import echelonize, in_span
-    from zigzaghh.preproj import _necklace, _necklace_space, preprojective_relations
+    from zigzaghh.preproj import _necklace, _necklace_space
 
     q = _q("D", 4)
     qd = doubled_of(q)
