@@ -15,6 +15,7 @@ absent m_k above the highest specified product are flagged as conditional
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .exactla import FieldSpec, Scalar
@@ -101,27 +102,6 @@ def _apply(candidate: AInftyCandidate, k: int, word: Word) -> dict[int, Scalar]:
     return table.get(word, {})
 
 
-def _full_words(alg: ZigzagAlgebra, n: int) -> list[Word]:
-    """Composable words over the whole basis, idempotents included."""
-    by_source: dict[int, list[int]] = {}
-    for i in range(alg.dim):
-        by_source.setdefault(alg.src[i], []).append(i)
-    out: list[Word] = []
-
-    def extend(word: list[int], at: int):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for i in by_source.get(at, []):
-            word.append(i)
-            extend(word, alg.tgt[i])
-            word.pop()
-
-    for i in range(alg.dim):
-        extend([i], alg.tgt[i])
-    return out
-
-
 def check_stasheff(candidate: AInftyCandidate, max_arity: int) -> StasheffReport:
     """Evaluate the Stasheff identities exactly on every basis word.
 
@@ -151,7 +131,11 @@ def check_stasheff(candidate: AInftyCandidate, max_arity: int) -> StasheffReport
         if involved_absent:
             report.conditional_arities.append(n)
 
-        pool = _full_words(alg, n) if n == 3 else _words(alg, n)
+        if n == 3:
+            pool = [w for w in itertools.product(range(alg.dim), repeat=3)
+                    if alg.tgt[w[0]] == alg.src[w[1]] and alg.tgt[w[1]] == alg.src[w[2]]]
+        else:
+            pool = _words(alg, n)
         for word in pool:
             defect: dict[int, Scalar] = {}
             for r in range(n):

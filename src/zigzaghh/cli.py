@@ -38,6 +38,11 @@ MAX_ARITY = 8
 # at q = 16 (2-vCPU Xeon, Python 3.11)
 MAX_CYCLES = 300_000
 
+# hh2's zigzag method walks the words of C^{1,q}, about 15 us and 0.4 kB each:
+# D4 has 144,342 at q = 14 (2.5 s, 84 MB), E6 214,048 at q = 12 (3.4 s,
+# 102 MB) and E~6 368,640 at q = 12 (5.1 s, 156 MB) (2-vCPU Xeon, Python 3.11)
+MAX_ZIGZAG_WORDS = 200_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
@@ -114,6 +119,29 @@ def _check_cycle_count(g: Graph, qlo: int, qhi: int):
                            % (q, over[(q + 2) % 2], q + 2, MAX_CYCLES))
 
 
+def _check_zigzag_count(g: Graph, qlo: int, qhi: int):
+    """Exit 2 if some q in qlo..qhi has more than MAX_ZIGZAG_WORDS words in C^{1,q}.
+
+    Those are the words of length q + 1 with at most one cycle class.  With
+    W(m) = 1^T A^m 1 arrow walks of length m, W(q + 1) have none, and as A is
+    symmetric, sum over k of <A^k 1, A^(q-k) 1> = (q + 1) W(q) have one, between
+    walks of lengths k and q - k.  Appending an arrow keeps a word, so on a
+    graph with an edge the count never falls with q and stepping stops at the
+    first q past the cap.
+    """
+    adj = g.adjacency()
+    walks = {v: 1 for v in adj}   # arrow walks of length q from each vertex
+    for q in range(qhi + 1):
+        longer = {v: sum(walks[w] for w in adj[v]) for v in adj}
+        count = sum(longer.values()) + (q + 1) * sum(walks.values())
+        if count > MAX_ZIGZAG_WORDS:
+            named = max(q, qlo)
+            raise CliError("--q %d needs %s%d words in C^{1,%d}, above the cap of %d"
+                           % (named, "at least " if q < qlo else "", count, named,
+                              MAX_ZIGZAG_WORDS))
+        walks = longer
+
+
 def _emit(payload: dict, fmt: str, table_lines: list[str]):
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -184,10 +212,12 @@ def cmd_hh2(args) -> int:
     if qlo > qhi:
         raise CliError("empty q range %r" % (args.q,))
     methods = [args.method] if args.method != "all" else ["ginzburg", "trace", "zigzag"]
-    if args.method == "zigzag" and not g.is_tree():
-        raise CliError("zigzag method needs a tree (derived Koszul duality hypothesis)",
-                       EXIT_INAPPLICABLE)
-    if args.method != "zigzag":
+    if args.method == "zigzag":
+        if not g.is_tree():
+            raise CliError("zigzag method needs a tree (derived Koszul duality hypothesis)",
+                           EXIT_INAPPLICABLE)
+        _check_zigzag_count(g, qlo, qhi)
+    else:
         _check_cycle_count(g, qlo, qhi)
     quiv, orient_label = _orient(g, args.orientation)
     # bar-complex cost grows with q; at q = 8 one degree takes 0.1-0.3 s

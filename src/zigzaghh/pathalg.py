@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .exactla import FieldSpec, Scalar
+from .quiver import two_coloring
 
 
 class Path(NamedTuple):
@@ -174,29 +175,6 @@ def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
     return words_by_endpoints(qd, n).get((i, j), [])
 
 
-def _two_colored(q) -> bool:
-    """Whether the vertices 2-color so that every arrow joins the two colors."""
-    nbrs: dict[int, list[int]] = {v: [] for v in range(1, q.vertex_count + 1)}
-    for s, t in zip(q.arrow_source, q.arrow_target):
-        nbrs[s].append(t)
-        nbrs[t].append(s)
-    side: dict[int, int] = {}
-    for root in nbrs:
-        if root in side:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return False
-    return True
-
-
 def all_cycles(q, n: int) -> list[Path]:
     """All length-n cycles, in global lexicographic letter order.
 
@@ -208,7 +186,8 @@ def all_cycles(q, n: int) -> list[Path]:
     key = ("closed", n)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = [] if n % 2 and _two_colored(q) else _words(q, n, closed=True)
+        colored = n % 2 and two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target))
+        hit = cache[key] = [] if colored else _words(q, n, closed=True)
     return hit
 
 

@@ -4,8 +4,10 @@ The preprojective algebra of a quiver Q is the doubled path algebra
 modulo the single element r = sum over base arrows of (a a* - a* a).
 Everything here is degreewise exact linear algebra: the degree-n piece
 is span(length-n words) modulo span{x r_v y} where r_v = e_v r e_v and
-|x| + |y| = n - 2.  No rewriting and no normal forms: quotients are rank
-computations over the chosen field.
+|x| + |y| = n - 2: r_v inserted at every cut of every word xy of length
+n - 2, or of every closed walk at i for the block e_i (...) e_i.  No
+rewriting and no normal forms: quotients are rank computations over the
+chosen field.
 
 The trace space (algebra modulo commutators) is computed on necklaces,
 i.e. cycles up to rotation (Ginzburg, Calabi-Yau algebras,
@@ -36,10 +38,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactla import FieldSpec, echelonize, in_span, span_info
-from .pathalg import Path, all_cycles, all_words, words_by_endpoints
+from .pathalg import Path, all_cycles, all_words
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
 # relation term: (coefficient, (first letter, second letter)) at a vertex
@@ -99,36 +101,26 @@ class TracePiece:
     witnesses: Optional[list[Path]] = None
 
 
-def _relation_rows(qd, rels: RelationTable, n: int, index: dict[Path, int],
-                   ends: Optional[tuple[int, int]] = None):
-    """Spanning vectors x r_v y with |x| + |y| = n - 2, yielded as built.
-
-    With ends = (i, j) only the rows of the block e_i (...) e_j are built.
-    """
-    for la in range(n - 1):
-        left = words_by_endpoints(qd, la)
-        right = words_by_endpoints(qd, n - 2 - la)
-        for (i, v), lefts in sorted(left.items()):
-            terms = rels.get(v)
-            if not terms or (ends and i != ends[0]):
-                continue
-            for (w, j), rights in sorted(right.items()):
-                if w != v or (ends and j != ends[1]):
-                    continue
-                for a in lefts:
-                    for b in rights:
-                        row: dict[int, int] = {}
-                        for coeff, (l1, l2) in terms:
-                            col = index.get(Path(i, a.letters + (l1, l2) + b.letters, j))
-                            if col is not None:
-                                row[col] = row.get(col, 0) + coeff
-                        yield row
+def _relation_rows(qd, rels: RelationTable, shorter: list[Path],
+                   index: dict[tuple[int, ...], int]):
+    """The rows x r_v y for xy in shorter, yielded as built: v is the source of
+    xy at the first cut and the target of the letter before the cut otherwise.
+    The pairs of r_v are distinct, so each term has its own column."""
+    tgt = qd.arrow_target
+    for w in shorter:
+        a = w.letters
+        for k in range(len(a) + 1):
+            v = tgt[a[k - 1]] if k else w.source
+            yield {index[a[:k] + pair + a[k:]]: coeff for coeff, pair in rels[v]}
 
 
-def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec) -> GradedQuotientPiece:
-    ambient = all_words(qd, n)
-    index = {p: i for i, p in enumerate(ambient)}
-    rows = _relation_rows(qd, rels, n, index)
+def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec,
+                    words: Callable[[int], list[Path]]) -> GradedQuotientPiece:
+    """words(n) modulo the rows x r_v y with xy in words(n - 2).  Columns are
+    keyed by letters, which fix a word of length >= 1, and rows start at n = 2."""
+    ambient = words(n)
+    index = {p.letters: k for k, p in enumerate(ambient)}
+    rows = _relation_rows(qd, rels, words(n - 2) if n >= 2 else [], index)
     info = span_info(fld, rows, len(ambient))
     reps = [ambient[c] for c in info.free_coords]
     return GradedQuotientPiece(n, fld, ambient, info.quotient_dim, reps)
@@ -138,27 +130,25 @@ def lambda_piece(q: Quiver, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """The degree-n piece of the preprojective algebra of q."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _quotient_piece(doubled_of(q), preprojective_relations(q), n, fld)
+    qd = doubled_of(q)
+    return _quotient_piece(qd, preprojective_relations(q), n, fld, functools.partial(all_words, qd))
 
 
 def koszul_dual_zigzag_piece(g: Graph, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """Degree-n piece of the quadratic dual of the zigzag algebra of g."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return _quotient_piece(doubled_of_graph(g), zigzag_dual_relations(doubled_of_graph(g)), n, fld)
+    qd = doubled_of_graph(g)
+    return _quotient_piece(qd, zigzag_dual_relations(qd), n, fld, functools.partial(all_words, qd))
 
 
 def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
-    """dim e_i Lambda^n e_i: the i -> i block of the degree-n quotient."""
+    """dim e_i Lambda^n e_i: the closed walks at i modulo the rows x r_v y inside them."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     qd = doubled_of(q)
-    ambient = words_by_endpoints(qd, n).get((i, i), [])
-    if not ambient:
-        return 0
-    index = {p: k for k, p in enumerate(ambient)}
-    rows = _relation_rows(qd, preprojective_relations(q), n, index, (i, i))
-    return span_info(fld, rows, len(ambient)).quotient_dim
+    return _quotient_piece(qd, preprojective_relations(q), n, fld,
+                           lambda m: [c for c in all_cycles(qd, m) if c.source == i]).dimension
 
 
 def _necklace(letters: tuple[int, ...]) -> tuple[int, ...]:

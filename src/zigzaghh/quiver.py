@@ -18,6 +18,31 @@ class NonBipartiteError(ValueError):
     """Raised when a sink/source orientation is requested for an odd-cycle graph."""
 
 
+def two_coloring(vertex_count: int, pairs) -> Optional[list[int]]:
+    """colors[v] in {0,1} for v = 1..vertex_count, each pair (s, t) joining the
+    two colors and each component's least vertex colored 0; None on an odd
+    cycle or a loop."""
+    nbrs: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
+    for s, t in pairs:
+        nbrs[s].append(t)
+        nbrs[t].append(s)
+    colors = [-1] * (vertex_count + 1)
+    for root in nbrs:
+        if colors[root] != -1:
+            continue
+        colors[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in nbrs[v]:
+                if colors[w] == -1:
+                    colors[w] = 1 - colors[v]
+                    stack.append(w)
+                elif colors[w] == colors[v]:
+                    return None
+    return colors
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite connected graph without loops or multiple edges."""
@@ -76,19 +101,7 @@ class Graph:
 
     def two_coloring(self) -> Optional[list[int]]:
         """A 2-coloring (colors[v] in {0,1}, colors[1] = 0), or None."""
-        colors = [-1] * (self.vertex_count + 1)
-        adj = self.adjacency()
-        colors[1] = 0
-        queue = [1]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if colors[w] == -1:
-                    colors[w] = 1 - colors[v]
-                    queue.append(w)
-                elif colors[w] == colors[v]:
-                    return None
-        return colors
+        return two_coloring(self.vertex_count, self.edges)
 
     def is_bipartite(self) -> bool:
         return self.two_coloring() is not None

@@ -186,6 +186,16 @@ def test_trace_classify_jobs_pinned(capsys, command, graph, char):
     assert out == golden.read_text()
 
 
+def test_preproj_koszul_dual_pinned(capsys):
+    # recorded before the relation rows became r_v inserted into the shorter
+    # words; CI diffs the installed package's output against the same file
+    golden = pathlib.Path(__file__).parent / "golden" / "preproj-koszul-dual-A~2-char3.json"
+    code, out = _run(capsys, "preproj", "--graph", "A~2", "--char", "3", "--variant",
+                     "koszul-dual", "--max", "8", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("argv", [("classify", "--max", "0"), ("classify", "--max", "-3"),
                                   ("preproj", "--max", "-1"), ("preproj", "--max", "-2")])
 def test_empty_search_bound_exits_2(capsys, argv):
@@ -363,6 +373,52 @@ def test_hh2_cycle_count_bounds_each_parity():
         _check_cycle_count(parse_label("A~2"), 15, 17)
     with pytest.raises(CliError, match="--q 99 needs at least 524286 closed walks of length 101"):
         _check_cycle_count(parse_label("A~2"), 99, 10 ** 9)
+
+
+def test_hh2_zigzag_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
+    # E~6 has 368,640 words in C^{1,12}: counted, not walked; a non-tree
+    # still exits 3 first
+    from zigzaghh import cli, zigzag
+    calls = []
+    cochain_basis = zigzag.cochain_basis
+
+    def spy(alg, p, q):
+        calls.append((p, q))
+        return cochain_basis(alg, p, q)
+
+    monkeypatch.setattr(zigzag, "cochain_basis", spy)
+    assert 144_342 <= cli.MAX_ZIGZAG_WORDS < 214_048   # D4 at q = 14, E6 at q = 12
+    for q, err in (("12", "--q 12 needs 368640 words in C^{1,12}"),
+                   ("8..13", "--q 12 needs 368640 words in C^{1,12}"),
+                   ("1000000", "--q 1000000 needs at least 368640 words in C^{1,1000000}")):
+        assert main(["hh2", "--graph", "E~6", "--q", q, "--method", "zigzag"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + err)
+        assert captured.err.endswith(", above the cap of %d\n" % cli.MAX_ZIGZAG_WORDS)
+    assert main(["hh2", "--graph", "A~2", "--q", "12", "--method", "zigzag"]) == 3
+    assert calls == []
+    code, doc = _run_json(capsys, "hh2", "--graph", "E~6", "--q", "0..8", "--method", "zigzag")
+    assert code == 0 and len(doc["results"]) == 9 and calls
+
+
+@pytest.mark.parametrize("label", ["A2", "A5", "D4", "E6", "D~4", "E~6"])
+def test_zigzag_word_count_is_the_walk(monkeypatch, label):
+    # the count from adjacency powers equals the C^{1,q} walk it bounds
+    from zigzaghh import cli
+    from zigzaghh.exactla import QQ
+    from zigzaghh.quiver import parse_label
+    from zigzaghh.zigzag import _words, build_zigzag
+
+    g = parse_label(label)
+    alg = build_zigzag(g, QQ)
+    for q in range(9):
+        words = len(_words(alg, q + 1, 1))
+        monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words)
+        cli._check_zigzag_count(g, q, q)
+        monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words - 1)
+        with pytest.raises(cli.CliError, match=" %d words in " % words):
+            cli._check_zigzag_count(g, q, q)
 
 
 def test_hh2_odd_length_on_bipartite_graph_walks_nothing(capsys):

@@ -307,3 +307,56 @@ def test_relation_times_closed_walk_has_zero_class():
                                 cyc = Path(src, word, src)
                                 vector[cyc] = vector.get(cyc, 0) + coeff
                             assert _class_is_zero(q, vector, fld), (label, fld, v, w, k)
+
+
+def _pieces(label, char, orientation):
+    from zigzaghh.exactla import FieldSpec
+    from zigzaghh.pathalg import path_name
+    from zigzaghh.preproj import doubled_of, doubled_of_graph
+    from zigzaghh.quiver import parse_label
+
+    g = parse_label(label)
+    q = orientation(g)
+    fld = FieldSpec(char)
+    qd, gd = doubled_of(q), doubled_of_graph(g)
+    cell = {"lambda": [], "koszul-dual": [], "cyclic": []}
+    for n in range(9):
+        for kind, piece, quiver in (("lambda", lambda_piece(q, n, fld), qd),
+                                    ("koszul-dual", koszul_dual_zigzag_piece(g, n, fld), gd)):
+            cell[kind].append({"dim": piece.dimension,
+                               "reps": [path_name(quiver, r) for r in piece.representatives]})
+        cell["cyclic"].append([cyclic_piece_dim(q, n, i, fld)
+                               for i in range(1, q.vertex_count + 1)])
+    return cell
+
+
+@pytest.mark.parametrize("label,char,orientation", [("D~4", 0, orient_bipartite),
+                                                    ("E6", 2, orient_bipartite),
+                                                    ("A~2", 3, orient_by_edge_order)])
+def test_quotient_pieces_pinned(label, char, orientation):
+    # recorded before the relation rows became r_v inserted into the shorter
+    # words: the rows span the same space in another order, and the free
+    # columns (the representatives) depend only on that space
+    import json
+    import pathlib
+
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "preproj-pieces.json")
+                        .read_text())
+    assert _pieces(label, char, orientation) == golden["%s-char%d" % (label, char)]
+
+
+def test_quotient_pieces_build_no_endpoint_table():
+    # the relation rows come from the shorter words themselves, so no
+    # table of words keyed by their endpoints is built
+    from zigzaghh.preproj import doubled_of, doubled_of_graph
+
+    g = catalog("D~", 4)
+    q = orient_bipartite(g)
+    for qd in (doubled_of(q), doubled_of_graph(g)):
+        qd._cache.clear()
+    for n in range(7):
+        lambda_piece(q, n, QQ)
+        koszul_dual_zigzag_piece(g, n, GF(3))
+        cyclic_piece_dim(q, n, 5, GF(2))
+    keys = list(doubled_of(q)._cache) + list(doubled_of_graph(g)._cache)
+    assert keys and not [k for k in keys if type(k) is tuple and k[0] == "by_st"], keys

@@ -88,6 +88,25 @@ def test_orient_bipartite_rejects_triangle():
     assert len(q.arrows) == 3
 
 
+def test_two_coloring_components_and_loops():
+    # one routine colors graphs and quivers: several components, each rooted
+    # at its least vertex, and a loop or odd cycle anywhere refuses
+    from zigzaghh.quiver import two_coloring
+    assert two_coloring(5, [(4, 5), (1, 2), (2, 3)]) == [-1, 0, 1, 0, 0, 1]
+    assert two_coloring(3, []) == [-1, 0, 0, 0]
+    assert two_coloring(4, [(1, 2), (3, 3)]) is None
+    assert two_coloring(5, [(1, 2), (3, 4), (4, 5), (3, 5)]) is None
+    qg = ginzburg_extend(double(orient_bipartite(catalog("D", 4))))
+    assert two_coloring(qg.vertex_count, zip(qg.arrow_source, qg.arrow_target)) is None
+    for label in ("A1", "A2", "D4", "E~8", "A~3", "A~2", "A~4"):
+        g = parse_label(label)
+        colors = g.two_coloring()
+        if label in ("A~2", "A~4"):   # odd cycles
+            assert colors is None
+            continue
+        assert colors[1] == 0 and all(colors[i] != colors[j] for i, j in g.edges)
+
+
 def test_double_a2():
     qd = double(orient_bipartite(catalog("A", 2)))
     assert qd.arrow_count == 2
