@@ -16,11 +16,11 @@ explicit extended-D4 deformation) and a batch CLI.
 from .exactla import GF, QQ, ExactMatrix, FieldSpec
 from .quiver import (Graph, Quiver, catalog, double, ginzburg_extend, load_graph,
                      orient_bipartite, parse_label)
-from .pathalg import BigradedElement, Path, basis_of_bidegree, commutator, multiply, paths_between
+from .pathalg import Path, basis_of_bidegree, paths_between
 from .preproj import (GradedQuotientPiece, TracePiece, cyclic_piece_dim,
                       koszul_dual_zigzag_piece, lambda_piece, trace_piece,
                       trace_piece_general)
-from .ginzburg import differential, first_order_deformation_check, h0_dim, hh2_complex, hh2_dim
+from .ginzburg import h0_dim, hh2_complex, hh2_dim
 from .zigzag import (HochschildCochain, ZigzagAlgebra, build_zigzag, cochain_differential,
                      hochschild_dim, is_coboundary, is_cocycle)
 from .ainfty import AInftyCandidate, StasheffReport, check_stasheff, class_of, extended_d4_m4
@@ -30,16 +30,14 @@ __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec",
     "Graph", "Quiver", "catalog", "double", "ginzburg_extend", "load_graph",
     "orient_bipartite", "parse_label",
-    "BigradedElement", "Path", "basis_of_bidegree", "commutator", "multiply",
-    "paths_between",
+    "Path", "basis_of_bidegree", "paths_between",
     "GradedQuotientPiece", "TracePiece", "cyclic_piece_dim",
     "koszul_dual_zigzag_piece", "lambda_piece", "trace_piece", "trace_piece_general",
-    "differential", "first_order_deformation_check", "h0_dim", "hh2_complex",
-    "hh2_dim",
+    "h0_dim", "hh2_complex", "hh2_dim",
     "HochschildCochain", "ZigzagAlgebra", "build_zigzag", "cochain_differential",
     "hochschild_dim", "is_coboundary", "is_cocycle",
     "AInftyCandidate", "StasheffReport", "check_stasheff", "class_of", "extended_d4_m4",
     "HHReport",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -120,24 +120,27 @@ def _check_cycle_count(g: Graph, qlo: int, qhi: int):
 
 
 def _check_zigzag_count(g: Graph, qlo: int, qhi: int):
-    """Exit 2 if some q in qlo..qhi has more than MAX_ZIGZAG_WORDS words in C^{1,q}.
+    """Exit 2 if some even q in qlo..qhi has more than MAX_ZIGZAG_WORDS words in C^{1,q}.
 
     Those are the words of length q + 1 with at most one cycle class.  With
     W(m) = 1^T A^m 1 arrow walks of length m, W(q + 1) have none, and as A is
     symmetric, sum over k of <A^k 1, A^(q-k) 1> = (q + 1) W(q) have one, between
     walks of lengths k and q - k.  Appending an arrow keeps a word, so on a
     graph with an edge the count never falls with q and stepping stops at the
-    first q past the cap.
+    first even q past the cap.  Odd q is not counted: the graph is a tree, so
+    C^{2,q} is empty, and HH^{2,q} is 0 before C^{1,q} is walked.
     """
     adj = g.adjacency()
     walks = {v: 1 for v in adj}   # arrow walks of length q from each vertex
     for q in range(qhi + 1):
         longer = {v: sum(walks[w] for w in adj[v]) for v in adj}
         count = sum(longer.values()) + (q + 1) * sum(walks.values())
-        if count > MAX_ZIGZAG_WORDS:
-            named = max(q, qlo)
+        if q % 2 == 0 and count > MAX_ZIGZAG_WORDS:
+            named = max(q, qlo + qlo % 2)
+            if named > qhi:
+                return
             raise CliError("--q %d needs %s%d words in C^{1,%d}, above the cap of %d"
-                           % (named, "at least " if q < qlo else "", count, named,
+                           % (named, "at least " if q < named else "", count, named,
                               MAX_ZIGZAG_WORDS))
         walks = longer
 
@@ -297,6 +300,7 @@ def cmd_classify(args) -> int:
         raise CliError("--max must be >= 1 (classify searches 0 < q <= max), got %d" % args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
+    _check_cycle_count(g, 1, args.max)
     quiv, orient_label = _orient(g, args.orientation)
     qs = list(range(1, args.max + 1))
 

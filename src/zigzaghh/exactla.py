@@ -106,13 +106,6 @@ class FieldSpec:
             return -a
         return (-a) % self.characteristic
 
-    def inv(self, a: Scalar) -> Scalar:
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / Fraction(a)
-        return pow(int(a), self.characteristic - 2, self.characteristic)
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
 

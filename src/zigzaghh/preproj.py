@@ -87,10 +87,6 @@ class GradedQuotientPiece:
     dimension: int
     representatives: list[Path]
 
-    @property
-    def relation_rank(self) -> int:
-        return len(self.ambient) - self.dimension
-
 
 @dataclass
 class TracePiece:

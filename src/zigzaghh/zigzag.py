@@ -21,7 +21,10 @@ length = input length - q.  The differential is
 A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
 2, so the words of C^{p,q} are walked within a budget of 2 - p cycle
-classes, and C^{p,q} is empty for p >= 3.
+classes, and C^{p,q} is empty for p >= 3.  A word of C^{2,q} has only
+arrows and outputs the cycle class at its source, so it is closed: those
+are the closed walks of length q + 2 in the double quiver, read from
+`pathalg.all_cycles`, which walks none of odd length on a tree.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactla import Echelon, ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
+from .pathalg import all_cycles
+from .preproj import doubled_of_graph
 from .quiver import Graph
 from .reports import HHReport
 
@@ -61,9 +66,6 @@ class ZigzagAlgebra:
     def mult(self, i: int, j: int) -> Optional[int]:
         """Product of two basis elements: a basis index (coefficient 1) or None."""
         return self.table.get((i, j))
-
-    def dim_in_degree(self, k: int) -> int:
-        return sum(1 for d in self.degrees if d == k)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -227,7 +229,8 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     word's endpoints.  For zero tensor factors the inputs are the
     idempotents, encoded as the empty word with the output carrying the
     vertex.  A word with c cycle classes has output degree p + c, so only
-    the words with at most 2 - p of them are walked.
+    the words with at most 2 - p of them are walked, and for p = 2 only
+    the closed ones.
     """
     n = p + q
     if n < 0 or p > 2:
@@ -237,7 +240,12 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     if hit is not None:
         return hit
     basis: list[tuple[Word, int]] = []
-    if n == 0:
+    if p == 2:
+        # doubled letter k is basis index k + vertex count (edge order, a_k before a_k*)
+        shift = alg.graph.vertex_count
+        basis = [(tuple(a + shift for a in c.letters), alg.cycle_index[c.source])
+                 for c in all_cycles(doubled_of_graph(alg.graph), n)]
+    elif n == 0:
         for v in range(1, alg.graph.vertex_count + 1):
             for z in _outputs(alg, v, v, -q):
                 basis.append(((), z))
@@ -299,7 +307,7 @@ def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
     source = cochain_basis(alg, p, q)
     target = cochain_basis(alg, p + 1, q)
     tindex = {b: i for i, b in enumerate(target)}
-    cols = [_delta_elementary(alg, w, z, tindex) for (w, z) in source]
+    cols = [_delta_elementary(alg, w, z, tindex) if target else {} for (w, z) in source]
     return source, target, cols
 
 

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from zigzaghh.exactla import FieldSpec, span_info
-from zigzaghh.ginzburg import _vertex_relations, differential, ginzburg_of
-from zigzaghh.pathalg import Path, basis_of_bidegree, concat, loop_count, make_path
+from zigzaghh.ginzburg import _vertex_relations, ginzburg_of
+from zigzaghh.pathalg import Path, basis_of_bidegree, loop_count, make_path
 from zigzaghh.quiver import Quiver
+
+from dg import concat, differential
 
 
 @dataclass

@@ -99,9 +99,9 @@ def _walks(arrows: list[tuple[int, int]], vertex_count: int, n: int) -> list[tup
 def oracle_basis_of_bidegree(qg, p: int, q: int) -> list[Path]:
     """Ginzburg words of bidegree (p, q) by filtering every word of length q + p.
 
-    The definition the enumerator replaced: keep the words with exactly -p
-    loop letters.  Words come from `_walks`, which is lexicographic in
-    arrow ids like the package's enumeration.
+    Keep the words with exactly -p loop letters, as the package does, but
+    over `_walks`, which shares no code with the package's enumeration and
+    is lexicographic in arrow ids like it.
     """
     loops = -p
     arrows = q + 2 * p

@@ -361,6 +361,25 @@ def test_hh2_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch, method
     assert calls == []
 
 
+def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
+    # E8 has tr(A^18) = 477,434 closed walks of length 18: counted, not walked
+    from zigzaghh import cli, pathalg, preproj
+    calls = []
+
+    def spy(q, n):
+        calls.append(n)
+        return []
+
+    for module in (pathalg, preproj):
+        monkeypatch.setattr(module, "all_cycles", spy)
+    assert main(["classify", "--graph", "E8", "--max", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --q 16 needs 477434 closed walks of length 18, "
+                            "above the cap of %d\n" % cli.MAX_CYCLES)
+    assert calls == []
+
+
 def test_hh2_cycle_count_bounds_each_parity():
     # odd lengths have no closed walk on a bipartite graph, so --q 17 is
     # admitted on E~8, and the triangle's odd walks count too
@@ -410,21 +429,28 @@ def test_zigzag_word_count_is_the_walk(monkeypatch, label):
     from zigzaghh.quiver import parse_label
     from zigzaghh.zigzag import _words, build_zigzag
 
+    # only even q is counted: on a tree C^{2,q} is empty for odd q, and
+    # HH^{2,q} is 0 before C^{1,q} is walked
     g = parse_label(label)
     alg = build_zigzag(g, QQ)
-    for q in range(9):
+    for q in range(0, 9, 2):
         words = len(_words(alg, q + 1, 1))
         monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words)
         cli._check_zigzag_count(g, q, q)
         monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words - 1)
         with pytest.raises(cli.CliError, match=" %d words in " % words):
             cli._check_zigzag_count(g, q, q)
+        monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", 0)
+        cli._check_zigzag_count(g, q + 1, q + 1)
 
 
 def test_hh2_odd_length_on_bipartite_graph_walks_nothing(capsys):
     # no closed walk of odd length exists, and none is searched for
     code, doc = _run_json(capsys, "hh2", "--graph", "E~8", "--q", "41", "--method", "all")
     assert code == 0 and [r["dim"] for r in doc["results"]] == [0, 0]
+    # nor in the bar complex, whose C^{1,11} would hold 215,450 words
+    code, doc = _run_json(capsys, "hh2", "--graph", "E~8", "--q", "11", "--method", "zigzag")
+    assert code == 0 and [r["dim"] for r in doc["results"]] == [0]
 
 
 def test_ainfty_check_zero_m4_fails(capsys, tmp_path):

@@ -36,7 +36,7 @@ def test_fieldspec_large_prime_is_quick():
     start = time.perf_counter()
     fld = FieldSpec(2 ** 61 - 1)
     assert time.perf_counter() - start < 0.5
-    assert fld.mul(fld.inv(3), 3) == 1
+    assert fld.mul(pow(3, -1, fld.characteristic), 3) == 1
 
 
 def test_fieldspec_rejects_strong_pseudoprimes():
@@ -54,8 +54,8 @@ def test_fieldspec_refuses_characteristics_beyond_the_primality_bound():
 def test_scalar_canonical_forms():
     assert QQ.element(Fraction(2, 4)) == Fraction(1, 2)
     assert GF(5).element(12) == 2
-    assert GF(5).inv(2) == 3
-    assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
+    assert GF(5).mul(2, 3) == 1
+    assert QQ.mul(Fraction(3, 2), Fraction(2, 3)) == 1
 
 
 def test_rank_identity_and_zero():

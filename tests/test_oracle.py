@@ -56,7 +56,8 @@ def test_oracle_trace_matches_cyclic_block_shortcut():
 
 
 def test_oracle_basis_of_bidegree_matches_budgeted_walk():
-    # lists equal in order too: the order fixes every Ginzburg basis and matrix
+    # lists equal in order too: the order fixes every Ginzburg basis and
+    # matrix; the package filters its own word walk by loop count
     quivers = [_q("A", 1), _q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
                orient_by_edge_order(catalog("A~", 2)), _q("E~", 6)]
     for quiv in quivers:

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.pathalg import (BigradedElement, Path, all_words, basis_of_bidegree,
-                              commutator, concat, make_path, multiply, path_bidegree,
-                              path_from_names, path_name, paths_between, trivial_path)
+from zigzaghh.pathalg import (Path, all_words, basis_of_bidegree, make_path, path_name,
+                              paths_between, trivial_path)
 from zigzaghh.quiver import catalog, double, ginzburg_extend, orient_bipartite
+
+from dg import (BigradedElement, commutator, concat, multiply, path_bidegree,
+                path_from_names)
 
 
 def _a2_doubled():
