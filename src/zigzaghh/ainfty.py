@@ -15,13 +15,11 @@ absent m_k above the highest specified product are flagged as conditional
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .exactla import FieldSpec, Scalar
 from .quiver import catalog
-from .zigzag import (HochschildCochain, Word, ZigzagAlgebra, _word_degree, _words,
-                     build_zigzag)
+from .zigzag import HochschildCochain, Word, ZigzagAlgebra, _word_degree, build_zigzag
 
 
 @dataclass
@@ -88,20 +86,6 @@ class StasheffReport:
         return not self.violations
 
 
-def _apply(candidate: AInftyCandidate, k: int, word: Word) -> dict[int, Scalar]:
-    """m_k on a basis word: the product for k = 2, a table lookup above."""
-    alg = candidate.algebra
-    if k == 1:
-        return {}
-    if k == 2:
-        z = alg.mult(word[0], word[1])
-        return {z: alg.field.one()} if z is not None else {}
-    table = candidate.products.get(k)
-    if not table:
-        return {}
-    return table.get(word, {})
-
-
 def check_stasheff(candidate: AInftyCandidate, max_arity: int) -> StasheffReport:
     """Evaluate the Stasheff identities exactly on every basis word.
 
@@ -111,58 +95,47 @@ def check_stasheff(candidate: AInftyCandidate, max_arity: int) -> StasheffReport
     show against the idempotents).  Higher arities involve the higher
     multiplications, which live on the positive part, and are evaluated
     there.
+
+    A term m_u(id^r (x) m_s (x) id^t) is nonzero on a word w only when
+    w = y[:r] + x + y[r+1:] with m_u(y) nonzero and y[r] an output of
+    m_s(x), so each identity is summed over pairs of table entries and no
+    other word is visited.  Such a w that does not compose, or holds an
+    idempotent above arity 3, is not a word of the check and is skipped.
     """
     if max_arity < 2:
         raise ValueError("need max_arity >= 2")
     alg = candidate.algebra
     fld = alg.field
-    report = StasheffReport(max_arity)
-    max_specified = candidate.max_specified()
+    tables = {2: {pair: {z: fld.one()} for pair, z in alg.table.items()},
+              **candidate.products}
+    by_output: dict[int, dict[int, list[tuple[Word, Scalar]]]] = {s: {} for s in tables}
+    for s, table in tables.items():
+        for x, outs in table.items():
+            for z, c in outs.items():
+                by_output[s].setdefault(z, []).append((x, c))
+    report = StasheffReport(max_arity, conditional_arities=list(
+        range(max(4, candidate.max_specified() + 2), max_arity + 1)))
 
-    for n in range(2, max_arity + 1):
-        involved_absent = set()
-        for s in range(2, n):
-            u = n + 1 - s
-            if u < 2:
-                continue
-            for k in (s, u):
-                if k >= 3 and k not in candidate.products and k > max_specified:
-                    involved_absent.add(k)
-        if involved_absent:
-            report.conditional_arities.append(n)
-
-        if n == 3:
-            pool = [w for w in itertools.product(range(alg.dim), repeat=3)
-                    if alg.tgt[w[0]] == alg.src[w[1]] and alg.tgt[w[1]] == alg.src[w[2]]]
-        else:
-            pool = _words(alg, n)
-        for word in pool:
-            defect: dict[int, Scalar] = {}
-            for r in range(n):
-                for s in range(1, n - r + 1):
-                    t = n - r - s
-                    u = r + 1 + t
-                    if s == 1 or u == 1:
-                        continue  # m_1 = 0 kills the term
-                    inner = _apply(candidate, s, word[r:r + s])
-                    if not inner:
-                        continue
-                    sign = -1 if (r + s * t) % 2 else 1
-                    for z, cz in inner.items():
-                        outer_word = word[:r] + (z,) + word[r + s:]
-                        for y, cy in _apply(candidate, u, outer_word).items():
-                            val = fld.mul(cz, cy)
-                            if sign < 0:
-                                val = fld.neg(val)
-                            acc = fld.add(defect.get(y, fld.zero()), val)
-                            if fld.is_zero(acc):
-                                defect.pop(y, None)
-                            else:
-                                defect[y] = acc
-            if defect:
-                report.violations.append(StasheffViolation(
-                    n, tuple(alg.names[i] for i in word),
-                    {alg.names[y]: v for y, v in sorted(defect.items())}))
+    for n in range(3, max_arity + 1):
+        defects: dict[Word, dict[int, Scalar]] = {}
+        for s, inner in by_output.items():
+            for y, outs in tables.get(n + 1 - s, {}).items():
+                for r, z in enumerate(y):
+                    odd = (r + s * (len(y) - 1 - r)) % 2
+                    for x, cz in inner.get(z, ()):
+                        w = y[:r] + x + y[r + 1:]
+                        if any(alg.tgt[a] != alg.src[b] for a, b in zip(w, w[1:])) \
+                                or (n > 3 and not all(alg.degrees[i] for i in w)):
+                            continue
+                        c = fld.neg(cz) if odd else cz
+                        defect = defects.setdefault(w, {})
+                        for v, cy in outs.items():
+                            defect[v] = fld.add(defect.get(v, fld.zero()), fld.mul(c, cy))
+        for w, defect in sorted(defects.items()):
+            nonzero = {alg.names[v]: c for v, c in sorted(defect.items()) if not fld.is_zero(c)}
+            if nonzero:
+                report.violations.append(
+                    StasheffViolation(n, tuple(alg.names[i] for i in w), nonzero))
     return report
 
 

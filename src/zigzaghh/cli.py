@@ -27,9 +27,9 @@ EXIT_INVALID = 2
 EXIT_INAPPLICABLE = 3
 EXIT_DISAGREE = 4
 
-# ainfty-check walks every composable word of each arity: on D~4 there are
-# 9,841 / 29,525 / 88,573 of them at arity 7 / 8 / 9, and arity 8 takes
-# about 1.2 s (2-vCPU Xeon, Python 3.11)
+# ainfty-check sums each Stasheff identity over pairs of product-table
+# entries, so its cost no longer grows with the arity; the cap stays because
+# the exit codes of every accepted input are pinned
 MAX_ARITY = 8
 
 # hh2's ginzburg and trace methods walk every closed walk of length q + 2 in
@@ -42,6 +42,11 @@ MAX_CYCLES = 300_000
 # D4 has 144,342 at q = 14 (2.5 s, 84 MB), E6 214,048 at q = 12 (3.4 s,
 # 102 MB) and E~6 368,640 at q = 12 (5.1 s, 156 MB) (2-vCPU Xeon, Python 3.11)
 MAX_ZIGZAG_WORDS = 200_000
+
+# preproj builds the table of every word of length --max in the double quiver:
+# E~8 has 30,986 at --max 12 (2.8 s, 52 MB) and 61,376 at --max 13 (5.4 s,
+# 91 MB), D~4 81,920 at --max 14 (7.7 s, 119 MB) (2-vCPU Xeon, Python 3.11)
+MAX_PREPROJ_WORDS = 100_000
 
 
 class CliError(Exception):
@@ -119,22 +124,45 @@ def _check_cycle_count(g: Graph, qlo: int, qhi: int):
                            % (q, over[(q + 2) % 2], q + 2, MAX_CYCLES))
 
 
+def _walk_counts(g: Graph):
+    """W(0), W(1), ...: W(m) = 1^T A^m 1 arrow walks of length m in the double quiver.
+
+    On a graph with an edge, appending an arrow keeps a walk, so W never falls.
+    """
+    adj = g.adjacency()
+    walks = {v: 1 for v in adj}
+    while True:
+        yield sum(walks.values())
+        walks = {v: sum(walks[w] for w in adj[v]) for v in adj}
+
+
+def _check_word_count(g: Graph, top: int):
+    """Exit 2 if `all_words` of length top, the largest table preproj builds,
+    would hold more than MAX_PREPROJ_WORDS; W never falls, so stepping stops
+    at the first length past the cap.
+    """
+    for n, count in zip(range(top + 1), _walk_counts(g)):
+        if count > MAX_PREPROJ_WORDS:
+            raise CliError("--max %d needs %s%d words of length %d, above the cap of %d"
+                           % (top, "at least " if n < top else "", count, top,
+                              MAX_PREPROJ_WORDS))
+
+
 def _check_zigzag_count(g: Graph, qlo: int, qhi: int):
     """Exit 2 if some even q in qlo..qhi has more than MAX_ZIGZAG_WORDS words in C^{1,q}.
 
     Those are the words of length q + 1 with at most one cycle class.  With
-    W(m) = 1^T A^m 1 arrow walks of length m, W(q + 1) have none, and as A is
-    symmetric, sum over k of <A^k 1, A^(q-k) 1> = (q + 1) W(q) have one, between
-    walks of lengths k and q - k.  Appending an arrow keeps a word, so on a
-    graph with an edge the count never falls with q and stepping stops at the
-    first even q past the cap.  Odd q is not counted: the graph is a tree, so
-    C^{2,q} is empty, and HH^{2,q} is 0 before C^{1,q} is walked.
+    W(m) arrow walks of length m, W(q + 1) have none, and as A is symmetric,
+    sum over k of <A^k 1, A^(q-k) 1> = (q + 1) W(q) have one, between walks
+    of lengths k and q - k.  The count never falls with q, so stepping stops
+    at the first even q past the cap.  Odd q is not counted: the graph is a
+    tree, so C^{2,q} is empty, and HH^{2,q} is 0 before C^{1,q} is walked.
     """
-    adj = g.adjacency()
-    walks = {v: 1 for v in adj}   # arrow walks of length q from each vertex
+    counts = _walk_counts(g)
+    walks = next(counts)
     for q in range(qhi + 1):
-        longer = {v: sum(walks[w] for w in adj[v]) for v in adj}
-        count = sum(longer.values()) + (q + 1) * sum(walks.values())
+        longer = next(counts)
+        count = longer + (q + 1) * walks
         if q % 2 == 0 and count > MAX_ZIGZAG_WORDS:
             named = max(q, qlo + qlo % 2)
             if named > qhi:
@@ -162,6 +190,7 @@ def cmd_preproj(args) -> int:
         raise CliError("--max must be >= 0, got %d" % args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
+    _check_word_count(g, args.max)
     quiv, orient_label = (None, "none (graph-level quotient)") \
         if args.variant == "koszul-dual" else _orient(g, args.orientation)
     degrees = list(range(0, args.max + 1))
@@ -356,21 +385,25 @@ def _load_m4_file(path: str, alg) -> dict:
     terms = doc.get("terms", []) if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise CliError("m4 file must be a JSON object with a \"terms\" list")
+    index = {name: i for i, name in enumerate(alg.names)}
     table = {}
     for term in terms:
         if not (isinstance(term, dict) and isinstance(term.get("inputs"), list)
-                and "output" in term and isinstance(term.get("coeff", 1), int)):
+                and "output" in term and type(term.get("coeff", 1)) is int):
             raise CliError("m4 term %r needs an \"inputs\" list, an \"output\" and an "
                            "integer \"coeff\"" % (term,))
-        word = tuple(alg.index_of(n) for n in term["inputs"])
-        table.setdefault(word, {})[alg.index_of(term["output"])] = term.get("coeff", 1)
+        for name in term["inputs"] + [term["output"]]:
+            if name not in alg.names:   # a list: JSON arrays are unhashable
+                raise CliError("m4 term %r names %r, which is not a basis element of the "
+                               "extended-D4 zigzag algebra" % (term, name))
+        word = tuple(index[n] for n in term["inputs"])
+        table.setdefault(word, {})[index[term["output"]]] = term.get("coeff", 1)
     return table
 
 
 def cmd_ainfty_check(args) -> int:
     if args.arity > MAX_ARITY:
-        raise CliError("--arity must be <= %d (the word count triples with each arity), got %d"
-                       % (MAX_ARITY, args.arity))
+        raise CliError("--arity must be <= %d, got %d" % (MAX_ARITY, args.arity))
     fld = FieldSpec(0)
     if args.m4_file:
         base = ainfty.extended_d4_m4(fld)

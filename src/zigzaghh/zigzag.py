@@ -67,9 +67,6 @@ class ZigzagAlgebra:
         """Product of two basis elements: a basis index (coefficient 1) or None."""
         return self.table.get((i, j))
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def splits(self, i: int) -> list[tuple[int, int]]:
         """Factorizations of a positive basis element into two positive ones."""
         hit = self._cache.get(("splits", i))
@@ -115,22 +112,12 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
         src.append(v)
         tgt.append(v)
 
-    dim = len(names)
     table: dict[tuple[int, int], int] = {}
-    for i in range(dim):
-        for j in range(dim):
-            if tgt[i] != src[j]:
-                continue
-            di, dj = degrees[i], degrees[j]
-            if di == 0:
-                table[(i, j)] = j
-            elif dj == 0:
-                table[(i, j)] = i
-            elif di == 1 and dj == 1:
-                # a b is the 2-cycle class at src(a) exactly when b = a*
-                if src[i] == tgt[j] and names[j] == _star_name(names[i]):
-                    table[(i, j)] = cycle_index[src[i]]
-            # total degree >= 3 vanishes
+    for x in range(len(names)):
+        table[(e_index[src[x]], x)] = x
+        table[(x, e_index[tgt[x]])] = x
+    for (i, j), a in arrow_index.items():
+        table[(a, arrow_index[(j, i)])] = cycle_index[i]
 
     alg = ZigzagAlgebra(g, fld, names, degrees, src, tgt, table,
                         e_index, arrow_index, cycle_index)
@@ -138,22 +125,27 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     return alg
 
 
-def _star_name(name: str) -> str:
-    return name[:-1] if name.endswith("*") else name + "*"
-
-
 def _check_associativity(alg: ZigzagAlgebra):
-    dim = alg.dim
-    for i in range(dim):
-        for j in range(dim):
-            ij = alg.mult(i, j)
-            for k in range(dim):
-                jk = alg.mult(j, k)
-                left = alg.mult(ij, k) if ij is not None else None
-                right = alg.mult(i, jk) if jk is not None else None
-                if left != right:
-                    raise AssertionError("non-associative table at %s,%s,%s" % (
-                        alg.names[i], alg.names[j], alg.names[k]))
+    """Raise on the first triple, in index order, with (ij)k != i(jk).
+
+    Only the triples where (ij)k or i(jk) is a nonzero product can differ:
+    they come from the entries (i, j) and the products of ij, and from the
+    entries (i, m) and the splits of m.
+    """
+    by_first: dict[int, list[int]] = {}
+    by_product: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), ij in alg.table.items():
+        by_first.setdefault(i, []).append(j)
+        by_product.setdefault(ij, []).append((i, j))
+    triples = {(i, j, k) for (i, j), ij in alg.table.items() for k in by_first.get(ij, ())}
+    triples |= {(i, j, k) for (i, m) in alg.table for (j, k) in by_product.get(m, ())}
+    for i, j, k in sorted(triples):
+        ij, jk = alg.mult(i, j), alg.mult(j, k)
+        left = alg.mult(ij, k) if ij is not None else None
+        right = alg.mult(i, jk) if jk is not None else None
+        if left != right:
+            raise AssertionError("non-associative table at %s,%s,%s" % (
+                alg.names[i], alg.names[j], alg.names[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +169,13 @@ def _letters(alg: ZigzagAlgebra) -> tuple[dict[int, list[int]], dict[int, list[i
     return hit
 
 
-def _words(alg: ZigzagAlgebra, n: int, cycles: Optional[int] = None) -> list[Word]:
-    """Composable length-n words over the positive-degree basis, lex order.
+def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> list[Word]:
+    """Composable length-n words over the positive-degree basis with at most
+    `cycles` cycle classes, lex order.
 
-    With `cycles` given, only the words holding at most that many cycle
-    classes are walked: a cycle class is tried only while budget remains.
-    Every per-vertex letter list is in index order, so the walk is
-    lexicographic and pruning keeps that order.
+    A cycle class is tried only while budget remains.  Every per-vertex
+    letter list is in index order, so the walk is lexicographic and pruning
+    keeps that order.
     """
     key = ("words", n, cycles)
     hit = alg._cache.get(key)
@@ -197,7 +189,7 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: Optional[int] = None) -> list[Wor
         steps = {v: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in letters]
                  for v, letters in out_of.items()}
         steps[None] = [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]
-        level = [((), None, n if cycles is None else cycles)]
+        level = [((), None, cycles)]
         for _ in range(n - 1):
             level = [(w + (i,), t, b - c) for w, v, b in level
                      for i, t, c in steps[v] if c <= b]

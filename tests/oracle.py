@@ -158,6 +158,52 @@ def oracle_cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[tuple
     return out
 
 
+def oracle_check_stasheff(alg: ZigzagAlgebra, products: dict, max_arity: int):
+    """Stasheff defects of m_2 = `alg.table` plus the higher `products`, word by word.
+
+    The evaluator the table-driven check replaced: every composable word
+    of each arity (over the full basis at arity 3, over positive letters
+    above it) gets the sum over r + s + t = n of
+    (-1)^(r + s t) m_{r+1+t}(id^r (x) m_s (x) id^t).  Returns the
+    violations, as (arity, word names, {output name: coefficient}) in walk
+    order, and the arities whose identity involves an absent m_k above the
+    highest specified one.
+    """
+    fld = alg.field
+
+    def apply(k, word):
+        if k == 2:
+            z = alg.table.get(word)
+            return {z: fld.one()} if z is not None else {}
+        return products.get(k, {}).get(word, {})
+
+    top = max(products, default=2)
+    violations, conditional = [], []
+    for n in range(2, max_arity + 1):
+        if any(k >= 3 and k not in products and k > top
+               for s in range(2, n) for k in (s, n + 1 - s)):
+            conditional.append(n)
+        letters = tuple((i, alg.src[i], alg.tgt[i], alg.degrees[i]) for i in range(alg.dim)
+                        if n == 3 or alg.degrees[i] > 0)
+        for word, _, _, _ in _graded_walks(letters, alg.graph.vertex_count, n):
+            defect = {}
+            for r in range(n):
+                for s in range(2, n - r + 1):
+                    t = n - r - s
+                    if r + 1 + t < 2:
+                        continue
+                    for z, cz in apply(s, word[r:r + s]).items():
+                        for y, cy in apply(r + 1 + t, word[:r] + (z,) + word[r + s:]).items():
+                            val = fld.mul(cz, cy)
+                            if (r + s * t) % 2:
+                                val = fld.neg(val)
+                            defect[y] = fld.add(defect.get(y, fld.zero()), val)
+            named = {alg.names[y]: v for y, v in sorted(defect.items()) if not fld.is_zero(v)}
+            if named:
+                violations.append((n, tuple(alg.names[i] for i in word), named))
+    return violations, conditional
+
+
 def oracle_lambda_dim(q: Quiver, n: int, fld: FieldSpec) -> int:
     """dim of the degree-n preprojective piece, straight from the definition."""
     if n < 0:

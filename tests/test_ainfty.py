@@ -6,16 +6,79 @@ import pytest
 
 from zigzaghh.ainfty import AInftyCandidate, check_stasheff, class_of, extended_d4_m4
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.quiver import catalog
+from zigzaghh.quiver import Graph, catalog, parse_label
 from zigzaghh.zigzag import (HochschildCochain, build_zigzag, cochain_basis,
                              cochain_differential, is_coboundary, is_cocycle)
 
+from oracle import _graded_walks, oracle_check_stasheff
+
+TRIANGLE = Graph(3, ((1, 2), (2, 3), (1, 3)), name="triangle")
+
 
 def test_m2_only_passes_all_arities():
-    alg = build_zigzag(catalog("A", 3), QQ)
-    cand = AInftyCandidate(alg, {})
-    report = check_stasheff(cand, 5)
-    assert report.passed
+    labels = ("A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8",
+              "A~2", "A~3", "D~4", "D~5", "D~6", "E~6", "E~7", "E~8")
+    for fld in (QQ, GF(2), GF(3)):
+        for g in [parse_label(label) for label in labels] + [TRIANGLE]:
+            report = check_stasheff(AInftyCandidate(build_zigzag(g, fld), {}), 5)
+            assert report.passed, (g.name, fld)
+            assert report.conditional_arities == [4, 5]
+
+
+def _stasheff_candidates(rng):
+    """(candidate, arity) pairs: the extended-D4 m_4 at several scales, m_2
+    alone, and random m_3, m_4, m_5 on top of corrupted positive products.
+
+    A corrupted product mostly keeps the endpoints, so that higher products
+    feed into it and arities 4 to 6 fail; the rest may leave junctions that
+    do not compose, which the check skips.  Most
+    random higher-product entries are on positive words.  Only the
+    triangle has odd closed walks, so only it carries m_3 and m_5 on
+    positive words, and it is checked to arity 6 over two fields.
+    """
+    graphs = [catalog("A", 2), catalog("A", 3), TRIANGLE]
+    for fld in (QQ, GF(2), GF(3), GF(5)):
+        for scale in (1, -1, 3, 0):
+            yield extended_d4_m4(fld, scale), 5
+        for g in graphs:
+            yield AInftyCandidate(build_zigzag(g, fld), {}), 5
+        for _ in range(43):
+            g = rng.choice(graphs)
+            alg = build_zigzag(g, fld)
+            pos = alg.positive
+            for _ in range(rng.randint(1, 3)):
+                i = rng.choice(pos)
+                j = rng.choice([j for j in pos if alg.src[j] == alg.tgt[i]])
+                if rng.random() < 0.2:
+                    alg.table.pop((i, j), None)
+                    continue
+                ends = [z for z in pos if (alg.src[z], alg.tgt[z]) == (alg.src[i], alg.tgt[j])]
+                alg.table[(i, j)] = rng.choice(ends if ends and rng.random() < 0.8 else pos)
+            letters = tuple((i, alg.src[i], alg.tgt[i], alg.degrees[i]) for i in range(alg.dim))
+            products = {}
+            for k in rng.sample((3, 4, 5), rng.randint(1, 3)):
+                positive = rng.random() < 0.8
+                entries = [(w, z) for w, s, t, d in _graded_walks(letters, g.vertex_count, k)
+                           if not positive or all(alg.degrees[i] for i in w)
+                           for z in range(alg.dim)
+                           if alg.degrees[z] == d + 2 - k and (alg.src[z], alg.tgt[z]) == (s, t)]
+                for w, z in rng.sample(entries, min(3, len(entries))):
+                    products.setdefault(k, {}).setdefault(w, {})[z] = rng.choice((-2, -1, 1, 3))
+            yield AInftyCandidate(alg, products), 6 if g is TRIANGLE and fld in (QQ, GF(5)) else 5
+
+
+def test_check_stasheff_matches_word_walking_oracle():
+    failing = set()
+    count = 0
+    for cand, arity in _stasheff_candidates(random.Random(12)):
+        report = check_stasheff(cand, arity)
+        got = [(v.arity, v.word, v.defect) for v in report.violations]
+        assert (got, report.conditional_arities) == oracle_check_stasheff(
+            cand.algebra, cand.products, arity)
+        failing |= {v.arity for v in report.violations}
+        count += 1
+    assert count >= 200
+    assert failing == {3, 4, 5, 6}
 
 
 def test_corrupted_table_fails_at_arity_three():
@@ -87,9 +150,7 @@ def test_class_of_zero_candidate_is_coboundary():
 
 def test_class_of_rejects_non_lowest():
     # odd-length cycles need a non-bipartite graph, hence the triangle
-    from zigzaghh.quiver import Graph
-    tri = Graph(3, ((1, 2), (2, 3), (1, 3)), name="triangle")
-    alg = build_zigzag(tri, QQ)
+    alg = build_zigzag(TRIANGLE, QQ)
     a12 = alg.arrow_index[(1, 2)]
     a23 = alg.arrow_index[(2, 3)]
     a31 = alg.arrow_index[(3, 1)]
@@ -108,9 +169,7 @@ def test_coboundary_built_m3_detected():
     d0 = cochain_differential(HochschildCochain(a3, 1, 1, {}))
     assert is_cocycle(d0) and is_coboundary(d0)
 
-    from zigzaghh.quiver import Graph
-    tri = Graph(3, ((1, 2), (2, 3), (1, 3)), name="triangle")
-    alg = build_zigzag(tri, QQ)
+    alg = build_zigzag(TRIANGLE, QQ)
     basis = cochain_basis(alg, 1, 1)
     assert basis
     rng = random.Random(41)

@@ -380,6 +380,46 @@ def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
     assert calls == []
 
 
+def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
+    # E~8 has 1^T A^14 1 = 123,764 words of length 14: counted, not walked
+    # (the cycle walk is spied too, so that a missing cap fails fast)
+    from zigzaghh import cli, pathalg, preproj
+    from zigzaghh.quiver import parse_label
+    calls = []
+
+    def spy(q, n):
+        calls.append(n)
+        return []
+
+    for module in (pathalg, preproj):
+        monkeypatch.setattr(module, "all_words", spy)
+        monkeypatch.setattr(module, "all_cycles", spy)
+    for top, count in ((30, "at least 123764"), (14, "123764")):
+        for variant in ("preprojective", "koszul-dual"):
+            assert main(["preproj", "--graph", "E~8", "--max", str(top),
+                         "--variant", variant]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: --max %d needs %s words of length %d, above the "
+                                    "cap of %d\n" % (top, count, top, cli.MAX_PREPROJ_WORDS))
+    assert calls == []
+    cli._check_word_count(parse_label("E~8"), 13)
+    cli._check_word_count(parse_label("D~4"), 14)
+
+
+def test_preproj_word_count_is_the_walk():
+    import itertools
+    from zigzaghh.cli import _walk_counts
+    from zigzaghh.pathalg import all_words
+    from zigzaghh.preproj import doubled_of_graph
+    from zigzaghh.quiver import parse_label
+    for label in ("A1", "A2", "A~2", "D~4", "E6"):
+        g = parse_label(label)
+        qd = doubled_of_graph(g)
+        assert list(itertools.islice(_walk_counts(g), 7)) == [len(all_words(qd, n))
+                                                              for n in range(7)]
+
+
 def test_hh2_cycle_count_bounds_each_parity():
     # odd lengths have no closed walk on a bipartite graph, so --q 17 is
     # admitted on E~8, and the triangle's odd walks count too
@@ -470,6 +510,38 @@ def test_ainfty_check_malformed_m4_file_exits_2(capsys, tmp_path, text):
     f.write_text(text)
     assert main(["ainfty-check", "--m4-file", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_ainfty_check_m4_file_names_bad_terms(capsys, tmp_path):
+    f = tmp_path / "m4.json"
+    f.write_text('{"terms": [{"inputs": ["a4", "a1*", "a1", "a4*"], "output": "c4", '
+                 '"coeff": true}]}')
+    assert main(["ainfty-check", "--m4-file", str(f)]) == 2
+    assert 'integer "coeff"' in capsys.readouterr().err
+    f.write_text('{"terms": [{"inputs": ["a4", "zz", "a1", "a4*"], "output": "c4"}]}')
+    assert main(["ainfty-check", "--m4-file", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "names 'zz', which is not a basis element" in err
+    assert "'inputs': ['a4', 'zz', 'a1', 'a4*']" in err
+    f.write_text('{"terms": [{"inputs": ["a4", "a1*", "a1", "a4*"], "output": ["c4"]}]}')
+    assert main(["ainfty-check", "--m4-file", str(f)]) == 2
+    assert "names ['c4'], which is not a basis element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("--arity", "8", "--out", "json"), "ainfty-check-arity8.json"),
+    (("--scale", "7", "--arity", "7"), "ainfty-check-scale7-arity7.txt"),
+    (("--m4-file", "tests/golden/m4-extended-D4-flipped.json", "--arity", "7", "--out", "json"),
+     "ainfty-check-m4-flipped-arity7.json")])
+def test_ainfty_check_pinned(capsys, monkeypatch, argv, golden):
+    # recorded while the Stasheff check still walked every composable word;
+    # the m4 file is the extended-D4 m_4 with its a1* a1 a4* a4 sign flipped,
+    # and CI diffs the installed package's --arity 8 output against its file
+    root = pathlib.Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    code, out = _run(capsys, "ainfty-check", *argv)
+    assert code == 0
+    assert out == (root / "tests" / "golden" / golden).read_text()
 
 
 def test_json_deterministic_across_runs(capsys):

@@ -1,5 +1,6 @@
 """Zigzag algebras and their reduced Hochschild complex."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -8,8 +9,8 @@ import pytest
 from zigzaghh.exactla import GF, QQ, ExactMatrix
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.preproj import trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite
-from zigzaghh.zigzag import (HochschildCochain, build_zigzag, cochain_basis,
+from zigzaghh.quiver import Graph, catalog, orient_bipartite
+from zigzaghh.zigzag import (HochschildCochain, _check_associativity, build_zigzag, cochain_basis,
                              cochain_differential, delta_columns, hochschild_dim,
                              is_coboundary, is_cocycle, zero_cochain)
 
@@ -31,6 +32,40 @@ def test_a1_degree_profile_settles_the_grading_choice():
     assert profile[0] == profile[2]
     degree_one_profile = [1, 1, 0]
     assert degree_one_profile[0] != degree_one_profile[2]
+
+
+def test_associativity_check_names_the_first_bad_triple():
+    # reference: every triple of the basis, in index order
+    def first_bad(alg):
+        for i, j, k in itertools.product(range(alg.dim), repeat=3):
+            ij, jk = alg.mult(i, j), alg.mult(j, k)
+            if (alg.mult(ij, k) if ij is not None else None) != \
+                    (alg.mult(i, jk) if jk is not None else None):
+                return "non-associative table at %s,%s,%s" % (
+                    alg.names[i], alg.names[j], alg.names[k])
+        return None
+
+    graphs = [catalog("A", 2), catalog("A", 3), catalog("D", 4),
+              Graph(3, ((1, 2), (2, 3), (1, 3)), name="triangle")]
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(120):
+        alg = build_zigzag(rng.choice(graphs), QQ)
+        for _ in range(rng.randint(1, 3)):
+            pair = (rng.randrange(alg.dim), rng.randrange(alg.dim))
+            if rng.random() < 0.3:
+                alg.table.pop(pair, None)
+            else:
+                alg.table[pair] = rng.randrange(alg.dim)
+        want = first_bad(alg)
+        if want is None:
+            _check_associativity(alg)
+        else:
+            with pytest.raises(AssertionError) as err:
+                _check_associativity(alg)
+            assert str(err.value) == want
+            raised += 1
+    assert 0 < raised < 120
 
 
 def test_build_a2_has_distinct_two_cycles():
