@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .exactla import FieldSpec, Scalar
 from .quiver import catalog
-from .zigzag import HochschildCochain, Word, ZigzagAlgebra, _word_degree, build_zigzag
+from .zigzag import HochschildCochain, Word, ZigzagAlgebra, build_zigzag
 
 
 @dataclass
@@ -43,7 +43,7 @@ class AInftyCandidate:
                 for a, b in zip(w, w[1:]):
                     if alg.tgt[a] != alg.src[b]:
                         raise ValueError("m_%d input word %r is not composable" % (n, w))
-                want_deg = _word_degree(alg, w) + 2 - n
+                want_deg = sum(alg.degrees[i] for i in w) + 2 - n
                 for z, coeff in outs.items():
                     c = fld.element(coeff)
                     if fld.is_zero(c):

@@ -27,6 +27,11 @@ EXIT_INVALID = 2
 EXIT_INAPPLICABLE = 3
 EXIT_DISAGREE = 4
 
+# the largest |q| of hh2 and --max of preproj and classify, checked before any
+# count or walk, which recurse or loop per degree: A2 takes 7.4 s for hh2 --q
+# 0..256 --method zigzag (2-vCPU Xeon, Python 3.11)
+MAX_DEGREE = 128
+
 # ainfty-check sums each Stasheff identity over pairs of product-table
 # entries, so its cost no longer grows with the arity; the cap stays because
 # the exit codes of every accepted input are pinned
@@ -43,16 +48,23 @@ MAX_CYCLES = 300_000
 # 102 MB) and E~6 368,640 at q = 12 (5.1 s, 156 MB) (2-vCPU Xeon, Python 3.11)
 MAX_ZIGZAG_WORDS = 200_000
 
-# preproj builds the table of every word of length --max in the double quiver:
-# E~8 has 30,986 at --max 12 (2.8 s, 52 MB) and 61,376 at --max 13 (5.4 s,
-# 91 MB), D~4 81,920 at --max 14 (7.7 s, 119 MB) (2-vCPU Xeon, Python 3.11)
-MAX_PREPROJ_WORDS = 100_000
+# preproj builds, for each degree n up to --max, one relation row per word of
+# length n - 2 and cut in it, keyed by words of n letters: sum over n of
+# (n - 1) n W(n - 2) letters for W(m) walks of length m.  E~8 has 4,134,982
+# at --max 13 (5.5 s) and 9,774,434 at --max 14, D~4 6,085,130 at --max 14
+# (9.2 s, 120 MB) and A3 121,634,734 at --max 30 (2-vCPU Xeon, Python 3.11)
+MAX_PREPROJ_LETTERS = 8_000_000
 
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
         super().__init__(message)
         self.code = code
+
+
+def _check_degree(flag: str, value: int):
+    if abs(value) > MAX_DEGREE:
+        raise CliError("%s %d is beyond the degree cap of %d" % (flag, value, MAX_DEGREE))
 
 
 def _resolve_graph(spec: str) -> Graph:
@@ -137,15 +149,17 @@ def _walk_counts(g: Graph):
 
 
 def _check_word_count(g: Graph, top: int):
-    """Exit 2 if `all_words` of length top, the largest table preproj builds,
-    would hold more than MAX_PREPROJ_WORDS; W never falls, so stepping stops
-    at the first length past the cap.
+    """Exit 2 if the relation rows preproj builds for the degrees up to top
+    would hold more than MAX_PREPROJ_LETTERS letters; the sum never falls, so
+    stepping stops at the first degree past the cap.
     """
-    for n, count in zip(range(top + 1), _walk_counts(g)):
-        if count > MAX_PREPROJ_WORDS:
-            raise CliError("--max %d needs %s%d words of length %d, above the cap of %d"
-                           % (top, "at least " if n < top else "", count, top,
-                              MAX_PREPROJ_WORDS))
+    letters = 0
+    for n, walks in zip(range(2, top + 1), _walk_counts(g)):
+        letters += (n - 1) * n * walks
+        if letters > MAX_PREPROJ_LETTERS:
+            raise CliError("--max %d needs %s%d letters of relation rows, above the cap of %d"
+                           % (top, "at least " if n < top else "", letters,
+                              MAX_PREPROJ_LETTERS))
 
 
 def _check_zigzag_count(g: Graph, qlo: int, qhi: int):
@@ -188,6 +202,7 @@ def _emit(payload: dict, fmt: str, table_lines: list[str]):
 def cmd_preproj(args) -> int:
     if args.max < 0:
         raise CliError("--max must be >= 0, got %d" % args.max)
+    _check_degree("--max", args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
     _check_word_count(g, args.max)
@@ -243,6 +258,8 @@ def cmd_hh2(args) -> int:
     qlo, qhi = _parse_qrange(args.q)
     if qlo > qhi:
         raise CliError("empty q range %r" % (args.q,))
+    _check_degree("--q", qlo)
+    _check_degree("--q", qhi)
     methods = [args.method] if args.method != "all" else ["ginzburg", "trace", "zigzag"]
     if args.method == "zigzag":
         if not g.is_tree():
@@ -327,6 +344,7 @@ def cmd_hh2(args) -> int:
 def cmd_classify(args) -> int:
     if args.max < 1:
         raise CliError("--max must be >= 1 (classify searches 0 < q <= max), got %d" % args.max)
+    _check_degree("--max", args.max)
     g = _resolve_graph(args.graph)
     fld = _resolve_field(args.char)
     _check_cycle_count(g, 1, args.max)

@@ -18,10 +18,14 @@ length = input length - q.  The differential is
     (df)(a_1,..,a_{n+1}) = a_1 f(a_2,..) + sum_j (-1)^j f(.., a_j a_{j+1}, ..)
                            + (-1)^{n+1} f(a_1,..,a_n) a_{n+1}.
 
+Almost every product is zero, so the differential reads only the nonzero
+ones, from an index of the multiplication table.
+
 A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
 2, so the words of C^{p,q} are walked within a budget of 2 - p cycle
-classes, and C^{p,q} is empty for p >= 3.  A word of C^{2,q} has only
+classes, the walk reports each word's c, and C^{p,q} is empty for
+p >= 3.  A word of C^{2,q} has only
 arrows and outputs the cycle class at its source, so it is closed: those
 are the closed walks of length q + 2 in the double quiver, read from
 `pathalg.all_cycles`, which walks none of odd length on a tree.
@@ -66,15 +70,6 @@ class ZigzagAlgebra:
     def mult(self, i: int, j: int) -> Optional[int]:
         """Product of two basis elements: a basis index (coefficient 1) or None."""
         return self.table.get((i, j))
-
-    def splits(self, i: int) -> list[tuple[int, int]]:
-        """Factorizations of a positive basis element into two positive ones."""
-        hit = self._cache.get(("splits", i))
-        if hit is None:
-            hit = [(u, v) for (u, v), w in sorted(self.table.items())
-                   if w == i and self.degrees[u] > 0 and self.degrees[v] > 0]
-            self._cache[("splits", i)] = hit
-        return hit
 
 
 def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
@@ -130,7 +125,7 @@ def _check_associativity(alg: ZigzagAlgebra):
 
     Only the triples where (ij)k or i(jk) is a nonzero product can differ:
     they come from the entries (i, j) and the products of ij, and from the
-    entries (i, m) and the splits of m.
+    entries (i, m) and the factorizations of m.
     """
     by_first: dict[int, list[int]] = {}
     by_product: dict[int, list[tuple[int, int]]] = {}
@@ -155,23 +150,28 @@ def _check_associativity(alg: ZigzagAlgebra):
 Word = tuple[int, ...]
 
 
-def _letters(alg: ZigzagAlgebra) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Positive letters out of and into each vertex, each list in index order."""
-    hit = alg._cache.get("letters")
+def _table_index(alg: ZigzagAlgebra) -> tuple[dict, dict, dict]:
+    """The nonzero products of `alg.table` by the factor they hold fixed.
+
+    left[z] lists (x, x z) and right[z] lists (x, z x) over positive x, and
+    factors[m] the positive pairs (u, v) with u v = m, each in table order.
+    """
+    hit = alg._cache.get("index")
     if hit is None:
-        out_of: dict[int, list[int]] = {}
-        into: dict[int, list[int]] = {}
-        for i in range(alg.dim):
-            if alg.degrees[i] > 0:
-                out_of.setdefault(alg.src[i], []).append(i)
-                into.setdefault(alg.tgt[i], []).append(i)
-        hit = alg._cache["letters"] = (out_of, into)
+        left, right, factors = hit = alg._cache["index"] = ({}, {}, {})
+        for (u, v), m in sorted(alg.table.items()):
+            if alg.degrees[u] > 0:
+                left.setdefault(v, []).append((u, m))
+            if alg.degrees[v] > 0:
+                right.setdefault(u, []).append((v, m))
+                if alg.degrees[u] > 0:
+                    factors.setdefault(m, []).append((u, v))
     return hit
 
 
-def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> list[Word]:
-    """Composable length-n words over the positive-degree basis with at most
-    `cycles` cycle classes, lex order.
+def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> list[tuple[Word, int]]:
+    """Composable length-n words (n >= 1) over the positive-degree basis with
+    at most `cycles` cycle classes, lex order, each with its count of them.
 
     A cycle class is tried only while budget remains.  Every per-vertex
     letter list is in index order, so the walk is lexicographic and pruning
@@ -179,27 +179,20 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> list[Word]:
     """
     key = ("words", n, cycles)
     hit = alg._cache.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        out: list[Word] = [()]
-    else:
-        out_of, _ = _letters(alg)
-        # (letter, its target, cycle classes it spends); None starts a word
-        steps = {v: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in letters]
-                 for v, letters in out_of.items()}
-        steps[None] = [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]
-        level = [((), None, cycles)]
-        for _ in range(n - 1):
-            level = [(w + (i,), t, b - c) for w, v, b in level
-                     for i, t, c in steps[v] if c <= b]
-        out = [w + (i,) for w, v, b in level for i, _, c in steps[v] if c <= b]
-    alg._cache[key] = out
-    return out
-
-
-def _word_degree(alg: ZigzagAlgebra, w: Word) -> int:
-    return sum(alg.degrees[i] for i in w)
+    if hit is None:
+        # (letter, its target, cycle classes it spends) by source; None starts
+        # a word, and every vertex has its cycle class to leave by
+        steps: dict[Optional[int], list[tuple[int, int, int]]] = {
+            None: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]}
+        for step in steps[None]:
+            steps.setdefault(alg.src[step[0]], []).append(step)
+        level = [((), None, 0)]
+        for _ in range(n):
+            level = [(w + (i,), t, c + d) for w, v, c in level
+                     for i, t, d in steps[v] if c + d <= cycles]
+        # kept as the words and one byte per count, so no pair outlives the call
+        hit = alg._cache[key] = ([w for w, _, _ in level], bytes(c for _, _, c in level))
+    return list(zip(*hit))
 
 
 def _outputs(alg: ZigzagAlgebra, s: int, t: int, deg: int) -> list[int]:
@@ -242,25 +235,23 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
             for z in _outputs(alg, v, v, -q):
                 basis.append(((), z))
     else:
-        for w in _words(alg, n, 2 - p):
-            deg = _word_degree(alg, w) - q
-            if 0 <= deg <= 2:
-                s = alg.src[w[0]]
-                t = alg.tgt[w[-1]]
-                for z in _outputs(alg, s, t, deg):
-                    basis.append((w, z))
+        for w, c in _words(alg, n, 2 - p):
+            basis += [(w, z) for z in _outputs(alg, alg.src[w[0]], alg.tgt[w[-1]], p + c)]
     alg._cache[key] = basis
     return basis
 
 
 def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
                       target_index: dict[tuple[Word, int], int]) -> dict[int, int]:
-    """Image of the elementary cochain (w -> z) under the differential."""
+    """Image of the elementary cochain (w -> z) under the differential.
+
+    Only nonzero products contribute, so the terms are read from
+    `_table_index`: x z and z x at the two ends, and each factorization
+    u v of a letter of w.  The empty word (n = 0) follows the same rule.
+    """
     col: dict[int, int] = {}
 
-    def put(word: Word, out: Optional[int], coeff: int):
-        if out is None:
-            return
+    def put(word: Word, out: int, coeff: int):
         i = target_index.get((word, out))
         if i is None:
             return
@@ -270,26 +261,15 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
         else:
             col.pop(i, None)
 
-    out_of, into = _letters(alg)
-    table = alg.table
+    left, right, factors = _table_index(alg)
     n = len(w)
-    if n == 0:
-        v = alg.src[z]
-        for x in into[v]:
-            put((x,), table.get((x, z)), 1)
-        for x in out_of[v]:
-            put((x,), table.get((z, x)), -1)
-        return col
-
-    last_sign = -1 if (n + 1) % 2 else 1
-    for x in into[alg.src[w[0]]]:
-        put((x,) + w, table.get((x, z)), 1)
-    for x in out_of[alg.tgt[w[-1]]]:
-        put(w + (x,), table.get((z, x)), last_sign)
+    for x, xz in left.get(z, ()):
+        put((x,) + w, xz, 1)
+    for x, zx in right.get(z, ()):
+        put(w + (x,), zx, 1 if n % 2 else -1)
     for k in range(n):
-        sign = -1 if (k + 1) % 2 else 1
-        for (u, v) in alg.splits(w[k]):
-            put(w[:k] + (u, v) + w[k + 1:], z, sign)
+        for u, v in factors.get(w[k], ()):
+            put(w[:k] + (u, v) + w[k + 1:], z, 1 if k % 2 else -1)
     return col
 
 

@@ -284,6 +284,51 @@ def oracle_trace_dim(q: Quiver, n: int, fld: FieldSpec) -> int:
     return len(words) - _row_reduce_rank(fld, rows)
 
 
+def oracle_delta_columns(alg: ZigzagAlgebra, source, target, letters) -> list[dict[int, int]]:
+    """Columns of the Hochschild differential on the elementary cochains `source`.
+
+    The letter-scanning rule: for (w -> z), x z in front of w and z x behind
+    it for every letter x, and w[k] replaced by (u, v) for every pair of
+    letters with u v = w[k], each with the sign of the alternating sum, as
+    `alg.mult` says.  Terms that are not in `target` drop out.
+    """
+    letters = list(letters)
+    tindex = {b: i for i, b in enumerate(target)}
+    splits: dict[int, list[tuple[int, int]]] = {}
+    for u in letters:
+        for v in letters:
+            uv = alg.mult(u, v)
+            if uv is not None:
+                splits.setdefault(uv, []).append((u, v))
+    cols = []
+    for w, z in source:
+        col: dict[int, int] = {}
+
+        def put(word, out, coeff):
+            if out is None:
+                return
+            i = tindex.get((word, out))
+            if i is None:
+                return
+            s = col.get(i, 0) + coeff
+            if s:
+                col[i] = s
+            else:
+                col.pop(i, None)
+
+        m = len(w)
+        last_sign = -1 if (m + 1) % 2 else 1
+        for x in letters:
+            put((x,) + w, alg.mult(x, z), 1)
+            put(w + (x,), alg.mult(z, x), last_sign)
+        for k in range(m):
+            sign = -1 if (k + 1) % 2 else 1
+            for u, v in splits.get(w[k], ()):
+                put(w[:k] + (u, v) + w[k + 1:], z, sign)
+        cols.append(col)
+    return cols
+
+
 def oracle_hh_unreduced(alg: ZigzagAlgebra, p: int, q: int) -> int:
     """HH^{p,q} from the full cochain complex over the ground field.
 
@@ -313,41 +358,7 @@ def oracle_hh_unreduced(alg: ZigzagAlgebra, p: int, q: int) -> int:
     def delta_cols(tensor_power: int):
         source = basis(tensor_power)
         target = basis(tensor_power + 1)
-        tindex = {b: i for i, b in enumerate(target)}
-        cols = []
-        for w, z in source:
-            col: dict[int, int] = {}
-
-            def put(word, out, coeff):
-                if out is None:
-                    return
-                i = tindex.get((word, out))
-                if i is None:
-                    return
-                s = col.get(i, 0) + coeff
-                if s:
-                    col[i] = s
-                else:
-                    col.pop(i, None)
-
-            m = len(w)
-            if m == 0:
-                for x in range(dim):
-                    put((x,), alg.mult(x, z), 1)
-                    put((x,), alg.mult(z, x), -1)
-            else:
-                last_sign = -1 if (m + 1) % 2 else 1
-                for x in range(dim):
-                    put((x,) + w, alg.mult(x, z), 1)
-                    put(w + (x,), alg.mult(z, x), last_sign)
-                for k in range(m):
-                    sign = -1 if (k + 1) % 2 else 1
-                    for u in range(dim):
-                        for v in range(dim):
-                            if alg.mult(u, v) == w[k]:
-                                put(w[:k] + (u, v) + w[k + 1:], z, sign)
-            cols.append(col)
-        return source, target, cols
+        return source, target, oracle_delta_columns(alg, source, target, range(dim))
 
     source, target, out_cols = delta_cols(n)
     rank_out = _row_reduce_rank(alg.field, [c for c in out_cols if c])

@@ -352,7 +352,7 @@ def test_hh2_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch, method
     for q, err in (("14..17", "--q 16 needs 535846 closed walks of length 18"),
                    ("16", "--q 16 needs 535846 closed walks of length 18"),
                    ("40..41", "--q 40 needs at least 535846 closed walks of length 42"),
-                   ("1000000", "--q 1000000 needs at least 535846 closed walks")):
+                   ("128", "--q 128 needs at least 535846 closed walks of length 130")):
         assert main(["hh2", "--graph", "E~8", "--q", q, "--method", method]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -381,7 +381,8 @@ def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
 
 
 def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
-    # E~8 has 1^T A^14 1 = 123,764 words of length 14: counted, not walked
+    # the relation rows of E~8 up to degree 14 hold 9,774,434 letters and
+    # those of A3 up to degree 24 hold 9,281,454: counted, not walked
     # (the cycle walk is spied too, so that a missing cap fails fast)
     from zigzaghh import cli, pathalg, preproj
     from zigzaghh.quiver import parse_label
@@ -394,17 +395,93 @@ def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
     for module in (pathalg, preproj):
         monkeypatch.setattr(module, "all_words", spy)
         monkeypatch.setattr(module, "all_cycles", spy)
-    for top, count in ((30, "at least 123764"), (14, "123764")):
+    for graph, top, count in (("E~8", 30, "at least 9774434"), ("E~8", 14, "9774434"),
+                              ("A3", 30, "at least 9281454")):
         for variant in ("preprojective", "koszul-dual"):
-            assert main(["preproj", "--graph", "E~8", "--max", str(top),
+            assert main(["preproj", "--graph", graph, "--max", str(top),
                          "--variant", variant]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == ("error: --max %d needs %s words of length %d, above the "
-                                    "cap of %d\n" % (top, count, top, cli.MAX_PREPROJ_WORDS))
+            assert captured.err == ("error: --max %d needs %s letters of relation rows, above "
+                                    "the cap of %d\n" % (top, count, cli.MAX_PREPROJ_LETTERS))
     assert calls == []
     cli._check_word_count(parse_label("E~8"), 13)
     cli._check_word_count(parse_label("D~4"), 14)
+    cli._check_word_count(parse_label("A3"), 23)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A~2", "D~4", "E6"])
+def test_preproj_letter_count_is_the_rows(monkeypatch, label):
+    # the count from adjacency powers equals the letters of the rows built:
+    # one row per word of length n - 2 and cut, keyed by words of n letters
+    from zigzaghh import cli, preproj
+    from zigzaghh.pathalg import all_words
+    from zigzaghh.quiver import orient_by_edge_order, parse_label
+    g = parse_label(label)
+    quiv = orient_by_edge_order(g)
+    qd = preproj.doubled_of(quiv)
+    rels = preproj.preprojective_relations(quiv)
+    letters = 0
+    for top in range(8):
+        if top >= 2:
+            index = {w.letters: k for k, w in enumerate(all_words(qd, top))}
+            rows = preproj._relation_rows(qd, rels, all_words(qd, top - 2), index)
+            letters += top * sum(1 for _ in rows)
+        monkeypatch.setattr(cli, "MAX_PREPROJ_LETTERS", letters)
+        cli._check_word_count(g, top)
+        if letters:
+            monkeypatch.setattr(cli, "MAX_PREPROJ_LETTERS", letters - 1)
+            with pytest.raises(cli.CliError, match=" %d letters of " % letters):
+                cli._check_word_count(g, top)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("classify", "--graph", "A2", "--max", "1200"), "--max 1200"),
+    (("preproj", "--graph", "A2", "--max", "2000"), "--max 2000"),
+    (("preproj", "--graph", "A2", "--max", "129", "--variant", "koszul-dual"), "--max 129"),
+    (("hh2", "--graph", "A2", "--q", "1200", "--method", "ginzburg"), "--q 1200"),
+    (("hh2", "--graph", "A2", "--q", "1200", "--method", "zigzag"), "--q 1200"),
+    (("hh2", "--graph", "A2", "--q", "990", "--method", "trace"), "--q 990"),
+    (("hh2", "--graph", "A2", "--q", "0..129", "--method", "all"), "--q 129"),
+    (("hh2", "--graph", "A1", "--q", "99999999999", "--method", "trace"), "--q 99999999999"),
+    (("hh2", "--graph", "A2", "--q=-100000000..1", "--method", "ginzburg"), "--q -100000000"),
+    (("hh2", "--graph", "A~2", "--q=-129..-129", "--method", "zigzag"), "--q -129"),
+])
+def test_degree_above_cap_exits_2_before_any_count_or_walk(capsys, monkeypatch, argv, named):
+    # the word walk recurses once per letter, A1 never passes the closed-walk
+    # cap, and hh2 steps through every degree of its range: all are refused
+    # before any count, and a non-tree is refused here before exit 3
+    from zigzaghh import cli, ginzburg, pathalg, preproj, zigzag
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("walked or counted")
+
+    for module in (pathalg, ginzburg, preproj):
+        for name in ("all_words", "all_cycles"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(zigzag, "cochain_basis", spy)
+    monkeypatch.setattr(cli, "_walk_counts", spy)
+    monkeypatch.setattr(cli, "_check_cycle_count", spy)
+    assert 41 <= cli.MAX_DEGREE == 128   # --q 41 runs on E~8 above
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s is beyond the degree cap of 128\n" % named
+    assert calls == []
+
+
+def test_degree_at_cap_still_runs(capsys):
+    for method in ("ginzburg", "trace", "zigzag"):
+        code, doc = _run_json(capsys, "hh2", "--graph", "A2", "--q", "127..128",
+                              "--method", method)
+        assert code == 0 and [r["dim"] for r in doc["results"]] == [0, 0]
+    code, doc = _run_json(capsys, "classify", "--graph", "A2", "--max", "128")
+    assert code == 0 and len(doc["results"]) == 128
+    code, doc = _run_json(capsys, "preproj", "--graph", "A2", "--max", "128")
+    assert code == 0 and doc["finite_dimensional"]
 
 
 def test_preproj_word_count_is_the_walk():
@@ -449,7 +526,7 @@ def test_hh2_zigzag_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
     assert 144_342 <= cli.MAX_ZIGZAG_WORDS < 214_048   # D4 at q = 14, E6 at q = 12
     for q, err in (("12", "--q 12 needs 368640 words in C^{1,12}"),
                    ("8..13", "--q 12 needs 368640 words in C^{1,12}"),
-                   ("1000000", "--q 1000000 needs at least 368640 words in C^{1,1000000}")):
+                   ("128", "--q 128 needs at least 368640 words in C^{1,128}")):
         assert main(["hh2", "--graph", "E~6", "--q", q, "--method", "zigzag"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -9,9 +9,9 @@ import pytest
 from zigzaghh.exactla import GF, QQ, ExactMatrix
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.preproj import trace_piece
-from zigzaghh.quiver import Graph, catalog, orient_bipartite
-from zigzaghh.zigzag import (HochschildCochain, _check_associativity, build_zigzag, cochain_basis,
-                             cochain_differential, delta_columns, hochschild_dim,
+from zigzaghh.quiver import Graph, catalog, orient_bipartite, parse_label
+from zigzaghh.zigzag import (HochschildCochain, _check_associativity, _words, build_zigzag,
+                             cochain_basis, cochain_differential, delta_columns, hochschild_dim,
                              is_coboundary, is_cocycle, zero_cochain)
 
 
@@ -132,6 +132,36 @@ def test_cochain_basis_empty_when_target_degree_out_of_range():
     alg = build_zigzag(catalog("A", 1), QQ)
     assert cochain_basis(alg, 2, 1) == []
     assert hochschild_dim(alg, 2, 1).dimension == 0
+
+
+def test_delta_columns_match_the_letter_scanning_rule():
+    # the columns read from the table index equal, column for column, the
+    # rule that tries every positive letter at both ends and every pair of
+    # positive letters for each factorization; trees and non-trees
+    from oracle import oracle_delta_columns
+    labels = ("A1", "A2", "A3", "D4", "D5", "E6", "D~4", "E~6", "A~2", "A~3")
+    complexes = 0
+    for label in labels:
+        for fld in (QQ, GF(2)):
+            alg = build_zigzag(parse_label(label), fld)
+            for p in range(3):
+                for q in range(-2, 6):
+                    source, target, cols = delta_columns(alg, p, q)
+                    assert cols == oracle_delta_columns(alg, source, target, alg.positive), \
+                        (label, fld.characteristic, p, q)
+                    complexes += fld is QQ
+    assert complexes >= 200
+
+
+def test_word_walk_counts_the_cycle_classes():
+    for label in ("A1", "D4", "E~6", "A~2"):
+        alg = build_zigzag(parse_label(label), QQ)
+        for n in range(1, 6):
+            for budget in range(3):
+                words = _words(alg, n, budget)
+                assert all(c == sum(alg.degrees[i] == 2 for i in w) <= budget
+                           for w, c in words)
+                assert len(words) == len(set(words))
 
 
 def test_hh2_walks_only_the_budgeted_word_tables():
