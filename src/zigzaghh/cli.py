@@ -48,11 +48,13 @@ MAX_CYCLES = 300_000
 # 102 MB) and E~6 368,640 at q = 12 (5.1 s, 156 MB) (2-vCPU Xeon, Python 3.11)
 MAX_ZIGZAG_WORDS = 200_000
 
-# preproj builds, for each degree n up to --max, one relation row per word of
-# length n - 2 and cut in it, keyed by words of n letters: sum over n of
-# (n - 1) n W(n - 2) letters for W(m) walks of length m.  E~8 has 4,134,982
-# at --max 13 (5.5 s) and 9,774,434 at --max 14, D~4 6,085,130 at --max 14
-# (9.2 s, 120 MB) and A3 121,634,734 at --max 30 (2-vCPU Xeon, Python 3.11)
+# preproj refuses a --max whose all-words relation rows, one per word of
+# length n - 2 and cut in it, keyed by words of n letters, would hold more
+# than this many letters: sum over n of (n - 1) n W(n - 2) for W(m) walks of
+# length m.  E~8 has 4,134,982 at --max 13 and 9,774,434 at --max 14, D~4
+# 6,085,130 at --max 14 and A3 121,634,734 at --max 30.  The table of Lambda
+# no longer builds those rows, so the count is not its cost; the cap stays
+# because the exit codes of every accepted input are pinned
 MAX_PREPROJ_LETTERS = 8_000_000
 
 
@@ -296,6 +298,8 @@ def cmd_hh2(args) -> int:
         if m == "ginzburg":
             return ginzburg.hh2_dim(quiv, q, fld, want_witnesses=args.witnesses)
         if m == "trace":
+            if q < -2:   # no cycle has negative length
+                return HHReport(2, q, "trace", 0, () if args.witnesses else None)
             tr = preproj.trace_piece(quiv, q + 2, fld, want_witnesses=args.witnesses)
             reps = None
             if args.witnesses:
@@ -351,14 +355,12 @@ def cmd_classify(args) -> int:
     quiv, orient_label = _orient(g, args.orientation)
     qs = list(range(1, args.max + 1))
 
-    traces = [preproj.trace_piece(quiv, q + 2, fld, want_witnesses=True) for q in qs]
+    traces = [preproj.trace_piece(quiv, q + 2, fld, want_witnesses=False) for q in qs]
     nonzero = [q for q, tr in zip(qs, traces) if tr.dimension > 0]
-    qd = preproj.doubled_of(quiv)
     witness = None
     if nonzero:
-        first = traces[nonzero[0] - 1]
-        if first.witnesses:
-            witness = path_name(qd, first.witnesses[0])
+        first = preproj.trace_piece(quiv, nonzero[0] + 2, fld, want_witnesses=True)
+        witness = path_name(preproj.doubled_of(quiv), first.witnesses[0])
     if nonzero:
         verdict = ("nonzero HH^{2,q} at q in {%s} => NOT intrinsically formal "
                    "(nontrivial first-order deformation witnessed; bound N=%d)"

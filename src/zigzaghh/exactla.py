@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
@@ -139,6 +140,7 @@ class Echelon:
         self.rows: list[dict[int, int]] = []   # echelon rows, pivot order
         self.pivot_cols: list[int] = []
         self.pivot_row: dict[int, dict[int, int]] = {}   # pivot column -> its row
+        self._index: Optional[dict[int, list[int]]] = None   # see _users
 
     @property
     def rank(self) -> int:
@@ -152,26 +154,54 @@ class Echelon:
         """The null vector at free column f, sparse: x_f = 1, 0 at the other free columns.
 
         This is the one back-substitution of the package.  Each row leads
-        with its pivot and the rows are sorted by pivot, so the pivot
-        coordinates are filled in from the bottom row up; every row whose
-        pivot lies right of f holds only zero coordinates and is skipped.
+        with its pivot c, so x_c is read off the row once every coordinate
+        right of c is known.  Only a row that holds f, or a coordinate
+        already filled in, can give a nonzero x_c, so the rows are reached
+        through an index from each column to the pivots of the rows that
+        hold it, and taken highest pivot first; no other row is visited.
+        Over Q a coordinate is an int wherever its value is integral, and a
+        Fraction only where a pivot does not divide.
         """
         p = self.field.characteristic
-        x: dict[int, Scalar] = {f: 1 if p else Fraction(1)}
-        for i in range(bisect_left(self.pivot_cols, f) - 1, -1, -1):
-            row = self.rows[i]
+        users = self._users()
+        x: dict[int, Scalar] = {f: 1}
+        queued = set(users.get(f, ()))
+        todo = [-c for c in queued]   # a max-heap of pivots
+        heapify(todo)
+        while todo:
+            c = -heappop(todo)
+            row = self.pivot_row[c]
             s = 0
             for col, v in row.items():
                 if col in x:   # never the pivot itself: x holds only columns right of it
                     s += v * x[col]
-            c = self.pivot_cols[i]
             if p:
-                s = -s * pow(row[c], p - 2, p) % p
-                if s:
-                    x[c] = s
-            elif s:
-                x[c] = -s / row[c]
+                s %= p
+                if not s:
+                    continue
+                x[c] = -s * pow(row[c], p - 2, p) % p
+            elif not s:
+                continue
+            elif type(s) is int and s % row[c] == 0:
+                x[c] = -s // row[c]
+            else:
+                v = Fraction(-s, row[c])
+                x[c] = v.numerator if v.denominator == 1 else v
+            for d in users.get(c, ()):
+                if d not in queued:
+                    queued.add(d)
+                    heappush(todo, -d)
         return x
+
+    def _users(self) -> dict[int, list[int]]:
+        """column -> the pivots of the rows that hold it off their pivot, built on first use."""
+        if self._index is None:
+            self._index = {}
+            for c, row in self.pivot_row.items():
+                for col in row:
+                    if col != c:
+                        self._index.setdefault(col, []).append(c)
+        return self._index
 
     def kernel_vectors(self) -> Iterator[dict[int, Scalar]]:
         """kernel_vector(f) for each free column f in order, each built only when asked for."""
@@ -191,6 +221,7 @@ class Echelon:
         self.pivot_cols.insert(k, c)
         self.rows.insert(k, r)
         self.pivot_row[c] = r
+        self._index = None   # rebuilt by the next kernel_vector
         return True
 
 

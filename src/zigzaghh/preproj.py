@@ -1,55 +1,62 @@
 """Degreewise pieces of the preprojective algebra and its trace space.
 
 The preprojective algebra of a quiver Q is the doubled path algebra
-modulo the single element r = sum over base arrows of (a a* - a* a).
-Everything here is degreewise exact linear algebra: the degree-n piece
-is span(length-n words) modulo span{x r_v y} where r_v = e_v r e_v and
-|x| + |y| = n - 2: r_v inserted at every cut of every word xy of length
-n - 2, or of every closed walk at i for the block e_i (...) e_i.  No
-rewriting and no normal forms: quotients are rank computations over the
-chosen field.
+modulo the single element r = sum over base arrows of (a a* - a* a).  It
+is quadratic, Lambda = T(V) / (R) with V spanned by the doubled arrows
+and R by the r_v = e_v r e_v, so it is built one degree at a time:
 
-The trace space (algebra modulo commutators) is computed on necklaces,
-i.e. cycles up to rotation (Ginzburg, Calabi-Yau algebras,
-arXiv:math/0612139).  Modulo commutators every non-cyclic word vanishes
-(w = [e_src(w), w]) and every cycle equals each of its rotations, so the
-commutator quotient of the cycles is the span of the necklaces.  A
-relation row x r_v y rotates into r_v (y x), so the relations are the
-rows [r_v w] for the closed walks w of length n - 2, each at its source
-v, taken from the same closed walk as the cycles.  A necklace is
-represented by its lexicographically largest rotation c_max, and the
-columns are sorted by representative.  In the full matrix (all cycles
-against all relations and commutators) every other rotation c is an
-earlier column than c_max, so c - c_max makes it a pivot; on the
-representatives that matrix's row space projects onto the span of the
-rows [r_v w].  Hence both matrices have the same free columns, and the
-witness cycles do not depend on which one is eliminated.
+    Lambda_n = Lambda_{n-1} (x) V / (Lambda_{n-2} (x) R).
 
-Relation rows go to the kernel as built, not deduplicated: echelonize
-drops zero entries and zero rows, and a repeated row costs one
-union-find step or one reduction to zero.
+Each degree keeps a basis of normal words and the right-multiplication
+map (basis element b of Lambda_{n-1}, arrow a) -> coordinates of b a in
+Lambda_n.  The spanning columns of degree n are the words b a, which are
+in lexicographic order because the degree-1 basis is the arrows by id.
+The rows are c r_v = sum coeff (c l1) l2 for the basis elements c of
+Lambda_{n-2} that end at v, with c l1 read from the previous map.  The
+free columns of that elimination are the basis; a pivot column's normal
+form is read off the kernel vectors at the free columns.  A word is a
+free column exactly when it is not a combination of relations and larger
+words, so every free column of the all-words quotient is a word b a with
+b free, and the basis is the same set of words as that quotient's free
+columns.
 
-The same machinery, fed the relation "sum of all 2-cycles at each
-vertex", computes the quadratic dual of the zigzag algebra for an
-arbitrary graph (no orientation needed).
+The trace space (algebra modulo commutators) is the closed part of the
+basis, sum of e_i Lambda_n e_i, modulo the rows a b - b a for each arrow
+a: i -> j and basis element b of e_j Lambda_{n-1} e_i.  They span the
+commutators: Lambda is generated in degree 1 and [xy, z] = [x, yz] +
+[y, zx], and an open word w is [e_src(w), w].  Witnesses are necklaces
+(cycles up to rotation, each represented by its lexicographically
+largest rotation), scanned from the largest down: a necklace is a
+witness when its class lies outside the span of the classes of the
+larger ones, the free-column rule of the necklace matrix (Ginzburg,
+Calabi-Yau algebras, arXiv:math/0612139).
+
+The same builder, fed the relation "sum of all 2-cycles at each vertex",
+computes the quadratic dual of the zigzag algebra for an arbitrary graph
+(no orientation needed).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .exactla import FieldSpec, echelonize, in_span, span_info
-from .pathalg import Path, all_cycles, all_words
+from .exactla import Echelon, FieldSpec, echelonize, in_span
+from .pathalg import Path, all_cycles, trivial_path
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
 # relation term: (coefficient, (first letter, second letter)) at a vertex
 RelationTable = dict[int, list[tuple[int, tuple[int, int]]]]
 
+# coordinates over the basis of one degree: {basis index: nonzero scalar}, or
+# in the kept tables, where a tuple costs half a dict, its (index, scalar) pairs
+Coords = dict
+Pairs = tuple
+
 
 # Keyed by the frozen quiver's value and kept for the process, so equal
-# quivers built apart share one double and with it its word tables.
+# quivers built apart share one double and with it its tables.
 @functools.cache
 def doubled_of(q: Quiver) -> DoubledQuiver:
     return double(q)
@@ -79,7 +86,11 @@ def zigzag_dual_relations(qd: DoubledQuiver) -> RelationTable:
 
 @dataclass
 class GradedQuotientPiece:
-    """One graded piece of a degreewise quotient of the doubled path algebra."""
+    """One graded piece of a degreewise quotient of the doubled path algebra.
+
+    ambient is the spanning words b a (b in the basis one degree down, a an
+    arrow), and representatives the normal words among them.
+    """
 
     degree: int
     field: FieldSpec
@@ -97,54 +108,182 @@ class TracePiece:
     witnesses: Optional[list[Path]] = None
 
 
-def _relation_rows(qd, rels: RelationTable, shorter: list[Path],
-                   index: dict[tuple[int, ...], int]):
-    """The rows x r_v y for xy in shorter, yielded as built: v is the source of
-    xy at the first cut and the target of the letter before the cut otherwise.
-    The pairs of r_v are distinct, so each term has its own column."""
-    tgt = qd.arrow_target
-    for w in shorter:
-        a = w.letters
-        for k in range(len(a) + 1):
-            v = tgt[a[k - 1]] if k else w.source
-            yield {index[a[:k] + pair + a[k:]]: coeff for coeff, pair in rels[v]}
+class _Table:
+    """The normal-form table of one quadratic quotient over one field, grown on demand.
+
+    basis[n] are the normal words of degree n, and times[n][b][a] the
+    coordinates in degree n of basis[n-1][b] times the arrow a.  traces[n]
+    is (closed basis count, echelon of the trace rows).
+    """
+
+    def __init__(self, qd: DoubledQuiver, rels: RelationTable, fld: FieldSpec):
+        self.qd = qd
+        self.rels = rels
+        self.fld = fld
+        self.leaving: dict[int, list[int]] = {v: [] for v in range(1, qd.vertex_count + 1)}
+        for a in range(qd.arrow_count):
+            self.leaving[qd.arrow_source[a]].append(a)
+        self.basis: list[list[Path]] = [[trivial_path(v) for v in range(1, qd.vertex_count + 1)]]
+        self.times: list[list[dict[int, Pairs]]] = [[]]
+        self.traces: dict[int, tuple[int, Echelon]] = {}
+
+    def degree(self, n: int) -> list[Path]:
+        while len(self.basis) <= n:
+            self._grow()
+        return self.basis[n]
+
+    def spanning(self, n: int) -> list[Path]:
+        """The columns of degree n: the words b a, b in the basis one degree
+        down and a an arrow, and in degree 1, where no relation has one
+        letter, every arrow by id.  Built when asked for, not kept."""
+        tgt = self.qd.arrow_target
+        if n == 0:
+            return self.basis[0]
+        if n == 1:
+            return [Path(self.qd.arrow_source[a], (a,), tgt[a]) for a in range(self.qd.arrow_count)]
+        return [Path(b.source, b.letters + (a,), tgt[a])
+                for b in self.degree(n - 1) for a in self.leaving[b.target]]
+
+    def _grow(self):
+        n = len(self.basis)
+        words = self.spanning(n)
+        if n == 1:
+            self.basis.append(words)
+            self.times.append([{a: ((a, 1),) for a in self.leaving[e.source]}
+                               for e in self.basis[0]])
+            return
+        column: list[dict[int, int]] = []   # column[b][a]: the column of the word b a
+        start = 0
+        for b in self.basis[n - 1]:
+            out = self.leaving[b.target]
+            column.append({a: start + i for i, a in enumerate(out)})
+            start += len(out)
+        rows = []
+        for c, step in zip(self.basis[n - 2], self.times[n - 1]):
+            row: dict[int, int] = {}
+            for coeff, (l1, l2) in self.rels[c.target]:
+                for x, v in step[l1]:
+                    k = column[x][l2]
+                    row[k] = row.get(k, 0) + coeff * v
+            rows.append(row)
+        ech = echelonize(self.fld, rows, len(words))
+        free = ech.free_cols()
+        normal: list[Coords] = [{} for _ in words]
+        for k, f in enumerate(free):
+            for c, v in ech.kernel_vector(f).items():
+                normal[c][k] = v   # x_f = 1 puts the free column on itself
+        self.basis.append([words[f] for f in free])
+        pairs = [tuple(c.items()) for c in normal]
+        self.times.append([{a: pairs[k] for a, k in cols.items()} for cols in column])
+
+    def normal_form(self, letters: tuple[int, ...], memo: dict) -> Coords:
+        """Coordinates of a nonempty composable word, right-multiplied letter by
+        letter; memo keeps those of its prefixes."""
+        hit = memo.get(letters)
+        if hit is None:
+            n = len(letters)
+            if n == 1:
+                hit = {letters[0]: 1}
+            else:
+                p = self.fld.characteristic
+                last = letters[-1]
+                times = self.times[n]
+                hit = {}
+                for x, v in self.normal_form(letters[:-1], memo).items():
+                    for y, w in times[x][last]:
+                        hit[y] = hit.get(y, 0) + v * w
+                hit = {y: v % p for y, v in hit.items() if v % p} if p else \
+                    {y: v for y, v in hit.items() if v}
+            memo[letters] = hit
+        return hit
+
+    def trace(self, n: int) -> tuple[int, Echelon]:
+        hit = self.traces.get(n)
+        if hit is None:
+            basis = self.degree(n)
+            closed = sum(1 for b in basis if b.source == b.target)
+            rows: list[Coords] = []
+            if n:
+                src, tgt = self.qd.arrow_source, self.qd.arrow_target
+                between: dict[tuple[int, int], list[int]] = {}
+                for k, b in enumerate(self.basis[n - 1]):
+                    between.setdefault((b.source, b.target), []).append(k)
+                memo: dict = {}
+                prev, times = self.basis[n - 1], self.times[n]
+                for a in range(self.qd.arrow_count):
+                    for k in between.get((tgt[a], src[a]), ()):
+                        row = dict(self.normal_form((a,) + prev[k].letters, memo))
+                        for y, w in times[k][a]:
+                            row[y] = row.get(y, 0) - w
+                        rows.append(row)
+            hit = self.traces[n] = (closed, echelonize(self.fld, rows, len(basis)))
+        return hit
+
+    def witnesses(self, n: int) -> list[Path]:
+        """The necklaces whose class is outside the span of the larger necklaces' classes."""
+        closed, ech = self.trace(n)
+        dim = closed - ech.rank
+        if not dim:   # no cycle is walked for an empty basis
+            return []
+        # add installs new rows and never edits one, so the copy shares them
+        scan = Echelon(self.fld, ech.ncols)
+        scan.rows, scan.pivot_cols = list(ech.rows), list(ech.pivot_cols)
+        scan.pivot_row = dict(ech.pivot_row)
+        found: list[Path] = []
+        memo: dict = {}
+        for c in reversed(all_cycles(self.qd, n)):
+            if len(found) == dim:
+                break
+            if c.letters == _necklace(c.letters) and scan.add(self.class_of(c, memo)):
+                found.append(c)
+        found.reverse()
+        return found
+
+    def class_of(self, cycle: Path, memo: dict) -> Coords:
+        if not cycle.letters:
+            return {cycle.source - 1: 1}
+        return self.normal_form(cycle.letters, memo)
 
 
-def _quotient_piece(qd, rels: RelationTable, n: int, fld: FieldSpec,
-                    words: Callable[[int], list[Path]]) -> GradedQuotientPiece:
-    """words(n) modulo the rows x r_v y with xy in words(n - 2).  Columns are
-    keyed by letters, which fix a word of length >= 1, and rows start at n = 2."""
-    ambient = words(n)
-    index = {p.letters: k for k, p in enumerate(ambient)}
-    rows = _relation_rows(qd, rels, words(n - 2) if n >= 2 else [], index)
-    info = span_info(fld, rows, len(ambient))
-    reps = [ambient[c] for c in info.free_coords]
-    return GradedQuotientPiece(n, fld, ambient, info.quotient_dim, reps)
+def _table(qd: DoubledQuiver, kind: str, rels: RelationTable, fld: FieldSpec) -> _Table:
+    key = ("lambda", kind, fld.characteristic)
+    hit = qd._cache.get(key)
+    if hit is None:
+        hit = qd._cache[key] = _Table(qd, rels, fld)
+    return hit
+
+
+def _preprojective_table(q: Quiver, fld: FieldSpec) -> _Table:
+    return _table(doubled_of(q), "preprojective", preprojective_relations(q), fld)
+
+
+def _koszul_dual_table(g: Graph, fld: FieldSpec) -> _Table:
+    qd = doubled_of_graph(g)
+    return _table(qd, "koszul-dual-zigzag", zigzag_dual_relations(qd), fld)
+
+
+def _piece(table: _Table, n: int) -> GradedQuotientPiece:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    basis = table.degree(n)
+    return GradedQuotientPiece(n, table.fld, table.spanning(n), len(basis), list(basis))
 
 
 def lambda_piece(q: Quiver, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """The degree-n piece of the preprojective algebra of q."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    qd = doubled_of(q)
-    return _quotient_piece(qd, preprojective_relations(q), n, fld, functools.partial(all_words, qd))
+    return _piece(_preprojective_table(q, fld), n)
 
 
 def koszul_dual_zigzag_piece(g: Graph, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """Degree-n piece of the quadratic dual of the zigzag algebra of g."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    qd = doubled_of_graph(g)
-    return _quotient_piece(qd, zigzag_dual_relations(qd), n, fld, functools.partial(all_words, qd))
+    return _piece(_koszul_dual_table(g, fld), n)
 
 
 def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
-    """dim e_i Lambda^n e_i: the closed walks at i modulo the rows x r_v y inside them."""
+    """dim e_i Lambda^n e_i: the normal words of degree n that start and end at i."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    qd = doubled_of(q)
-    return _quotient_piece(qd, preprojective_relations(q), n, fld,
-                           lambda m: [c for c in all_cycles(qd, m) if c.source == i]).dimension
+    return sum(1 for b in _preprojective_table(q, fld).degree(n) if b.source == b.target == i)
 
 
 def _necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -155,38 +294,16 @@ def _necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
     return max(letters[k:] + letters[:k] for k, a in enumerate(letters) if a == top)
 
 
-def _necklace_space(qd, rels: RelationTable, n: int):
-    """Degree-n necklaces and the relation rows [r_v w] among them.
-
-    Columns are the necklaces in the order of their representatives,
-    index maps a representative's letters to its column, and there is one
-    row per closed walk w of length n - 2, at v = w.source.
-    """
-    necklaces = [c for c in all_cycles(qd, n) if c.letters == _necklace(c.letters)]
-    index = {c.letters: k for k, c in enumerate(necklaces)}
-    rows = []
-    for w in all_cycles(qd, n - 2) if n >= 2 else ():
-        row: dict[int, int] = {}
-        for coeff, pair in rels[w.source]:
-            col = index[_necklace(pair + w.letters)]
-            row[col] = row.get(col, 0) + coeff
-        rows.append(row)
-    return necklaces, index, rows
-
-
-def _trace_piece(qd, rels: RelationTable, n: int, fld: FieldSpec,
-                 want_witnesses: bool = True) -> TracePiece:
-    necklaces, _, rows = _necklace_space(qd, rels, n)
-    info = span_info(fld, rows, len(necklaces))
-    witnesses = [necklaces[c] for c in info.free_coords] if want_witnesses else None
-    return TracePiece(n, info.quotient_dim, witnesses)
+def _trace_of(table: _Table, n: int, want_witnesses: bool) -> TracePiece:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    closed, ech = table.trace(n)
+    return TracePiece(n, closed - ech.rank, table.witnesses(n) if want_witnesses else None)
 
 
 def trace_piece(q: Quiver, n: int, fld: FieldSpec, want_witnesses: bool = True) -> TracePiece:
     """Dimension of (Lambda / [Lambda, Lambda])^n for the preprojective algebra."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    return _trace_piece(doubled_of(q), preprojective_relations(q), n, fld, want_witnesses)
+    return _trace_of(_preprojective_table(q, fld), n, want_witnesses)
 
 
 def trace_piece_general(kind: str, obj, n: int, fld: FieldSpec,
@@ -205,19 +322,26 @@ def trace_piece_general(kind: str, obj, n: int, fld: FieldSpec,
     if kind == "koszul-dual-zigzag":
         if not isinstance(obj, Graph):
             raise ValueError("koszul-dual trace needs a Graph")
-        qd = doubled_of_graph(obj)
-        return _trace_piece(qd, zigzag_dual_relations(qd), n, fld, want_witnesses)
+        return _trace_of(_koszul_dual_table(obj, fld), n, want_witnesses)
     raise ValueError("unknown quotient kind %r" % (kind,))
+
+
+def _is_walk(qd: DoubledQuiver, p: Path) -> bool:
+    """Whether p's letters are composable arrows of qd running from p.source to p.target."""
+    at = p.source
+    for a in p.letters:
+        if not 0 <= a < qd.arrow_count or qd.arrow_source[a] != at:
+            return False
+        at = qd.arrow_target[a]
+    return 1 <= p.source <= qd.vertex_count and at == p.target
 
 
 def cycle_class_in_trace_is_zero(q: Quiver, cycle: Path, fld: FieldSpec) -> bool:
     """Exact membership of a cycle in relations + commutators of its degree."""
     if not cycle.is_cycle():
         raise ValueError("not a cycle: %r" % (cycle,))
-    qd = doubled_of(q)
-    n = cycle.length
-    if cycle not in all_cycles(qd, n):
+    if not _is_walk(doubled_of(q), cycle):
         raise ValueError("cycle does not belong to this quiver")
-    necklaces, index, rows = _necklace_space(qd, preprojective_relations(q), n)
-    ech = echelonize(fld, rows, len(necklaces))
-    return in_span(fld, ech, {index[_necklace(cycle.letters)]: 1})
+    table = _preprojective_table(q, fld)
+    _, ech = table.trace(cycle.length)
+    return in_span(fld, ech, table.class_of(cycle, {}))

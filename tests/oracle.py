@@ -5,6 +5,10 @@ deliberately share no code with the optimized modules beyond the field
 and path types: paths are enumerated by a separate breadth-first
 routine, matrices are plain row dicts over Fractions / residues, and
 elimination is the textbook algorithm with no fraction-free tricks.
+The exception is the last section, the word-table quotients that the
+table of Lambda replaced: they keep the package's word walk and kernel,
+so their free columns, which the tests compare with the table's
+representatives and witnesses, are chosen by the same pivot rule.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from zigzaghh.exactla import FieldSpec
-from zigzaghh.pathalg import Path
+from zigzaghh.exactla import FieldSpec, echelonize, in_span, span_info
+from zigzaghh.pathalg import Path, all_cycles, all_words
 from zigzaghh.quiver import Quiver
 from zigzaghh.zigzag import ZigzagAlgebra
 
@@ -367,3 +371,79 @@ def oracle_hh_unreduced(alg: ZigzagAlgebra, p: int, q: int) -> int:
         _, _, in_cols = delta_cols(n - 1)
         rank_in = _row_reduce_rank(alg.field, [c for c in in_cols if c])
     return len(source) - rank_out - rank_in
+
+
+# ---------------------------------------------------------------------------
+# The word-table quotients that the package's normal-form table of Lambda
+# replaced, kept as references for it.  They walk words with the package's
+# walk and eliminate with its kernel, but read no table of Lambda: every
+# word of length n modulo r_v inserted at every cut of the words of length
+# n - 2, and the necklaces of length n modulo the rows [r_v w] for the
+# closed walks w of length n - 2.
+# ---------------------------------------------------------------------------
+
+def oracle_relation_rows(qd, rels, shorter: list[Path], index: dict[tuple[int, ...], int]):
+    """The rows x r_v y for xy in shorter, yielded as built: v is the source of
+    xy at the first cut and the target of the letter before the cut otherwise.
+    The pairs of r_v are distinct, so each term has its own column."""
+    tgt = qd.arrow_target
+    for w in shorter:
+        a = w.letters
+        for k in range(len(a) + 1):
+            v = tgt[a[k - 1]] if k else w.source
+            yield {index[a[:k] + pair + a[k:]]: coeff for coeff, pair in rels[v]}
+
+
+def oracle_quotient_representatives(qd, rels, n: int, fld: FieldSpec) -> list[Path]:
+    """The free columns of all words of length n modulo the rows x r_v y."""
+    ambient = all_words(qd, n)
+    index = {p.letters: k for k, p in enumerate(ambient)}
+    rows = oracle_relation_rows(qd, rels, all_words(qd, n - 2) if n >= 2 else [], index)
+    return [ambient[c] for c in span_info(fld, rows, len(ambient)).free_coords]
+
+
+def oracle_necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically largest rotation of a cyclic word."""
+    if not letters:
+        return letters
+    return max(letters[k:] + letters[:k] for k in range(len(letters)))
+
+
+def oracle_necklace_space(qd, rels, n: int):
+    """Degree-n necklaces and the relation rows [r_v w] among them.
+
+    Columns are the necklaces in the order of their representatives,
+    index maps a representative's letters to its column, and there is one
+    row per closed walk w of length n - 2, at v = w.source.
+    """
+    necklaces = [c for c in all_cycles(qd, n) if c.letters == oracle_necklace(c.letters)]
+    index = {c.letters: k for k, c in enumerate(necklaces)}
+    rows = []
+    for w in all_cycles(qd, n - 2) if n >= 2 else ():
+        row: dict[int, int] = {}
+        for coeff, pair in rels[w.source]:
+            col = index[oracle_necklace(pair + w.letters)]
+            row[col] = row.get(col, 0) + coeff
+        rows.append(row)
+    return necklaces, index, rows
+
+
+def oracle_trace_witnesses(qd, rels, n: int, fld: FieldSpec) -> list[Path]:
+    """The free necklaces of the necklace matrix: a basis of the degree-n trace."""
+    necklaces, _, rows = oracle_necklace_space(qd, rels, n)
+    return [necklaces[c] for c in span_info(fld, rows, len(necklaces)).free_coords]
+
+
+def oracle_class_is_zero(qd, rels, vector: dict[Path, int], fld: FieldSpec) -> bool:
+    """Membership of a combination of equal-length cycles in relations + commutators.
+
+    Projects the vector onto necklaces, which is exact modulo commutators,
+    and tests it against the necklace relation rows.
+    """
+    (n,) = {c.length for c in vector}
+    necklaces, index, rows = oracle_necklace_space(qd, rels, n)
+    image: dict[int, int] = {}
+    for c, x in vector.items():
+        k = index[oracle_necklace(c.letters)]
+        image[k] = image.get(k, 0) + x
+    return in_span(fld, echelonize(fld, rows, len(necklaces)), image)

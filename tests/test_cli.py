@@ -159,6 +159,32 @@ def test_hh2_ginzburg_witnesses_pinned(capsys, graph, char):
     assert out == golden.read_text()
 
 
+def test_hh2_trace_witnesses_pinned(capsys):
+    # recorded while the trace was still eliminated on necklaces: the greedy
+    # scan over the table of Lambda must keep that matrix's free necklaces
+    golden = pathlib.Path(__file__).parent / "golden" / "hh2-trace-D~4-char2.json"
+    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", "2", "--q", "0..8",
+                     "--method", "trace", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_hh2_below_minus_two_is_zero_for_every_method(capsys):
+    # no cycle has negative length, so the trace answers 0 there as the
+    # other two pipelines do, with no witnesses
+    code, doc = _run_json(capsys, "hh2", "--graph", "A2", "--q=-4..2", "--method", "all",
+                          "--witnesses")
+    assert code == 0 and doc["agreement"] is True
+    low = [r for r in doc["results"] if r["q"] < -2]
+    assert sorted((r["q"], r["method"]) for r in low) == [
+        (q, m) for q in (-4, -3) for m in ("ginzburg", "trace", "zigzag")]
+    assert all(r["dim"] == 0 and r["witnesses"] == [] for r in low)
+    code, out = _run(capsys, "hh2", "--graph", "A2", "--q=-4..2", "--method", "all")
+    assert code == 0 and "agreement across methods: yes" in out
+    code, doc = _run_json(capsys, "hh2", "--graph", "D~4", "--q=-5..-3", "--method", "trace")
+    assert code == 0 and [r["dim"] for r in doc["results"]] == [0, 0, 0]
+
+
 @pytest.mark.parametrize("graph,char", [("E~8", 0), ("E~6", 2), ("D~6", 0)])
 def test_hh2_ginzburg_q10_jobs_pinned(capsys, graph, char):
     # the ginzburg-deep benchmark jobs with witnesses, recorded before the
@@ -383,18 +409,20 @@ def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
 def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
     # the relation rows of E~8 up to degree 14 hold 9,774,434 letters and
     # those of A3 up to degree 24 hold 9,281,454: counted, not walked
-    # (the cycle walk is spied too, so that a missing cap fails fast)
+    # (the walks and the elimination that builds the table of Lambda are
+    # spied, so that a missing cap fails fast)
     from zigzaghh import cli, pathalg, preproj
     from zigzaghh.quiver import parse_label
     calls = []
 
-    def spy(q, n):
-        calls.append(n)
+    def spy(*args):
+        calls.append(args[-1])
         return []
 
-    for module in (pathalg, preproj):
-        monkeypatch.setattr(module, "all_words", spy)
-        monkeypatch.setattr(module, "all_cycles", spy)
+    monkeypatch.setattr(pathalg, "all_words", spy)
+    monkeypatch.setattr(pathalg, "all_cycles", spy)
+    monkeypatch.setattr(preproj, "all_cycles", spy)
+    monkeypatch.setattr(preproj, "echelonize", spy)
     for graph, top, count in (("E~8", 30, "at least 9774434"), ("E~8", 14, "9774434"),
                               ("A3", 30, "at least 9281454")):
         for variant in ("preprojective", "koszul-dual"):
@@ -412,8 +440,10 @@ def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A~2", "D~4", "E6"])
 def test_preproj_letter_count_is_the_rows(monkeypatch, label):
-    # the count from adjacency powers equals the letters of the rows built:
-    # one row per word of length n - 2 and cut, keyed by words of n letters
+    # the count from adjacency powers equals the letters of the all-words
+    # relation rows, one per word of length n - 2 and cut, keyed by words of
+    # n letters, that the cap was sized on
+    from oracle import oracle_relation_rows
     from zigzaghh import cli, preproj
     from zigzaghh.pathalg import all_words
     from zigzaghh.quiver import orient_by_edge_order, parse_label
@@ -425,7 +455,7 @@ def test_preproj_letter_count_is_the_rows(monkeypatch, label):
     for top in range(8):
         if top >= 2:
             index = {w.letters: k for k, w in enumerate(all_words(qd, top))}
-            rows = preproj._relation_rows(qd, rels, all_words(qd, top - 2), index)
+            rows = oracle_relation_rows(qd, rels, all_words(qd, top - 2), index)
             letters += top * sum(1 for _ in rows)
         monkeypatch.setattr(cli, "MAX_PREPROJ_LETTERS", letters)
         cli._check_word_count(g, top)

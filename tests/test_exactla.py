@@ -222,6 +222,42 @@ def test_kernel_vectors_are_sparse_null_vectors_at_the_free_columns():
                                         for x in vectors]
 
 
+def _fraction_kernel_vector(ech, f):
+    """The back-substitution at free column f with every coordinate a Fraction."""
+    x = {f: Fraction(1)}
+    for c, row in zip(reversed(ech.pivot_cols), reversed(ech.rows)):
+        if c < f:
+            s = sum(v * x[col] for col, v in row.items() if col in x)
+            if s:
+                x[c] = -s / row[c]
+    return x
+
+
+def test_kernel_vector_over_q_keeps_ints_where_pivots_divide():
+    rng = random.Random(314)
+    kinds = set()
+    for _ in range(80):
+        ncols = rng.randint(2, 9)
+        rows = _random_int_matrix(rng, rng.randint(1, 7), ncols, density=0.6)
+        ech = echelonize(QQ, ExactMatrix.from_dense(QQ, rows).rows, ncols)
+        for f in ech.free_cols():
+            x = ech.kernel_vector(f)
+            assert type(x[f]) is int and x[f] == 1
+            assert x == _fraction_kernel_vector(ech, f)
+            for v in x.values():
+                kinds.add(type(v))
+                assert type(v) is int or v.denominator > 1
+    assert kinds == {int, Fraction}
+
+
+def test_kernel_vector_reads_rows_added_after_it_ran():
+    for fld in (QQ, GF(5)):
+        ech = echelonize(fld, [{0: 1, 2: -1}], 3)
+        assert ech.kernel_vector(2) == {2: 1, 0: 1}
+        assert ech.add({1: 1, 2: 1})
+        assert ech.kernel_vector(2) == {2: 1, 0: 1, 1: fld.neg(fld.one())}
+
+
 # ---------------------------------------------------------------------------
 # matrices dominated by one- and two-term rows, against the textbook oracle
 # ---------------------------------------------------------------------------

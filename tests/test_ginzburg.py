@@ -14,7 +14,7 @@ from zigzaghh.quiver import Graph, catalog, orient_bipartite, orient_by_edge_ord
 from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential,
                 path_from_names)
-from oracle import oracle_basis_of_bidegree
+from oracle import oracle_basis_of_bidegree, oracle_necklace, oracle_necklace_space
 
 
 def _q(family, n):
@@ -207,18 +207,16 @@ def test_hh2_matches_trace_spot_checks():
 def test_hh2_image_lands_in_commutator_span():
     # each boundary column is a sum of commutators, so it must die in the
     # trace: its image on necklaces lies in the span of the relation rows
-    from zigzaghh.preproj import _necklace, _necklace_space
-
     q = _q("D", 4)
     qd = doubled_of(q)
     adams = 2
     cx = hh2_complex(q, adams, QQ)
-    necklaces, index, rows = _necklace_space(qd, preprojective_relations(q), adams + 2)
+    necklaces, index, rows = oracle_necklace_space(qd, preprojective_relations(q), adams + 2)
     ech = echelonize(QQ, rows, len(necklaces))
     for col in cx.combined_columns():
         image: dict[int, int] = {}
         for c, x in col.items():
-            k = index[_necklace(cx.codomain[c].letters)]
+            k = index[oracle_necklace(cx.codomain[c].letters)]
             image[k] = image.get(k, 0) + x
         assert in_span(QQ, ech, image)
 

@@ -14,6 +14,7 @@ from zigzaghh.preproj import (cycle_class_in_trace_is_zero, cyclic_piece_dim,
 from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
 
 from dg import BigradedElement, commutator, path_from_names
+from oracle import oracle_class_is_zero, oracle_quotient_representatives, oracle_trace_witnesses
 
 
 def _q(label):
@@ -221,21 +222,11 @@ def test_cycle_class_membership():
 
 
 def _class_is_zero(q, vector, fld):
-    """Membership of a combination of equal-length cycles in relations + commutators.
+    """Membership of a combination of equal-length cycles in relations +
+    commutators, by the necklace elimination of tests/oracle.py."""
+    from zigzaghh.preproj import doubled_of, preprojective_relations
 
-    Projects the vector onto necklaces, which is exact modulo commutators,
-    and tests it against the production necklace relation rows.
-    """
-    from zigzaghh.exactla import echelonize, in_span
-    from zigzaghh.preproj import _necklace, _necklace_space, doubled_of, preprojective_relations
-
-    (n,) = {c.length for c in vector}
-    necklaces, index, rows = _necklace_space(doubled_of(q), preprojective_relations(q), n)
-    image: dict[int, int] = {}
-    for c, x in vector.items():
-        k = index[_necklace(c.letters)]
-        image[k] = image.get(k, 0) + x
-    return in_span(fld, echelonize(fld, rows, len(necklaces)), image)
+    return oracle_class_is_zero(doubled_of(q), preprojective_relations(q), vector, fld)
 
 
 def test_trace_witnesses_have_nonzero_classes():
@@ -270,9 +261,9 @@ def test_rotations_of_a_cycle_share_its_class():
 
 
 def test_trace_reads_only_closed_walks():
-    # the necklaces, the relation walks and the membership check all come
-    # from all_cycles; an open word table left in the cache would mean a
-    # second way of making cycles
+    # the witness necklaces come from all_cycles and everything else from
+    # the table of Lambda; an open word table left in the cache would mean
+    # a second way of making cycles
     from zigzaghh.pathalg import make_path
     from zigzaghh.preproj import doubled_of
 
@@ -281,7 +272,8 @@ def test_trace_reads_only_closed_walks():
     qd._cache.clear()
     trace_piece(q, 10, GF(2))
     cycle_class_in_trace_is_zero(q, make_path(qd, (0, 1) * 3), GF(2))
-    assert qd._cache and all(type(key) is tuple and key[0] == "closed" for key in qd._cache), \
+    assert ("lambda", "preprojective", 2) in qd._cache
+    assert all(type(key) is tuple and key[0] in ("closed", "lambda") for key in qd._cache), \
         list(qd._cache)
 
 
@@ -362,3 +354,43 @@ def test_quotient_pieces_build_no_endpoint_table():
         cyclic_piece_dim(q, n, 5, GF(2))
     keys = list(doubled_of(q)._cache) + list(doubled_of_graph(g)._cache)
     assert keys and not [k for k in keys if type(k) is tuple and k[0] == "by_st"], keys
+
+
+_ORACLE_CELLS = [(label, fld) for label in ("D4", "E6", "D~4", "A~3", "E~6")
+                 for fld in (QQ, GF(2), GF(3))]
+
+
+@pytest.mark.parametrize("label,fld", _ORACLE_CELLS)
+def test_trace_witnesses_are_the_free_necklaces(label, fld):
+    # the greedy scan from the largest necklace down keeps exactly the free
+    # columns of the necklace matrix
+    from zigzaghh.preproj import doubled_of, preprojective_relations
+
+    q = _q(label)
+    qd, rels = doubled_of(q), preprojective_relations(q)
+    for n in range(9):
+        tr = trace_piece(q, n, fld)
+        assert tr.witnesses == oracle_trace_witnesses(qd, rels, n, fld), (n, tr)
+        assert tr.dimension == len(tr.witnesses)
+
+
+@pytest.mark.parametrize("label,fld", _ORACLE_CELLS)
+def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
+    from zigzaghh.preproj import (doubled_of, doubled_of_graph, preprojective_relations,
+                                  zigzag_dual_relations)
+    from zigzaghh.quiver import parse_label
+
+    g = parse_label(label)
+    q = _q(label)
+    qd, gd = doubled_of(q), doubled_of_graph(g)
+    for n in range(9):
+        piece = lambda_piece(q, n, fld)
+        assert piece.representatives == oracle_quotient_representatives(
+            qd, preprojective_relations(q), n, fld)
+        if n >= 2:   # the ambient words are b a, b normal one degree down
+            prev = lambda_piece(q, n - 1, fld).representatives
+            assert [p.letters for p in piece.ambient] == [
+                b.letters + (a,) for b in prev for a in range(qd.arrow_count)
+                if qd.arrow_source[a] == b.target]
+        assert (koszul_dual_zigzag_piece(g, n, fld).representatives
+                == oracle_quotient_representatives(gd, zigzag_dual_relations(gd), n, fld))
