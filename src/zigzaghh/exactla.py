@@ -9,8 +9,10 @@ rows with one or two terms, such as the rotation relations of the
 Ginzburg complex, never enter it.  A weighted union-find over the columns
 settles them, keeping e_c = w_c e_root modulo the short rows, with the
 largest column of a component as its root; a one-term row, or a cycle
-whose weights disagree, sets a whole component to zero.  Only the longer
-rows, projected onto the live roots, reach the sparse core, whose
+whose weights disagree, sets a whole component to zero.  It reads a short
+row only for which entries are nonzero and the ratio of the two, so short
+rows are never scaled integral.  Only the longer rows, normalized and
+projected onto the live roots, reach the sparse core, whose
 elimination over Q is fraction-free, i.e. a cross-multiplication followed
 by a gcd division, so rows stay integral and coefficient growth stays
 tame on the path-algebra matrices we feed in.  Pivot columns are always
@@ -122,8 +124,8 @@ def GF(p: int) -> FieldSpec:
 # sparse echelon core
 #
 # Rows are dicts {column: nonzero entry}.  Over F_p entries are residues;
-# over Q they are ints (rows get scaled integral on input, and normalized
-# by their gcd after each elimination step).  Incoming rows are reduced
+# over Q they are ints (rows that reach the core get scaled integral on
+# input, and normalized by their gcd after each elimination step).  Incoming rows are reduced
 # against the installed pivots and then claim their leading column, so
 # each pivot is the first nonzero available in column order; the pivot
 # profile is the rank profile of the row space and does not depend on
@@ -298,8 +300,10 @@ def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]], p: int) -> 
 def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     """Reduce a spanning set of row vectors to (sparse) row echelon form.
 
-    One- and two-term rows go to a weighted union-find over the columns;
-    the longer rows are projected onto its live roots and reduced by
+    One- and two-term rows go to a weighted union-find over the columns,
+    which reads a short row only for which entries are nonzero and the
+    ratio of the two, so it is never scaled integral; the longer rows are
+    normalized, projected onto the union-find's live roots and reduced by
     `_reduce`.  The echelon holds e_c - w_c e_root for each non-root c of
     a live component, e_c for each c of a zero component, and the reduced
     long rows, sorted by pivot.
@@ -307,95 +311,107 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     p = field.characteristic
     # e_c = weight[c] * e_parent[c] modulo the short rows; a root, the largest
     # column of its component, has no parent entry, so every short-row
-    # echelon row e_c - w e_root leads with c
+    # echelon row e_c - w e_root leads with c.  Over Q a weight is an int
+    # wherever it is integral.
     parent: dict[int, int] = {}
     weight: dict[int, Scalar] = {}
     dead: set[int] = set()   # roots of components the short rows set to zero
 
-    if p:
-        def mul(a, b):
-            return a * b % p
-
-        def ratio(a, b):
-            return a * pow(b, p - 2, p) % p
-    else:
-        def whole(x):   # weights stay ints wherever the division is exact
-            return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-        def mul(a, b):
-            return whole(a * b)
-
-        def ratio(a, b):
-            if type(a) is int and type(b) is int and a % b == 0:
-                return a // b
-            return whole(Fraction(a, b))
-
     def find(c):
-        """(root, w) with e_c = w * e_root modulo the short rows."""
-        up = parent.get(c)
-        if up is None:
-            return c, 1
-        path = [c]
+        """(root, w) with e_c = w * e_root modulo the short rows, c not a root."""
+        up = parent[c]
         nxt = parent.get(up)
+        if nxt is None:
+            return up, weight[c]
+        path = [c]
         while nxt is not None:
             path.append(up)
             up, nxt = nxt, parent.get(nxt)
         w = 1
         for node in reversed(path):
-            w = mul(weight[node], w)
+            w = weight[node] * w
+            if p:
+                w %= p
+            elif type(w) is Fraction and w.denominator == 1:
+                w = w.numerator
             weight[node] = w
             parent[node] = up
         return up, w
 
     long_rows = []
     for row in rows:
-        r = _normalized(row, p)
-        if len(r) > 2:
-            long_rows.append(r)
-        elif len(r) == 2:
-            (i, a), (j, b) = r.items()
-            ri, wi = find(i)
-            rj, wj = find(j)
-            a, b = mul(a, wi), mul(b, wj)   # a e_ri + b e_rj = 0
-            if ri == rj:
-                if not field.is_zero(a + b):
-                    dead.add(ri)
+        if len(row) > 2:
+            row = _normalized(row, p)
+            if len(row) > 2:
+                long_rows.append(row)
                 continue
-            if ri > rj:
-                ri, rj, a, b = rj, ri, b, a
-            parent[ri] = rj
-            weight[ri] = ratio(-b, a)
-            if ri in dead:
-                dead.add(rj)
-        elif r:
-            dead.add(find(next(iter(r)))[0])
+        if p:
+            terms = [(c, v % p) for c, v in row.items() if v % p]
+        else:
+            terms = [(c, v) for c, v in row.items() if v]
+        if len(terms) == 2:
+            (i, a), (j, b) = terms
+            if i in parent:
+                i, w = find(i)
+                a *= w
+            if j in parent:
+                j, w = find(j)
+                b *= w
+            # a e_i + b e_j = 0 with i and j roots
+            if i == j:
+                if (a + b) % p if p else a + b:
+                    dead.add(i)
+                continue
+            if i > j:
+                i, j, a, b = j, i, b, a
+            if p:
+                w = -b * pow(a, p - 2, p) % p
+            elif type(a) is int and type(b) is int and b % a == 0:
+                w = -b // a
+            else:
+                w = Fraction(-b, a)
+                if w.denominator == 1:
+                    w = w.numerator
+            parent[i] = j
+            weight[i] = w
+            if i in dead:
+                dead.add(j)
+        elif terms:
+            c = terms[0][0]
+            dead.add(find(c)[0] if c in parent else c)
 
     ech = Echelon(field, ncols)
     for r in long_rows:
         proj: dict[int, Scalar] = {}
         for c, v in r.items():
-            root, w = find(c)
-            if root not in dead:
-                proj[root] = proj.get(root, 0) + v * w
+            if c in parent:
+                c, w = find(c)
+                v *= w
+            if c not in dead:
+                proj[c] = proj.get(c, 0) + v
         ech.add(proj)
 
-    pivots = list(ech.pivot_row.items())
-    for c in parent:
-        root, w = find(c)
-        if root in dead:
-            pivots.append((c, {c: 1}))
-        elif p:
-            pivots.append((c, {c: 1, root: -w % p}))
-        elif type(w) is int:
-            pivots.append((c, {c: 1, root: -w}))
+    pivot_row = ech.pivot_row
+    for c, root in parent.items():
+        if root in parent:
+            root, w = find(c)
         else:
-            pivots.append((c, {c: w.denominator, root: -w.numerator}))
-    pivots += [(c, {c: 1}) for c in dead if c not in parent]
-    # sort echelon by pivot column so back-substitution can walk upward
-    pivots.sort(key=lambda t: t[0])
-    ech.pivot_cols = [c for c, _ in pivots]
-    ech.rows = [r for _, r in pivots]
-    ech.pivot_row = dict(pivots)
+            w = weight[c]
+        if root in dead:
+            pivot_row[c] = {c: 1}
+        elif p:
+            pivot_row[c] = {c: 1, root: -w % p}
+        elif type(w) is int:
+            pivot_row[c] = {c: 1, root: -w}
+        else:
+            pivot_row[c] = {c: w.denominator, root: -w.numerator}
+    for c in dead:
+        if c not in parent:
+            pivot_row[c] = {c: 1}
+    # sorted by pivot column, so that back-substitution can walk upward
+    ech.pivot_cols = sorted(pivot_row)
+    ech.rows = [pivot_row[c] for c in ech.pivot_cols]
+    ech.pivot_row = dict(zip(ech.pivot_cols, ech.rows))
     return ech
 
 

@@ -14,7 +14,12 @@ space.  The maps pi x* - x* pi of the doubled arrows x are read off the
 codomain, one per cycle w = pi x*, x the star of w's last letter.
 Modulo them every cycle equals its rotations, so the one-loop word
 u t_v u' has the column of t_v u' u, and one column r_v c per closed
-walk c of length q at v spans them all.
+walk c of length q at v spans them all.  A rotation column has at most
+two terms, so the elimination reads it only for its ratio, in the
+weighted union-find of `exactla.echelonize`; the relation columns are
+most of what reaches the sparse core.  `hh2_dim` assembles only the
+codomain and these columns, and `hh2_complex` adds the domain paths to
+the same assembly.
 """
 
 from __future__ import annotations
@@ -60,50 +65,71 @@ class HH2Complex:
         return self.cols1 + self.cols2
 
 
-def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
-    if adams < -2:
-        raise ValueError("no complex below Adams degree -2")
+def _assemble(q: Quiver, adams: int) -> tuple[list[Path], list[int], list[Path], list[dict]]:
+    """The one assembly of the small complex in Adams degree adams >= -2.
+
+    Returns the codomain cycles; the codomain indices of the cycles w = pi x*
+    whose maps give the first columns, in column order; the closed walks c
+    whose relation columns r_v c follow; and all the columns.
+    """
     qg = ginzburg_of(q)
     qd = qg.doubled
     codomain = all_cycles(qd, adams + 2)
     # a cycle of positive length is fixed by its letters
     index = {w.letters: i for i, w in enumerate(codomain)}
 
-    # one column per cycle w = pi x*, ordered by x and then by pi
-    dom1: list[tuple[int, Path]] = []
-    cols1: list[dict] = []
-    for i in sorted(range(len(codomain) if adams + 2 > 0 else 0),
-                    key=lambda i: qd.star(codomain[i].letters[-1])):
-        w = codomain[i]
-        partner = w.letters[-1]
-        x = qd.star(partner)
-        pi = Path(w.source, w.letters[:-1], qd.arrow_source[partner])
-        dom1.append((x, pi))
-        j = index[(partner,) + pi.letters]
+    # one column per cycle w = pi x*, ordered by x and then by w: the cycles
+    # come out of buckets keyed by their last letter, the star of x
+    ending: list[list[int]] = [[] for _ in range(qd.arrow_count)]
+    if adams + 2 > 0:
+        for i, w in enumerate(codomain):
+            ending[w.letters[-1]].append(i)
+    rotated: list[int] = []
+    cols: list[dict] = []
+    for x in range(qd.arrow_count):
+        bucket = ending[qd.star(x)]
         sign = 1 if x % 2 == 0 else -1
-        cols1.append({i: sign, j: -sign} if i != j else {})
+        for i in bucket:
+            letters = codomain[i].letters
+            j = index[letters[-1:] + letters[:-1]]
+            cols.append({i: sign, j: -sign} if i != j else {})
+        rotated += bucket
 
     rels = _vertex_relations(qg)
-    dom2: list[Path] = []
-    cols2: list[dict] = []
-    for c in all_cycles(qd, adams) if adams >= 0 else ():
-        v = c.source
-        dom2.append(Path(v, (qg.loop_index[v],) + c.letters, v))
-        cols2.append({index[pair + c.letters]: coeff for coeff, pair in rels[v]})
+    walks = all_cycles(qd, adams) if adams >= 0 else []
+    for c in walks:
+        cols.append({index[pair + c.letters]: coeff for coeff, pair in rels[c.source]})
+    return codomain, rotated, walks, cols
 
-    return HH2Complex(adams, fld, dom1, dom2, codomain, cols1, cols2)
+
+def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
+    if adams < -2:
+        raise ValueError("no complex below Adams degree -2")
+    qg = ginzburg_of(q)
+    qd = qg.doubled
+    codomain, rotated, walks, cols = _assemble(q, adams)
+    dom1: list[tuple[int, Path]] = []
+    for i in rotated:
+        w = codomain[i]
+        partner = w.letters[-1]
+        dom1.append((qd.star(partner), Path(w.source, w.letters[:-1], qd.arrow_source[partner])))
+    dom2 = [Path(c.source, (qg.loop_index[c.source],) + c.letters, c.source) for c in walks]
+    k = len(rotated)
+    return HH2Complex(adams, fld, dom1, dom2, codomain, cols[:k], cols[k:])
 
 
 def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:
-    """HH^{2,adams} of the dg algebra, as the cokernel of the small complex."""
+    """HH^{2,adams} of the dg algebra, as the cokernel of the small complex.
+
+    Only the codomain and the columns are assembled; the domain paths of
+    `hh2_complex` are never built.
+    """
     if adams < -2:
         return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
-    qg = ginzburg_of(q)
-    qd = qg.doubled
-    cx = hh2_complex(q, adams, fld)
-    cols = cx.combined_columns()
-    info = span_info(fld, cols, len(cx.codomain))
+    codomain, _, _, cols = _assemble(q, adams)
+    info = span_info(fld, cols, len(codomain))
     reps = None
     if want_witnesses:
-        reps = tuple(path_name(qd, cx.codomain[i]) for i in info.free_coords)
+        qd = ginzburg_of(q).doubled
+        reps = tuple(path_name(qd, codomain[i]) for i in info.free_coords)
     return HHReport(2, adams, "ginzburg", info.quotient_dim, reps)

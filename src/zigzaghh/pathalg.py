@@ -10,12 +10,15 @@ One depth-first walk emits the words already in that order, with no
 sort: every word of a length for `all_words`, and for `all_cycles` only
 the closed ones, since the last letter must return to the first letter's
 source, so no open word is built.  Cycles come only from that closed
-walk; no code filters a word table for them.
+walk; no code filters a word table for them.  The walk builds each word
+when it reaches it, and can try letters from the largest down:
+`cycles_descending` reads the cycles in reverse order, uncached, for a
+scan that stops early.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .quiver import two_coloring
 
@@ -66,43 +69,53 @@ def loop_count(q, p: Path) -> int:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
-def _words(q, n: int, closed: bool = False) -> list[Path]:
-    """Length-n words in lexicographic letter order, from one depth-first walk.
+def _walk(q, n: int, closed: bool = False, descending: bool = False) -> Iterator[Path]:
+    """Length-n words in lexicographic letter order, from one depth-first walk
+    that builds each word when it reaches it.
 
     With `closed`, only the cycles: the last letter must return to the
-    first letter's source.
+    first letter's source.  With `descending`, every position tries its
+    letters from the largest down, so the words come in reverse order.
     """
     if n == 0:
-        return [trivial_path(v) for v in range(1, q.vertex_count + 1)]
+        vertices = range(1, q.vertex_count + 1)
+        for v in reversed(vertices) if descending else vertices:
+            yield trivial_path(v)
+        return
     src = q.arrow_source
     tgt = q.arrow_target
     # steps[v] lists the letters leaving v, and steps[0] every letter, for
-    # the first position.  ends[v, s] lists the letters from v back to s;
-    # ends[0, 0], the letters from a vertex back to itself, close a
-    # one-letter walk.
+    # the first position.  ends[v, s] lists the letters from v back to s.
     steps: dict[int, list[int]] = {v: [] for v in range(q.vertex_count + 1)}
     ends: dict[tuple[int, int], list[int]] = {}
-    for k in range(q.arrow_count):
+    for k in reversed(range(q.arrow_count)) if descending else range(q.arrow_count):
         steps[src[k]].append(k)
         steps[0].append(k)
         ends.setdefault((src[k], tgt[k]), []).append(k)
-        if src[k] == tgt[k]:
-            ends.setdefault((0, 0), []).append(k)
-    out: list[Path] = []
+    last = n - 1
+    if not last:
+        for k in steps[0]:
+            if not closed or src[k] == tgt[k]:
+                yield Path(src[k], (k,), tgt[k])
+        return
+    # stack[pos] holds the letters still to try at position pos < last; the
+    # last position is walked in place
     word = [0] * n
-    last = n - 1 if closed else n
-
-    def extend(pos: int, at: int):
-        if pos == n:
-            out.append(Path(src[word[0]], tuple(word), at))
-            return
-        letters = ends.get((at, src[word[0]] if pos else 0), ()) if pos == last else steps[at]
-        for k in letters:
-            word[pos] = k
-            extend(pos + 1, tgt[k])
-
-    extend(0, 0)
-    return out
+    stack = [iter(steps[0])]
+    while stack:
+        for k in stack[-1]:
+            pos = len(stack)
+            word[pos - 1] = k
+            at = tgt[k]
+            if pos < last:
+                stack.append(iter(steps[at]))
+                break
+            s = src[word[0]]
+            for e in ends.get((at, s), ()) if closed else steps[at]:
+                word[last] = e
+                yield Path(s, tuple(word), tgt[e])
+        else:
+            stack.pop()
 
 
 def all_words(q, n: int) -> list[Path]:
@@ -110,7 +123,7 @@ def all_words(q, n: int) -> list[Path]:
     cache = q._cache
     hit = cache.get(n)
     if hit is None:
-        hit = cache[n] = _words(q, n)
+        hit = cache[n] = list(_walk(q, n))
     return hit
 
 
@@ -145,9 +158,21 @@ def all_cycles(q, n: int) -> list[Path]:
     key = ("closed", n)
     hit = cache.get(key)
     if hit is None:
-        colored = n % 2 and two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target))
-        hit = cache[key] = [] if colored else _words(q, n, closed=True)
+        hit = cache[key] = [] if _odd_on_two_colored(q, n) else list(_walk(q, n, closed=True))
     return hit
+
+
+def cycles_descending(q, n: int) -> Iterator[Path]:
+    """all_cycles(q, n) in reverse order, each cycle walked only when read.
+
+    Nothing is cached, so a scan that stops early walks only the cycles
+    it read.
+    """
+    return iter(()) if _odd_on_two_colored(q, n) else _walk(q, n, closed=True, descending=True)
+
+
+def _odd_on_two_colored(q, n: int) -> bool:
+    return bool(n % 2 and two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target)))
 
 
 def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:

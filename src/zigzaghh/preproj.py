@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactla import Echelon, FieldSpec, echelonize, in_span
-from .pathalg import Path, all_cycles, trivial_path
+from .pathalg import Path, cycles_descending, trivial_path
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
 # relation term: (coefficient, (first letter, second letter)) at a vertex
@@ -231,11 +231,11 @@ class _Table:
         scan.pivot_row = dict(ech.pivot_row)
         found: list[Path] = []
         memo: dict = {}
-        for c in reversed(all_cycles(self.qd, n)):
-            if len(found) == dim:
-                break
+        for c in cycles_descending(self.qd, n):
             if c.letters == _necklace(c.letters) and scan.add(self.class_of(c, memo)):
                 found.append(c)
+                if len(found) == dim:
+                    break
         found.reverse()
         return found
 

@@ -372,8 +372,9 @@ def test_hh2_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch, method
         calls.append(n)
         return []
 
-    for module in (pathalg, ginzburg, preproj):
-        monkeypatch.setattr(module, "all_cycles", spy)
+    for module, name in ((pathalg, "all_cycles"), (pathalg, "cycles_descending"),
+                         (ginzburg, "all_cycles"), (preproj, "cycles_descending")):
+        monkeypatch.setattr(module, name, spy)
     assert 135_488 <= cli.MAX_CYCLES < 477_434   # E~8 at q = 14, E8 at q = 16
     for q, err in (("14..17", "--q 16 needs 535846 closed walks of length 18"),
                    ("16", "--q 16 needs 535846 closed walks of length 18"),
@@ -396,8 +397,9 @@ def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
         calls.append(n)
         return []
 
-    for module in (pathalg, preproj):
-        monkeypatch.setattr(module, "all_cycles", spy)
+    for module, name in ((pathalg, "all_cycles"), (pathalg, "cycles_descending"),
+                         (preproj, "cycles_descending")):
+        monkeypatch.setattr(module, name, spy)
     assert main(["classify", "--graph", "E8", "--max", "30"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -421,7 +423,8 @@ def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
 
     monkeypatch.setattr(pathalg, "all_words", spy)
     monkeypatch.setattr(pathalg, "all_cycles", spy)
-    monkeypatch.setattr(preproj, "all_cycles", spy)
+    monkeypatch.setattr(pathalg, "cycles_descending", spy)
+    monkeypatch.setattr(preproj, "cycles_descending", spy)
     monkeypatch.setattr(preproj, "echelonize", spy)
     for graph, top, count in (("E~8", 30, "at least 9774434"), ("E~8", 14, "9774434"),
                               ("A3", 30, "at least 9281454")):
@@ -478,7 +481,7 @@ def test_preproj_letter_count_is_the_rows(monkeypatch, label):
     (("hh2", "--graph", "A~2", "--q=-129..-129", "--method", "zigzag"), "--q -129"),
 ])
 def test_degree_above_cap_exits_2_before_any_count_or_walk(capsys, monkeypatch, argv, named):
-    # the word walk recurses once per letter, A1 never passes the closed-walk
+    # a word walk takes a step per letter, A1 never passes the closed-walk
     # cap, and hh2 steps through every degree of its range: all are refused
     # before any count, and a non-tree is refused here before exit 3
     from zigzaghh import cli, ginzburg, pathalg, preproj, zigzag
@@ -489,7 +492,7 @@ def test_degree_above_cap_exits_2_before_any_count_or_walk(capsys, monkeypatch, 
         raise AssertionError("walked or counted")
 
     for module in (pathalg, ginzburg, preproj):
-        for name in ("all_words", "all_cycles"):
+        for name in ("all_words", "all_cycles", "cycles_descending"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
     monkeypatch.setattr(zigzag, "cochain_basis", spy)

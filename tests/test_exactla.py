@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -376,6 +377,72 @@ def test_short_row_matrices_kernel_solve_and_membership(fld, kind):
         ech = echelonize(fld, rows, ncols)
         v = {c: _entry(rng, kind) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
         assert in_span(fld, ech, v) == (_row_reduce_rank(fld, rows + [v]) == rank)
+
+
+def _short_pair(rng, kind, i, j):
+    """A short row over Q: a zero beside a nonzero entry, or two entries
+    whose ratio is an integer, or is not."""
+    roll = rng.random()
+    if kind == "int":
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        whole, broken = a * rng.choice([-3, -2, 2, 3]), a * rng.choice([2, 3]) + 1
+    else:
+        a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
+        whole, broken = a * rng.choice([-3, -2, 2, 3]), a * Fraction(rng.choice([-2, 2, 5]), 3)
+    if roll < 0.25:
+        return {i: 0, j: a}
+    if roll < 0.6:
+        return {i: a, j: whole}
+    return {i: a, j: broken}
+
+
+def test_short_rows_over_q_are_read_for_their_ratio():
+    # pinned: unscaled short rows give the same echelon rows as scaled ones
+    f = Fraction
+    for rows, want in (([{0: 0, 1: 5}], [{1: 1}]),
+                       ([{0: 2, 1: 6}], [{0: 1, 1: 3}]),
+                       ([{0: 2, 1: 3}], [{0: 2, 1: 3}]),
+                       ([{0: f(1, 2), 1: f(3, 2)}], [{0: 1, 1: 3}]),
+                       ([{0: f(2, 3), 1: f(1, 2)}], [{0: 4, 1: 3}]),
+                       ([{0: f(-3, 5), 1: 0, 2: f(6, 5)}], [{0: 1, 2: -2}])):
+        ech = echelonize(QQ, rows, 3)
+        assert ech.rows == want
+        assert all(type(v) is int for r in ech.rows for v in r.values())
+    x = echelonize(QQ, [{0: 2, 1: 6}], 2).kernel_vector(1)
+    assert x == {1: 1, 0: -3} and type(x[0]) is int
+    assert echelonize(QQ, [{0: 2, 1: 3}], 2).kernel_vector(1) == {1: 1, 0: Fraction(-3, 2)}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_short_rows_over_q_give_integral_coprime_rows(kind):
+    # zeros among a row's keys, whole and broken ratios, long rows between
+    # them: every echelon row is integral, leads with its pivot and has
+    # content 1, and the kernel keeps ints wherever the pivots divide
+    rng = random.Random(2718 + len(kind))
+    kinds = set()
+    for _ in range(60):
+        ncols = rng.randint(3, 16)
+        rows = [_short_pair(rng, kind, *rng.sample(range(ncols), 2))
+                for _ in range(rng.randint(2, ncols + 2))]
+        for _ in range(rng.randint(0, 2)):
+            cols = rng.sample(range(ncols), 3)
+            rows.append({c: _entry(rng, kind) for c in cols})
+        rng.shuffle(rows)
+        ech = echelonize(QQ, rows, ncols)
+        assert ech.pivot_cols == _reference_pivots(QQ, rows, ncols)
+        for c, r in zip(ech.pivot_cols, ech.rows):
+            assert all(type(v) is int and v for v in r.values())
+            assert min(r) == c and gcd(*r.values()) == 1
+        assert all(in_span(QQ, ech, r) for r in rows)
+        for f in ech.free_cols():
+            x = ech.kernel_vector(f)
+            assert x == _fraction_kernel_vector(ech, f)
+            for v in x.values():
+                kinds.add(type(v))
+                assert type(v) is int or v.denominator > 1
+            for r in rows:
+                assert sum(v * x.get(c, 0) for c, v in r.items()) == 0
+    assert kinds == {int, Fraction}
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(3)])

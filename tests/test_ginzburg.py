@@ -169,6 +169,35 @@ def test_hh2_complex_spans_the_full_complex(quiv):
                     == span_info(fld, cx.cols1 + full, len(cx.codomain)).free_coords)
 
 
+@pytest.mark.parametrize("quiv", [_q("A", 5), _q("D", 5), _q("E", 6), _q("D~", 4), _q("E~", 6),
+                                  orient_by_edge_order(catalog("A~", 3)),
+                                  orient_by_edge_order(_random_nontree(4077, 6))],
+                         ids=lambda quiv: quiv.name)
+def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
+    # one assembly: hh2_dim eliminates exactly the columns of hh2_complex,
+    # in order, over the codomain, without the domain paths
+    from zigzaghh import ginzburg
+
+    seen = []
+
+    def spy(fld, vectors, ambient_dim):
+        vectors = list(vectors)
+        seen.append((vectors, ambient_dim))
+        return span_info(fld, vectors, ambient_dim)
+
+    monkeypatch.setattr(ginzburg, "span_info", spy)
+    for fld in (QQ, GF(2), GF(3)):
+        for adams in range(-2, 9):
+            rep = hh2_dim(quiv, adams, fld)
+            cx = hh2_complex(quiv, adams, fld)
+            (cols, ambient), = seen
+            seen.clear()
+            assert ambient == len(cx.codomain), (fld, adams)
+            assert [list(c.items()) for c in cols] == \
+                [list(c.items()) for c in cx.combined_columns()], (fld, adams)
+            assert rep.dimension == span_info(fld, cols, ambient).quotient_dim
+
+
 def test_hh2_complex_a2_q0_dimensions():
     cx = hh2_complex(_q("A", 2), 0, QQ)
     assert len(cx.dom1) == 2

@@ -1,14 +1,15 @@
 """Brute-force oracles, and agreement between oracles and the pipelines."""
 
 import importlib.util
+import itertools
 
 import pytest
 
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import ginzburg_of
-from zigzaghh.pathalg import Path, all_cycles, basis_of_bidegree
+from zigzaghh.pathalg import Path, all_cycles, basis_of_bidegree, cycles_descending
 from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite, orient_by_edge_order
+from zigzaghh.quiver import catalog, double, orient_bipartite, orient_by_edge_order
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
 from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
@@ -79,6 +80,27 @@ def test_all_cycles_is_the_oracle_walk_filtered_to_cycles():
             want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
                     if s == t]
             assert all_cycles(qd, n) == want, (quiv.name, n)
+
+
+def test_cycles_descending_is_the_oracle_walk_reversed_and_lazy():
+    # the witness scan reads the cycles from the largest down and stops
+    # early: the oracle's cycles in reverse, never cached, and built only
+    # as far as they are read
+    quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
+               orient_by_edge_order(catalog("A~", 2))]
+    for quiv in quivers:
+        qd = double(quiv)   # a fresh double, with nothing cached
+        arrows = list(zip(qd.arrow_source, qd.arrow_target))
+        for n in range(9):
+            want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
+                    if s == t]
+            assert list(cycles_descending(qd, n)) == want[::-1], (quiv.name, n)
+        assert qd._cache == {}
+    qd = double(_q("D~", 4))
+    top = list(itertools.islice(cycles_descending(qd, 40), 5))   # of about 4^40
+    assert all(c.source == c.target and len(c.letters) == 40 for c in top)
+    assert top[0].letters[0] == qd.arrow_count - 1
+    assert [c.letters for c in top] == sorted({c.letters for c in top}, reverse=True)
 
 
 def test_oracle_cochain_basis_matches_budgeted_walk():

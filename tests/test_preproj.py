@@ -261,9 +261,9 @@ def test_rotations_of_a_cycle_share_its_class():
 
 
 def test_trace_reads_only_closed_walks():
-    # the witness necklaces come from all_cycles and everything else from
-    # the table of Lambda; an open word table left in the cache would mean
-    # a second way of making cycles
+    # the witness necklaces come from the uncached closed walk and everything
+    # else from the table of Lambda; an open word table left in the cache
+    # would mean a second way of making cycles
     from zigzaghh.pathalg import make_path
     from zigzaghh.preproj import doubled_of
 
@@ -275,6 +275,30 @@ def test_trace_reads_only_closed_walks():
     assert ("lambda", "preprojective", 2) in qd._cache
     assert all(type(key) is tuple and key[0] in ("closed", "lambda") for key in qd._cache), \
         list(qd._cache)
+
+
+def test_witness_scan_stops_at_the_dimension(monkeypatch):
+    # the scan walks the cycles from the largest down and stops at the last
+    # witness: E~8 over Q in degree 12 has one, found among 176 of its 8,838
+    # cycles, and the partial walk is not cached
+    from zigzaghh import pathalg, preproj
+
+    read = []
+
+    def counted(qd, n):
+        for c in pathalg.cycles_descending(qd, n):
+            read.append(c)
+            yield c
+
+    monkeypatch.setattr(preproj, "cycles_descending", counted)
+    q = _q("E~8")
+    qd = preproj.doubled_of(q)
+    qd._cache.clear()
+    tr = trace_piece(q, 12, QQ)
+    assert tr.dimension == len(tr.witnesses) == 1
+    assert len(read) == 176 and read[-1] == tr.witnesses[0]
+    assert ("closed", 12) not in qd._cache
+    assert len(pathalg.all_cycles(qd, 12)) == 8838
 
 
 def test_relation_times_closed_walk_has_zero_class():
