@@ -15,25 +15,22 @@ absent m_k above the highest specified product are flagged as conditional
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .exactla import FieldSpec, Scalar
 from .quiver import catalog
 from .zigzag import HochschildCochain, Word, ZigzagAlgebra, build_zigzag
 
 
-@dataclass
 class AInftyCandidate:
     """A zigzag algebra with finitely many higher multiplications."""
 
-    algebra: ZigzagAlgebra
-    products: dict[int, dict[Word, dict[int, Scalar]]]
-
-    def __post_init__(self):
-        alg = self.algebra
+    def __init__(self, algebra: ZigzagAlgebra,
+                 products: dict[int, dict[Word, dict[int, Scalar]]]):
+        alg = self.algebra = algebra
         fld = alg.field
         clean: dict[int, dict[Word, dict[int, Scalar]]] = {}
-        for n, table in self.products.items():
+        for n, table in products.items():
             if n < 3:
                 raise ValueError("higher multiplications start at arity 3")
             for w, outs in table.items():
@@ -66,20 +63,20 @@ class AInftyCandidate:
         return max(self.products.keys(), default=2)
 
 
-@dataclass
-class StasheffViolation:
+class StasheffViolation(NamedTuple):
     arity: int
     word: tuple[str, ...]
     defect: dict[str, Scalar]
 
 
-@dataclass
 class StasheffReport:
     """Exact pass/fail per arity, with witnesses for every violation."""
 
-    max_arity: int
-    violations: list[StasheffViolation] = field(default_factory=list)
-    conditional_arities: list[int] = field(default_factory=list)
+    def __init__(self, max_arity: int, violations: Optional[list[StasheffViolation]] = None,
+                 conditional_arities: Optional[list[int]] = None):
+        self.max_arity = max_arity
+        self.violations = [] if violations is None else violations
+        self.conditional_arities = [] if conditional_arities is None else conditional_arities
 
     @property
     def passed(self) -> bool:

@@ -3,9 +3,10 @@
 Output is a plain table or JSON on stdout.  Identical jobs produce
 byte-identical JSON: no timestamps and sorted keys.
 
-Exit codes: 0 success, 2 invalid input, 3 method inapplicable to the
-given graph, 4 `hh2 --method all` found the methods disagreeing in some
-degree (after printing its usual output).
+Exit codes: 0 success, 1 `ainfty-check` found the m4 class trivial to
+first order (for instance `--scale 0`), 2 invalid input, 3 method
+inapplicable to the given graph, 4 `hh2 --method all` found the methods
+disagreeing in some degree (after printing its usual output).
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ MAX_ARITY = 8
 # at q = 16 (2-vCPU Xeon, Python 3.11)
 MAX_CYCLES = 300_000
 
-# hh2's zigzag method walks the words of C^{1,q}, about 15 us and 0.4 kB each:
-# D4 has 144,342 at q = 14 (2.5 s, 84 MB), E6 214,048 at q = 12 (3.4 s,
-# 102 MB) and E~6 368,640 at q = 12 (5.1 s, 156 MB) (2-vCPU Xeon, Python 3.11)
+# hh2's zigzag method walks the words of C^{1,q} within its cycle budget, and
+# builds those whose ends admit an output: D4 has 144,342 at q = 14 (78,732
+# built; 0.7 s, 72 MB), E6 214,048 at q = 12 (90,448; 1.0 s, 80 MB) and E~6
+# 368,640 at q = 12 (139,320; 1.9 s, 117 MB) (2-vCPU Xeon, Python 3.11); the
+# cap stays because the exit codes of every accepted input are pinned
 MAX_ZIGZAG_WORDS = 200_000
 
 # preproj refuses a --max whose all-words relation rows, one per word of
@@ -93,11 +96,11 @@ def _orient(g: Graph, mode: str):
 
 
 def _parse_qrange(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise CliError("--q must be an integer or a range a..b, got %r" % (text,)) from None
 
 
 def _check_cycle_count(g: Graph, qlo: int, qhi: int):

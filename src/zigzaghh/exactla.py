@@ -24,11 +24,12 @@ representatives reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
+
+from .reports import Frozen
 
 Scalar = Union[int, Fraction]
 
@@ -66,16 +67,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """Coefficient field: characteristic 0 means Q, a prime p means F_p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
+    characteristic: int
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0):
+        c = characteristic
         if c < 0 or (c != 0 and not _is_prime(c)):
             raise ValueError("characteristic must be 0 or a prime, got %r" % (c,))
+        super().__init__(c)
 
     def element(self, value) -> Scalar:
         """Coerce an int or Fraction to a canonical field element."""
@@ -415,8 +417,7 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     return ech
 
 
-@dataclass
-class SpanInfo:
+class SpanInfo(NamedTuple):
     """Rank and pivot profile of a spanning set inside a coordinate space."""
 
     ambient_dim: int

@@ -25,7 +25,7 @@ the same assembly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactla import FieldSpec, span_info
 from .pathalg import Path, all_cycles, path_name
@@ -49,8 +49,7 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
     return lambda_piece(q, adams, fld).dimension if adams >= 0 else 0
 
 
-@dataclass
-class HH2Complex:
+class HH2Complex(NamedTuple):
     """The three-term complex computing HH^{2,q} of the dg algebra."""
 
     q: int

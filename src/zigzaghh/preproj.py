@@ -39,8 +39,7 @@ computes the quadratic dual of the zigzag algebra for an arbitrary graph
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactla import Echelon, FieldSpec, echelonize, in_span
 from .pathalg import Path, cycles_descending, trivial_path
@@ -84,8 +83,7 @@ def zigzag_dual_relations(qd: DoubledQuiver) -> RelationTable:
     return rels
 
 
-@dataclass
-class GradedQuotientPiece:
+class GradedQuotientPiece(NamedTuple):
     """One graded piece of a degreewise quotient of the doubled path algebra.
 
     ambient is the spanning words b a (b in the basis one degree down, a an
@@ -99,8 +97,7 @@ class GradedQuotientPiece:
     representatives: list[Path]
 
 
-@dataclass
-class TracePiece:
+class TracePiece(NamedTuple):
     """Dimension of (algebra / commutators) in one degree, with witness cycles."""
 
     degree: int

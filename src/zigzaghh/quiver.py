@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Optional
+
+from .reports import Frozen
 
 
 class NonBipartiteError(ValueError):
@@ -43,21 +44,22 @@ def two_coloring(vertex_count: int, pairs) -> Optional[list[int]]:
     return colors
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """A finite connected graph without loops or multiple edges."""
 
+    __slots__ = ("vertex_count", "edges", "name")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    name: Optional[str] = None
+    name: Optional[str]
 
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
+                 name: Optional[str] = None):
+        n = vertex_count
         if n < 1:
             raise ValueError("need at least one vertex")
         seen = set()
         norm = []
-        for e in self.edges:
+        for e in edges:
             i, j = e
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError("edge %r out of range" % (e,))
@@ -68,7 +70,7 @@ class Graph:
                 raise ValueError("multiple edge: %r" % (e,))
             seen.add(key)
             norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
+        super().__init__(n, tuple(norm), name)
         # fewer than n - 1 edges cannot connect n vertices; testing that first
         # refuses a huge vertex count without building its adjacency
         if len(norm) < n - 1 or not self._connected():
@@ -107,18 +109,20 @@ class Graph:
         return self.two_coloring() is not None
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """A finite quiver; arrow k runs arrows[k][0] -> arrows[k][1]."""
 
+    __slots__ = ("vertex_count", "arrows", "name")
     vertex_count: int
     arrows: tuple[tuple[int, int], ...]
-    name: Optional[str] = None
+    name: Optional[str]
 
-    def __post_init__(self):
-        for s, t in self.arrows:
-            if not (1 <= s <= self.vertex_count and 1 <= t <= self.vertex_count):
+    def __init__(self, vertex_count: int, arrows: tuple[tuple[int, int], ...],
+                 name: Optional[str] = None):
+        for s, t in arrows:
+            if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
                 raise ValueError("arrow (%d,%d) out of range" % (s, t))
+        super().__init__(vertex_count, arrows, name)
 
     @property
     def arrow_count(self) -> int:

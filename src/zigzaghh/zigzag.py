@@ -24,16 +24,16 @@ ones, from an index of the multiplication table.
 A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
 2, so the words of C^{p,q} are walked within a budget of 2 - p cycle
-classes, the walk reports each word's c, and C^{p,q} is empty for
-p >= 3.  A word of C^{2,q} has only
-arrows and outputs the cycle class at its source, so it is closed: those
-are the closed walks of length q + 2 in the double quiver, read from
-`pathalg.all_cycles`, which walks none of odd length on a tree.
+classes, the walk takes a last letter only where the word's ends admit
+an output of degree p + c, and C^{p,q} is empty for p >= 3.  A word of
+C^{2,q} has only arrows and outputs the cycle class at its source, so
+it is closed: those are the closed walks of length q + 2 in the double
+quiver, read from `pathalg.all_cycles`, which walks none of odd length
+on a tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactla import Echelon, ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
@@ -43,21 +43,24 @@ from .quiver import Graph
 from .reports import HHReport
 
 
-@dataclass
 class ZigzagAlgebra:
     """The zigzag algebra of a graph, as an explicit multiplication table."""
 
-    graph: Graph
-    field: FieldSpec
-    names: list[str]
-    degrees: list[int]
-    src: list[int]
-    tgt: list[int]
-    table: dict[tuple[int, int], int]
-    e_index: dict[int, int]
-    arrow_index: dict[tuple[int, int], int]
-    cycle_index: dict[int, int]
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, graph: Graph, field: FieldSpec, names: list[str], degrees: list[int],
+                 src: list[int], tgt: list[int], table: dict[tuple[int, int], int],
+                 e_index: dict[int, int], arrow_index: dict[tuple[int, int], int],
+                 cycle_index: dict[int, int], _cache: Optional[dict] = None):
+        self.graph = graph
+        self.field = field
+        self.names = names
+        self.degrees = degrees
+        self.src = src
+        self.tgt = tgt
+        self.table = table
+        self.e_index = e_index
+        self.arrow_index = arrow_index
+        self.cycle_index = cycle_index
+        self._cache = {} if _cache is None else _cache
 
     @property
     def dim(self) -> int:
@@ -169,41 +172,30 @@ def _table_index(alg: ZigzagAlgebra) -> tuple[dict, dict, dict]:
     return hit
 
 
-def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> list[tuple[Word, int]]:
+def _words(alg: ZigzagAlgebra, n: int, cycles: int, ends=None) -> list[tuple[Word, int]]:
     """Composable length-n words (n >= 1) over the positive-degree basis with
-    at most `cycles` cycle classes, lex order, each with its count of them.
+    at most `cycles` cycle classes, lex order, each with its count c of them.
 
-    A cycle class is tried only while budget remains.  Every per-vertex
-    letter list is in index order, so the walk is lexicographic and pruning
-    keeps that order.
+    With `ends`, a container of (source, target, c) triples, only the words
+    whose triple it holds: the last letter is taken only there, so no other
+    word is built.  A cycle class is tried only while budget remains.  Every
+    per-vertex letter list is in index order, so the walk is lexicographic
+    and pruning keeps that order.
     """
-    key = ("words", n, cycles)
-    hit = alg._cache.get(key)
-    if hit is None:
-        # (letter, its target, cycle classes it spends) by source; None starts
-        # a word, and every vertex has its cycle class to leave by
-        steps: dict[Optional[int], list[tuple[int, int, int]]] = {
-            None: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]}
-        for step in steps[None]:
-            steps.setdefault(alg.src[step[0]], []).append(step)
-        level = [((), None, 0)]
-        for _ in range(n):
-            level = [(w + (i,), t, c + d) for w, v, c in level
-                     for i, t, d in steps[v] if c + d <= cycles]
-        # kept as the words and one byte per count, so no pair outlives the call
-        hit = alg._cache[key] = ([w for w, _, _ in level], bytes(c for _, _, c in level))
-    return list(zip(*hit))
-
-
-def _outputs(alg: ZigzagAlgebra, s: int, t: int, deg: int) -> list[int]:
-    if deg == 0:
-        return [alg.e_index[s]] if s == t else []
-    if deg == 1:
-        i = alg.arrow_index.get((s, t))
-        return [i] if i is not None else []
-    if deg == 2:
-        return [alg.cycle_index[s]] if s == t else []
-    return []
+    # (letter, its target, cycle classes it spends) by source; None starts
+    # a word, and every vertex has its cycle class to leave by
+    steps: dict[Optional[int], list[tuple[int, int, int]]] = {
+        None: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]}
+    for step in steps[None]:
+        steps.setdefault(alg.src[step[0]], []).append(step)
+    # prefixes of n - 1 letters with their source, target and count; the
+    # empty prefix takes its source from the letter after it
+    level = [((), None, None, 0)]
+    for _ in range(n - 1):
+        level = [(w + (i,), s or alg.src[i], t, c + d) for w, s, v, c in level
+                 for i, t, d in steps[v] if c + d <= cycles]
+    return [(w + (i,), c + d) for w, s, v, c in level for i, t, d in steps[v]
+            if c + d <= cycles and (ends is None or (s or alg.src[i], t, c + d) in ends)]
 
 
 def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
@@ -214,8 +206,8 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     word's endpoints.  For zero tensor factors the inputs are the
     idempotents, encoded as the empty word with the output carrying the
     vertex.  A word with c cycle classes has output degree p + c, so only
-    the words with at most 2 - p of them are walked, and for p = 2 only
-    the closed ones.
+    the words with at most 2 - p of them are walked, for p = 2 only the
+    closed ones, and below only those whose ends admit that output.
     """
     n = p + q
     if n < 0 or p > 2:
@@ -224,19 +216,20 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     hit = alg._cache.get(key)
     if hit is not None:
         return hit
-    basis: list[tuple[Word, int]] = []
     if p == 2:
         # doubled letter k is basis index k + vertex count (edge order, a_k before a_k*)
         shift = alg.graph.vertex_count
         basis = [(tuple(a + shift for a in c.letters), alg.cycle_index[c.source])
                  for c in all_cycles(doubled_of_graph(alg.graph), n)]
-    elif n == 0:
-        for v in range(1, alg.graph.vertex_count + 1):
-            for z in _outputs(alg, v, v, -q):
-                basis.append(((), z))
     else:
-        for w, c in _words(alg, n, 2 - p):
-            basis += [(w, z) for z in _outputs(alg, alg.src[w[0]], alg.tgt[w[-1]], p + c)]
+        # the one output of degree p + c between two vertices, by (source, target, c)
+        out = {(alg.src[z], alg.tgt[z], alg.degrees[z] - p): z for z in range(alg.dim)}
+        if n == 0:
+            basis = [((), out[v, v, 0]) for v in range(1, alg.graph.vertex_count + 1)
+                     if (v, v, 0) in out]
+        else:
+            basis = [(w, out[alg.src[w[0]], alg.tgt[w[-1]], c])
+                     for w, c in _words(alg, n, 2 - p, out)]
     alg._cache[key] = basis
     return basis
 
@@ -333,7 +326,6 @@ def _representative_names(alg, basis, target_dim, out_cols, image, dimension):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HochschildCochain:
     """A (p, q) cochain: linear map on composable positive-basis words.
 
@@ -342,17 +334,15 @@ class HochschildCochain:
     constraints of the (p, q) cochain space.
     """
 
-    algebra: ZigzagAlgebra
-    p: int
-    q: int
-    values: dict[Word, dict[int, Scalar]]
-
-    def __post_init__(self):
-        alg = self.algebra
+    def __init__(self, algebra: ZigzagAlgebra, p: int, q: int,
+                 values: dict[Word, dict[int, Scalar]]):
+        alg = self.algebra = algebra
+        self.p = p
+        self.q = q
         fld = alg.field
-        allowed = set(cochain_basis(alg, self.p, self.q))
+        allowed = set(cochain_basis(alg, p, q))
         clean: dict[Word, dict[int, Scalar]] = {}
-        for w, outs in self.values.items():
+        for w, outs in values.items():
             w = tuple(w)
             for z, coeff in outs.items():
                 c = fld.element(coeff)
@@ -360,7 +350,7 @@ class HochschildCochain:
                     continue
                 if (w, z) not in allowed:
                     raise ValueError("value (%r -> %s) violates the (p,q)=(%d,%d) constraints"
-                                     % (w, alg.names[z], self.p, self.q))
+                                     % (w, alg.names[z], p, q))
                 clean.setdefault(w, {})[z] = c
         self.values = clean
 

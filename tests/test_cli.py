@@ -1,7 +1,10 @@
 """CLI behavior: outputs, exit codes, determinism, file ingestion."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -262,6 +265,14 @@ def test_hh2_invalid_graph_label(capsys):
     assert main(["hh2", "--graph", "Z9", "--char", "0", "--q", "1"]) == 2
 
 
+@pytest.mark.parametrize("text", ["..2", "1..", "a"])
+def test_hh2_malformed_q_names_the_flag(capsys, text):
+    assert main(["hh2", "--graph", "A3", "--q", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --q must be an integer or a range a..b, got %r\n" % text
+
+
 def test_hh2_invalid_characteristic(capsys):
     assert main(["hh2", "--graph", "A2", "--char", "6", "--q", "1"]) == 2
 
@@ -339,6 +350,12 @@ def test_ainfty_check_default(capsys):
 def test_ainfty_check_scaled(capsys):
     code, doc = _run_json(capsys, "ainfty-check", "--scale", "7")
     assert code == 0 and doc["cocycle"] and not doc["coboundary"]
+
+
+def test_ainfty_check_scale_zero_is_trivial_and_exits_1(capsys):
+    code, doc = _run_json(capsys, "ainfty-check", "--scale", "0")
+    assert code == 1
+    assert doc["cocycle"] is True and doc["coboundary"] is True
 
 
 def test_ainfty_check_arity_above_max_exits_2_before_any_walk(capsys, monkeypatch):
@@ -696,3 +713,15 @@ def test_table_output_renders(capsys):
     code, out = _run(capsys, "hh2", "--graph", "A2", "--char", "0", "--q", "0..2")
     assert code == 0
     assert "method" in out and "agreement" in out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every cold job pays for the modules the CLI imports: dataclasses brings
+    # inspect (with dis, ast and tokenize) and execs the methods of each class;
+    # -S keeps the site step's own imports out of the check
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, zigzaghh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,0 +1,101 @@
+"""Value semantics of the immutable types and fresh state of the mutable ones."""
+
+import copy
+import pickle
+
+import pytest
+
+from zigzaghh.ainfty import StasheffReport
+from zigzaghh.exactla import QQ, FieldSpec
+from zigzaghh.preproj import doubled_of
+from zigzaghh.quiver import Graph, Quiver, catalog
+from zigzaghh.reports import HHReport
+from zigzaghh.zigzag import build_zigzag
+
+VALUES = [
+    (lambda: Graph(3, ((2, 1), (2, 3)), "A3"), "name", "B3"),
+    (lambda: Quiver(3, ((2, 1), (2, 3)), "A3"), "arrows", ()),
+    (lambda: FieldSpec(5), "characteristic", 7),
+    (lambda: HHReport(2, 4, "trace", 1, ("a1 a1*",)), "dimension", 2),
+]
+
+
+@pytest.mark.parametrize("make, field, other", VALUES)
+def test_equal_fields_give_equal_objects_and_hashes(make, field, other):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert not a != b
+
+
+@pytest.mark.parametrize("make, field, other", VALUES)
+def test_fields_refuse_assignment(make, field, other):
+    a = make()
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, other)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, field) == before
+
+
+@pytest.mark.parametrize("make, field, other", VALUES)
+def test_copies_and_pickles_are_equal(make, field, other):
+    a = make()
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_a_graph_never_equals_a_quiver_with_the_same_fields():
+    g = Graph(2, ((1, 2),))
+    q = Quiver(2, ((1, 2),))
+    assert (g.vertex_count, g.edges, g.name) == (q.vertex_count, q.arrows, q.name)
+    assert g != q and q != g
+    assert HHReport(2, 2, "trace", 1) != (2, 2, "trace", 1, None)
+
+
+def test_fields_and_defaults_are_kept():
+    g = Graph(3, [(2, 1), (3, 2)])
+    assert (g.vertex_count, g.edges, g.name) == (3, ((1, 2), (2, 3)), None)
+    assert Graph(3, ((2, 1), (2, 3))) != Graph(3, ((2, 1), (2, 3)), "A3")
+    assert Quiver(vertex_count=2, arrows=((1, 2),)).name is None
+    assert FieldSpec().characteristic == 0 and FieldSpec() == FieldSpec(0)
+    assert HHReport(2, 2, "zigzag", 0).representatives is None
+    assert repr(FieldSpec(3)) == "FieldSpec(characteristic=3)"
+    assert repr(Graph(2, ((2, 1),), "A2")) == "Graph(vertex_count=2, edges=((1, 2),), name='A2')"
+
+
+def test_validation_is_kept():
+    with pytest.raises(ValueError, match="characteristic must be 0 or a prime, got 4"):
+        FieldSpec(4)
+    with pytest.raises(ValueError, match="negative dimension"):
+        HHReport(2, 2, "trace", -1)
+    with pytest.raises(ValueError, match="multiple edge"):
+        Graph(2, ((1, 2), (2, 1)))
+    with pytest.raises(ValueError, match="not connected"):
+        Graph(3, ((1, 2),))
+    with pytest.raises(ValueError, match=r"arrow \(1,3\) out of range"):
+        Quiver(2, ((1, 3),))
+
+
+def test_equal_quivers_share_one_double():
+    a = Quiver(3, ((1, 2), (3, 2)), "A3")
+    b = Quiver(3, ((1, 2), (3, 2)), "A3")
+    assert a is not b
+    assert doubled_of(a) is doubled_of(b)
+
+
+def test_stasheff_reports_do_not_share_their_lists():
+    a, b = StasheffReport(3), StasheffReport(3)
+    a.violations.append("v")
+    a.conditional_arities.append(4)
+    assert b.violations == [] and b.conditional_arities == []
+    assert StasheffReport(3, conditional_arities=[4, 5]).conditional_arities == [4, 5]
+
+
+def test_zigzag_algebras_do_not_share_their_caches():
+    a, b = build_zigzag(catalog("A", 2), QQ), build_zigzag(catalog("A", 2), QQ)
+    a._cache["probe"] = 1
+    assert "probe" not in b._cache

@@ -166,11 +166,14 @@ def test_word_walk_counts_the_cycle_classes():
 
 def test_hh2_walks_only_the_budgeted_word_tables():
     # C^{2,6} is the closed walks of length 8, C^{1,6} the words of length 7
-    # with at most one cycle class, and C^{3,6} is empty: one word table
+    # with at most one cycle class whose ends admit an output, and C^{3,6} is
+    # empty: two bases and no word table, each word of C^{1,6} with one output
     alg = build_zigzag(catalog("E~", 6), QQ)
     hochschild_dim(alg, 2, 6)
-    tables = sorted(k[1:] for k in alg._cache if isinstance(k, tuple) and k[0] == "words")
-    assert tables == [(7, 1)]
+    tables = sorted(k for k in alg._cache if isinstance(k, tuple))
+    assert tables == [("cbasis", 1, 6), ("cbasis", 2, 6)]
+    basis = cochain_basis(alg, 1, 6)
+    assert len({w for w, _ in basis}) == len(basis) < len(_words(alg, 7, 1))
 
 
 def test_hochschild_dim_a2_vanishing():
