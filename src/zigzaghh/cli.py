@@ -38,10 +38,10 @@ MAX_DEGREE = 128
 # the exit codes of every accepted input are pinned
 MAX_ARITY = 8
 
-# hh2's ginzburg and trace methods walk every closed walk of length q + 2 in
-# the double quiver, tr(A^(q+2)) of them for the adjacency matrix A: E~8 has
-# 135,488 at q = 14, where ginzburg takes about 3 s and 220 MB, and 535,846
-# at q = 16 (2-vCPU Xeon, Python 3.11)
+# hh2's ginzburg and trace methods are bounded by the closed walks of length
+# q + 2 in the double quiver, tr(A^(q+2)) for the adjacency matrix A: E~8 has
+# 135,488 at q = 14, where ginzburg walks their 8,516 necklaces and takes
+# about 0.7 s and 40 MB cold, and 535,846 at q = 16 (2-vCPU Xeon, Python 3.11)
 MAX_CYCLES = 300_000
 
 # hh2's zigzag method walks the words of C^{1,q} within its cycle budget, and
@@ -527,7 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value that starts with '-' and is not a plain number,
+    # such as -3..1, as an option: attach a range to its flag
+    tokens: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--q" and arg[:1] == "-" and ".." in arg:
+            tokens[-1] = "--q=" + arg
+        else:
+            tokens.append(arg)
+    args = parser.parse_args(tokens)
     try:
         code = args.fn(args)
     except CliError as exc:

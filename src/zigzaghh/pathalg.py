@@ -10,10 +10,15 @@ One depth-first walk emits the words already in that order, with no
 sort: every word of a length for `all_words`, and for `all_cycles` only
 the closed ones, since the last letter must return to the first letter's
 source, so no open word is built.  Cycles come only from that closed
-walk; no code filters a word table for them.  The walk builds each word
-when it reaches it, and can try letters from the largest down:
-`cycles_descending` reads the cycles in reverse order, uncached, for a
-scan that stops early.
+walk; no code filters a word table for them.  In its necklace mode the
+walk keeps only the prefixes that can still grow into a necklace, a
+cycle that is its own largest rotation, so `all_necklaces` builds one
+cycle per rotation class and skips most prefixes (on the double of E~8
+at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes);
+`largest_rotation` maps any cycle to its necklace.  The walk builds each
+word when it reaches it, and can try letters from the largest down:
+`necklaces_descending` reads the necklaces in reverse order, uncached,
+for a scan that stops early.
 """
 
 from __future__ import annotations
@@ -69,13 +74,21 @@ def loop_count(q, p: Path) -> int:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
-def _walk(q, n: int, closed: bool = False, descending: bool = False) -> Iterator[Path]:
+def _walk(q, n: int, closed: bool = False, descending: bool = False,
+          necklace: bool = False) -> Iterator[Path]:
     """Length-n words in lexicographic letter order, from one depth-first walk
     that builds each word when it reaches it.
 
     With `closed`, only the cycles: the last letter must return to the
     first letter's source.  With `descending`, every position tries its
     letters from the largest down, so the words come in reverse order.
+    With `necklace` as well, only the necklaces (cycles that are their own
+    largest rotation), and a prefix grows only while it passes the FKM
+    prenecklace test for the largest rotation (Ruskey, Savage and Wang,
+    Generating necklaces, J. Algorithms 1992): with period p, the letter at
+    position t is at most word[t - p], an equal one keeps p and a smaller
+    one makes it t + 1; a word of n letters is a necklace iff p divides n.
+    A closed walk's letters only narrow the alphabet, so none is pruned.
     """
     if n == 0:
         vertices = range(1, q.vertex_count + 1)
@@ -98,6 +111,12 @@ def _walk(q, n: int, closed: bool = False, descending: bool = False) -> Iterator
             if not closed or src[k] == tgt[k]:
                 yield Path(src[k], (k,), tgt[k])
         return
+    if necklace:
+        # capped[v, b]: the letters leaving v that are at most b
+        capped = {(v, b): [k for k in ks if k <= b]
+                  for v, ks in steps.items() if v for b in range(q.arrow_count)}
+        # period[t] is the period of the prenecklace word[:t + 1]
+        period = [1] * n
     # stack[pos] holds the letters still to try at position pos < last; the
     # last position is walked in place
     word = [0] * n
@@ -107,11 +126,19 @@ def _walk(q, n: int, closed: bool = False, descending: bool = False) -> Iterator
             pos = len(stack)
             word[pos - 1] = k
             at = tgt[k]
+            if necklace:
+                if pos > 1:
+                    p = period[pos - 2]
+                    period[pos - 1] = p if k == word[pos - 1 - p] else pos
+                p = period[pos - 1]
+                top = word[pos - p]   # the largest letter allowed at pos
             if pos < last:
-                stack.append(iter(steps[at]))
+                stack.append(iter(capped[at, top] if necklace else steps[at]))
                 break
             s = src[word[0]]
             for e in ends.get((at, s), ()) if closed else steps[at]:
+                if necklace and (e > top or e == top and n % p):
+                    continue
                 word[last] = e
                 yield Path(s, tuple(word), tgt[e])
         else:
@@ -162,13 +189,47 @@ def all_cycles(q, n: int) -> list[Path]:
     return hit
 
 
-def cycles_descending(q, n: int) -> Iterator[Path]:
-    """all_cycles(q, n) in reverse order, each cycle walked only when read.
+def all_necklaces(q, n: int) -> list[Path]:
+    """The length-n cycles that are their own largest rotation, one per
+    rotation class, in global lexicographic letter order.
 
-    Nothing is cached, so a scan that stops early walks only the cycles
-    it read.
+    They are the cycles c of all_cycles(q, n) with
+    c.letters == largest_rotation(c.letters), walked without the others.
     """
-    return iter(()) if _odd_on_two_colored(q, n) else _walk(q, n, closed=True, descending=True)
+    cache = q._cache
+    key = ("necklaces", n)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = [] if _odd_on_two_colored(q, n) else \
+            list(_walk(q, n, closed=True, necklace=True))
+    return hit
+
+
+def necklaces_descending(q, n: int) -> Iterator[Path]:
+    """all_necklaces(q, n) in reverse order, each necklace walked only when read.
+
+    Nothing is cached, so a scan that stops early walks only the
+    prenecklaces it passed.
+    """
+    if _odd_on_two_colored(q, n):
+        return iter(())
+    return _walk(q, n, closed=True, descending=True, necklace=True)
+
+
+def largest_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically largest rotation of a cyclic word: its necklace."""
+    if not letters:
+        return letters
+    top = max(letters)
+    k = letters.index(top)
+    best = letters[k:] + letters[:k]
+    if letters.count(top) > 1:
+        n = len(letters)
+        twice = letters + letters
+        for j in range(k + 1, n):
+            if letters[j] == top and twice[j:j + n] > best:
+                best = twice[j:j + n]
+    return best
 
 
 def _odd_on_two_colored(q, n: int) -> bool:

@@ -42,7 +42,7 @@ import functools
 from typing import NamedTuple, Optional
 
 from .exactla import Echelon, FieldSpec, echelonize, in_span
-from .pathalg import Path, cycles_descending, trivial_path
+from .pathalg import Path, necklaces_descending, trivial_path
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
 # relation term: (coefficient, (first letter, second letter)) at a vertex
@@ -228,8 +228,8 @@ class _Table:
         scan.pivot_row = dict(ech.pivot_row)
         found: list[Path] = []
         memo: dict = {}
-        for c in cycles_descending(self.qd, n):
-            if c.letters == _necklace(c.letters) and scan.add(self.class_of(c, memo)):
+        for c in necklaces_descending(self.qd, n):
+            if scan.add(self.class_of(c, memo)):
                 found.append(c)
                 if len(found) == dim:
                     break
@@ -281,14 +281,6 @@ def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
     if n < 0:
         raise ValueError("degree must be >= 0")
     return sum(1 for b in _preprojective_table(q, fld).degree(n) if b.source == b.target == i)
-
-
-def _necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically largest rotation of a cyclic word."""
-    if not letters:
-        return letters
-    top = max(letters)
-    return max(letters[k:] + letters[:k] for k, a in enumerate(letters) if a == top)
 
 
 def _trace_of(table: _Table, n: int, want_witnesses: bool) -> TracePiece:

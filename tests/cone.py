@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from zigzaghh.exactla import FieldSpec, span_info
-from zigzaghh.ginzburg import _vertex_relations, ginzburg_of
+from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import Path, basis_of_bidegree, loop_count, make_path
 from zigzaghh.quiver import Quiver
 
-from dg import concat, differential
+from dg import concat, differential, vertex_relations
 
 
 @dataclass
@@ -70,7 +70,7 @@ def verify_cone_resolution(q: Quiver, p_window: tuple[int, int], q_max: int,
     a chain map, and the cone has the cohomology of B itself.
     """
     qg = ginzburg_of(q)
-    rels = _vertex_relations(qg)
+    rels = vertex_relations(qg)
 
     def b_basis(p: int, adams: int) -> list[Path]:
         if p > 0:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from zigzaghh.exactla import ExactMatrix, FieldSpec, Scalar
-from zigzaghh.ginzburg import _vertex_relations
 from zigzaghh.pathalg import (Path, basis_of_bidegree, loop_count, make_path, path_name,
                               trivial_path)
+from zigzaghh.preproj import preprojective_relations
 from zigzaghh.quiver import GinzburgQuiver
 
 
@@ -155,6 +155,11 @@ def commutator(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     return a * b - b * a
 
 
+def vertex_relations(qg: GinzburgQuiver) -> dict[int, list[tuple[int, tuple[int, int]]]]:
+    """d(t_v) = r_v as letter pairs; the doubled arrows share indices with qg."""
+    return preprojective_relations(qg.doubled.base)
+
+
 def differential(qg: GinzburgQuiver, w: Path, fld: FieldSpec) -> BigradedElement:
     """Derivation extension of d(loop) = vertex relation, d(arrow) = 0.
 
@@ -162,7 +167,7 @@ def differential(qg: GinzburgQuiver, w: Path, fld: FieldSpec) -> BigradedElement
     of the prefix, i.e. (-1)^(number of loops before the occurrence).
     """
     out = BigradedElement.zero(fld, qg)
-    rels = _vertex_relations(qg)
+    rels = vertex_relations(qg)
     loops_before = 0
     for pos, letter in enumerate(w.letters):
         if not qg.is_loop(letter):

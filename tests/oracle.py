@@ -16,8 +16,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 from zigzaghh.exactla import FieldSpec, echelonize, in_span, span_info
+from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import Path, all_cycles, all_words
+from zigzaghh.preproj import preprojective_relations
 from zigzaghh.quiver import Quiver
 from zigzaghh.zigzag import ZigzagAlgebra
 
@@ -447,3 +451,53 @@ def oracle_class_is_zero(qd, rels, vector: dict[Path, int], fld: FieldSpec) -> b
         k = index[oracle_necklace(c.letters)]
         image[k] = image.get(k, 0) + x
     return in_span(fld, echelonize(fld, rows, len(necklaces)), image)
+
+
+# ---------------------------------------------------------------------------
+# The full small complex of the 2-Ginzburg dg algebra, which the package's
+# necklace elimination replaced, kept as its reference: every length-(q+2)
+# cycle is a codomain coordinate, and the rotation columns pi x* - x* pi
+# come before the relation columns r_v c.
+# ---------------------------------------------------------------------------
+
+class HH2Complex(NamedTuple):
+    """The three-term complex computing HH^{2,q} of the dg algebra."""
+
+    q: int
+    field: FieldSpec
+    dom1: list[tuple[int, Path]]   # (doubled arrow x, path pi of length q+1): pi x* - x* pi
+    dom2: list[Path]               # t_v c for the closed walks c of length q at v
+    codomain: list[Path]           # length-(q+2) cycles in the double quiver
+    cols1: list[dict]              # sparse columns {codomain index: coeff} of dom1
+    cols2: list[dict]              # and of dom2: r_v c
+
+    def combined_columns(self) -> list[dict]:
+        return self.cols1 + self.cols2
+
+
+def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
+    """The complex in Adams degree adams >= -2, one rotation column per cycle
+    w = pi x* (x the star of w's last letter), ordered by x and then by w."""
+    if adams < -2:
+        raise ValueError("no complex below Adams degree -2")
+    qg = ginzburg_of(q)
+    qd = qg.doubled
+    codomain = all_cycles(qd, adams + 2)
+    # a cycle of positive length is fixed by its letters
+    index = {w.letters: i for i, w in enumerate(codomain)}
+    dom1: list[tuple[int, Path]] = []
+    cols1: list[dict] = []
+    for x in range(qd.arrow_count if adams + 2 > 0 else 0):
+        partner = qd.star(x)
+        sign = 1 if x % 2 == 0 else -1
+        for i, w in enumerate(codomain):
+            if w.letters[-1] != partner:
+                continue
+            j = index[w.letters[-1:] + w.letters[:-1]]
+            dom1.append((x, Path(w.source, w.letters[:-1], qd.arrow_source[partner])))
+            cols1.append({i: sign, j: -sign} if i != j else {})
+    rels = preprojective_relations(q)
+    walks = all_cycles(qd, adams) if adams >= 0 else []
+    dom2 = [Path(c.source, (qg.loop_index[c.source],) + c.letters, c.source) for c in walks]
+    cols2 = [{index[pair + c.letters]: coeff for coeff, pair in rels[c.source]} for c in walks]
+    return HH2Complex(adams, fld, dom1, dom2, codomain, cols1, cols2)

@@ -188,6 +188,31 @@ def test_hh2_below_minus_two_is_zero_for_every_method(capsys):
     assert code == 0 and [r["dim"] for r in doc["results"]] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("method", ["ginzburg", "trace", "zigzag", "all"])
+def test_hh2_negative_range_is_read_with_or_without_equals(capsys, method):
+    # argparse would read -3..1 after a space as an option and exit 2
+    # ("expected one argument"); both spellings give the same bytes
+    outs = []
+    for q in (["--q", "-3..1"], ["--q=-3..1"]):
+        for out in ("table", "json"):
+            code, text = _run(capsys, "hh2", "--graph", "A3", *q, "--method", method,
+                              "--out", out)
+            assert code == 0, (q, out)
+            outs.append(text)
+    assert outs[:2] == outs[2:]
+    doc = json.loads(outs[1])
+    ran = [m for m in ("ginzburg", "trace", "zigzag") if method in (m, "all")]
+    assert sorted((r["q"], r["method"]) for r in doc["results"]) == \
+        sorted((q, m) for q in range(-3, 2) for m in ran)
+    # a plain negative number was read before, and still is the same
+    assert _run(capsys, "hh2", "--graph", "A3", "--q", "-3", "--method", method) == \
+        _run(capsys, "hh2", "--graph", "A3", "--q=-3", "--method", method)
+    # a malformed range after a space reaches the flag's own message
+    assert main(["hh2", "--graph", "A3", "--q", "-3..", "--method", method]) == 2
+    assert capsys.readouterr().err == \
+        "error: --q must be an integer or a range a..b, got '-3..'\n"
+
+
 @pytest.mark.parametrize("graph,char", [("E~8", 0), ("E~6", 2), ("D~6", 0)])
 def test_hh2_ginzburg_q10_jobs_pinned(capsys, graph, char):
     # the ginzburg-deep benchmark jobs with witnesses, recorded before the
@@ -389,8 +414,9 @@ def test_hh2_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch, method
         calls.append(n)
         return []
 
-    for module, name in ((pathalg, "all_cycles"), (pathalg, "cycles_descending"),
-                         (ginzburg, "all_cycles"), (preproj, "cycles_descending")):
+    for module, name in ((pathalg, "all_cycles"), (pathalg, "all_necklaces"),
+                         (pathalg, "necklaces_descending"), (ginzburg, "all_cycles"),
+                         (ginzburg, "all_necklaces"), (preproj, "necklaces_descending")):
         monkeypatch.setattr(module, name, spy)
     assert 135_488 <= cli.MAX_CYCLES < 477_434   # E~8 at q = 14, E8 at q = 16
     for q, err in (("14..17", "--q 16 needs 535846 closed walks of length 18"),
@@ -414,8 +440,8 @@ def test_classify_above_cycle_cap_exits_2_before_any_walk(capsys, monkeypatch):
         calls.append(n)
         return []
 
-    for module, name in ((pathalg, "all_cycles"), (pathalg, "cycles_descending"),
-                         (preproj, "cycles_descending")):
+    for module, name in ((pathalg, "all_cycles"), (pathalg, "all_necklaces"),
+                         (pathalg, "necklaces_descending"), (preproj, "necklaces_descending")):
         monkeypatch.setattr(module, name, spy)
     assert main(["classify", "--graph", "E8", "--max", "30"]) == 2
     captured = capsys.readouterr()
@@ -440,8 +466,9 @@ def test_preproj_above_word_cap_exits_2_before_any_walk(capsys, monkeypatch):
 
     monkeypatch.setattr(pathalg, "all_words", spy)
     monkeypatch.setattr(pathalg, "all_cycles", spy)
-    monkeypatch.setattr(pathalg, "cycles_descending", spy)
-    monkeypatch.setattr(preproj, "cycles_descending", spy)
+    monkeypatch.setattr(pathalg, "all_necklaces", spy)
+    monkeypatch.setattr(pathalg, "necklaces_descending", spy)
+    monkeypatch.setattr(preproj, "necklaces_descending", spy)
     monkeypatch.setattr(preproj, "echelonize", spy)
     for graph, top, count in (("E~8", 30, "at least 9774434"), ("E~8", 14, "9774434"),
                               ("A3", 30, "at least 9281454")):
@@ -509,7 +536,7 @@ def test_degree_above_cap_exits_2_before_any_count_or_walk(capsys, monkeypatch, 
         raise AssertionError("walked or counted")
 
     for module in (pathalg, ginzburg, preproj):
-        for name in ("all_words", "all_cycles", "cycles_descending"):
+        for name in ("all_words", "all_cycles", "all_necklaces", "necklaces_descending"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
     monkeypatch.setattr(zigzag, "cochain_basis", spy)

@@ -5,16 +5,16 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
-from zigzaghh.ginzburg import ginzburg_of, h0_dim, hh2_complex, hh2_dim
-from zigzaghh.pathalg import Path, all_words, loop_count, make_path, paths_between
+from zigzaghh.ginzburg import ginzburg_of, h0_dim, hh2_dim
+from zigzaghh.pathalg import Path, all_words, loop_count, make_path, path_name, paths_between
 from zigzaghh.preproj import (cycle_class_in_trace_is_zero, doubled_of, lambda_piece,
                               preprojective_relations, trace_piece)
-from zigzaghh.quiver import Graph, catalog, orient_bipartite, orient_by_edge_order
+from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
 
 from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential,
                 path_from_names)
-from oracle import oracle_basis_of_bidegree, oracle_necklace, oracle_necklace_space
+from oracle import hh2_complex, oracle_basis_of_bidegree, oracle_necklace, oracle_necklace_space
 
 
 def _q(family, n):
@@ -103,17 +103,17 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
 
 
 def test_hh2_builds_no_ginzburg_word_table():
-    # the codomain cycles and the relation columns' closed walks both come
-    # from the doubled quiver's closed walk; dom1 is read off the codomain
-    # and each relation column is r_v c, so no Ginzburg word and no open
-    # path table is built
+    # the codomain necklaces and the relation columns' closed walks both come
+    # from the doubled quiver's closed walk, and each relation column is
+    # r_v c read on necklaces, so no Ginzburg word, no open path table and
+    # no table of the other cycles of length q + 2 is built
     q = _q("E~", 6)
     qg = ginzburg_of(q)
     qg._cache.clear()
     doubled_of(q)._cache.clear()
     hh2_dim(q, 8, GF(2))
     assert list(qg._cache) == []
-    assert list(doubled_of(q)._cache) == [("closed", 10), ("closed", 8)]
+    assert list(doubled_of(q)._cache) == [("necklaces", 10), ("closed", 8)]
 
 
 def _random_nontree(seed: int, n: int) -> Graph:
@@ -171,11 +171,15 @@ def test_hh2_complex_spans_the_full_complex(quiv):
 
 @pytest.mark.parametrize("quiv", [_q("A", 5), _q("D", 5), _q("E", 6), _q("D~", 4), _q("E~", 6),
                                   orient_by_edge_order(catalog("A~", 3)),
-                                  orient_by_edge_order(_random_nontree(4077, 6))],
+                                  orient_by_edge_order(_random_nontree(4077, 6)),
+                                  Quiver(2, ((1, 1), (1, 2)), name="loop-and-edge")],
                          ids=lambda quiv: quiv.name)
 def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
-    # one assembly: hh2_dim eliminates exactly the columns of hh2_complex,
-    # in order, over the codomain, without the domain paths
+    # the rotation columns eliminated in closed form: hh2_dim eliminates the
+    # relation columns of the full complex read on necklaces, over one
+    # coordinate per rotation class, and its dimension and witnesses are the
+    # free columns of the full complex from the oracle.  At a loop a, the
+    # terms a a* c and a* a c of r_v c can share a necklace.
     from zigzaghh import ginzburg
 
     seen = []
@@ -186,16 +190,32 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
         return span_info(fld, vectors, ambient_dim)
 
     monkeypatch.setattr(ginzburg, "span_info", spy)
+    qd = doubled_of(quiv)
+
+    def rotation_class(w):   # a trivial path is its own class
+        return oracle_necklace(w.letters) if w.letters else (w.source,)
+
     for fld in (QQ, GF(2), GF(3)):
         for adams in range(-2, 9):
-            rep = hh2_dim(quiv, adams, fld)
+            rep = hh2_dim(quiv, adams, fld, want_witnesses=True)
             cx = hh2_complex(quiv, adams, fld)
             (cols, ambient), = seen
             seen.clear()
-            assert ambient == len(cx.codomain), (fld, adams)
-            assert [list(c.items()) for c in cols] == \
-                [list(c.items()) for c in cx.combined_columns()], (fld, adams)
-            assert rep.dimension == span_info(fld, cols, ambient).quotient_dim
+            classes = sorted({rotation_class(w) for w in cx.codomain})
+            column = {c: k for k, c in enumerate(classes)}
+            assert ambient == len(classes), (fld, adams)
+            projected = []
+            for col in cx.cols2:
+                image: dict[int, int] = {}
+                for i, x in col.items():
+                    k = column[rotation_class(cx.codomain[i])]
+                    image[k] = image.get(k, 0) + x
+                projected.append(image)
+            assert cols == projected, (fld, adams)
+            full = span_info(fld, cx.combined_columns(), len(cx.codomain))
+            assert rep.dimension == full.quotient_dim, (fld, adams)
+            assert rep.representatives == tuple(path_name(qd, cx.codomain[i])
+                                                for i in full.free_coords), (fld, adams)
 
 
 def test_hh2_complex_a2_q0_dimensions():

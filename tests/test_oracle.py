@@ -2,18 +2,21 @@
 
 import importlib.util
 import itertools
+import random
 
 import pytest
 
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import ginzburg_of
-from zigzaghh.pathalg import Path, all_cycles, basis_of_bidegree, cycles_descending
+from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, basis_of_bidegree,
+                              largest_rotation, necklaces_descending)
 from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
-from zigzaghh.quiver import catalog, double, orient_bipartite, orient_by_edge_order
+from zigzaghh.quiver import (Graph, Quiver, catalog, double, orient_bipartite,
+                             orient_by_edge_order)
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
 from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
-                    oracle_hh_unreduced, oracle_lambda_dim, oracle_trace_dim)
+                    oracle_hh_unreduced, oracle_lambda_dim, oracle_necklace, oracle_trace_dim)
 
 
 def _q(family, n):
@@ -82,9 +85,40 @@ def test_all_cycles_is_the_oracle_walk_filtered_to_cycles():
             assert all_cycles(qd, n) == want, (quiv.name, n)
 
 
-def test_cycles_descending_is_the_oracle_walk_reversed_and_lazy():
-    # the witness scan reads the cycles from the largest down and stops
-    # early: the oracle's cycles in reverse, never cached, and built only
+def _random_nontree(seed: int, n: int) -> Graph:
+    rng = random.Random(seed)
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    return Graph(n, tuple(edges + rng.sample(missing, 2)), name="random-nontree-%d" % seed)
+
+
+_NECKLACE_QUIVERS = (
+    [_q(f, n) for f, n in (("A", 1), ("A", 2), ("A", 5), ("D", 4), ("D", 5), ("E", 6), ("E", 7),
+                           ("E", 8), ("A~", 3), ("A~", 5), ("D~", 4), ("D~", 5), ("D~", 6),
+                           ("E~", 6), ("E~", 7), ("E~", 8), ("D~", 8))]
+    + [orient_by_edge_order(catalog("A~", n)) for n in (2, 4)]   # odd cycles
+    + [orient_by_edge_order(_random_nontree(seed, 5)) for seed in (3, 71, 902)]
+    + [Quiver(2, ((1, 1), (1, 2)), name="loop-and-edge")])   # a loop: odd lengths too
+
+
+@pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
+def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv):
+    # the pruned walk emits exactly the cycles the oracle calls necklaces,
+    # in order and in reverse; largest_rotation is the oracle's necklace
+    qd = double(quiv)
+    for n in range(11):
+        cycles = all_cycles(qd, n)
+        want = [c for c in cycles if c.letters == oracle_necklace(c.letters)]
+        assert all_necklaces(qd, n) == want, (quiv.name, n)
+        assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
+        assert all(largest_rotation(c.letters) == oracle_necklace(c.letters) for c in cycles)
+    assert [key for key in qd._cache if key[0] == "necklaces"] == \
+        [("necklaces", n) for n in range(11)]
+
+
+def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy():
+    # the witness scan reads the necklaces from the largest down and stops
+    # early: the oracle's necklaces in reverse, never cached, and built only
     # as far as they are read
     quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
                orient_by_edge_order(catalog("A~", 2))]
@@ -93,14 +127,16 @@ def test_cycles_descending_is_the_oracle_walk_reversed_and_lazy():
         arrows = list(zip(qd.arrow_source, qd.arrow_target))
         for n in range(9):
             want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
-                    if s == t]
-            assert list(cycles_descending(qd, n)) == want[::-1], (quiv.name, n)
+                    if s == t and word == oracle_necklace(word)]
+            assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
         assert qd._cache == {}
     qd = double(_q("D~", 4))
-    top = list(itertools.islice(cycles_descending(qd, 40), 5))   # of about 4^40
+    top = list(itertools.islice(necklaces_descending(qd, 40), 5))   # of about 4^40 / 40
     assert all(c.source == c.target and len(c.letters) == 40 for c in top)
+    assert all(c.letters == oracle_necklace(c.letters) for c in top)
     assert top[0].letters[0] == qd.arrow_count - 1
     assert [c.letters for c in top] == sorted({c.letters for c in top}, reverse=True)
+    assert qd._cache == {}
 
 
 def test_oracle_cochain_basis_matches_budgeted_walk():

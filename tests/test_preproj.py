@@ -278,26 +278,27 @@ def test_trace_reads_only_closed_walks():
 
 
 def test_witness_scan_stops_at_the_dimension(monkeypatch):
-    # the scan walks the cycles from the largest down and stops at the last
-    # witness: E~8 over Q in degree 12 has one, found among 176 of its 8,838
-    # cycles, and the partial walk is not cached
+    # the scan walks the necklaces from the largest down and stops at the
+    # last witness: E~8 over Q in degree 12 has one, found among 122 of its
+    # 761 necklaces, and the partial walk is not cached
     from zigzaghh import pathalg, preproj
 
     read = []
 
     def counted(qd, n):
-        for c in pathalg.cycles_descending(qd, n):
+        for c in pathalg.necklaces_descending(qd, n):
             read.append(c)
             yield c
 
-    monkeypatch.setattr(preproj, "cycles_descending", counted)
+    monkeypatch.setattr(preproj, "necklaces_descending", counted)
     q = _q("E~8")
     qd = preproj.doubled_of(q)
     qd._cache.clear()
     tr = trace_piece(q, 12, QQ)
     assert tr.dimension == len(tr.witnesses) == 1
-    assert len(read) == 176 and read[-1] == tr.witnesses[0]
-    assert ("closed", 12) not in qd._cache
+    assert len(read) == 122 and read[-1] == tr.witnesses[0]
+    assert qd._cache.keys() == {("lambda", "preprojective", 0)}
+    assert len(pathalg.all_necklaces(qd, 12)) == 761
     assert len(pathalg.all_cycles(qd, 12)) == 8838
 
 
