@@ -20,7 +20,7 @@ from .pathalg import Path, basis_of_bidegree, paths_between
 from .preproj import (GradedQuotientPiece, TracePiece, cyclic_piece_dim,
                       koszul_dual_zigzag_piece, lambda_piece, trace_piece,
                       trace_piece_general)
-from .ginzburg import h0_dim, hh2_dim
+from .ginzburg import h0_dim, hh2_complex, hh2_dim
 from .zigzag import (HochschildCochain, ZigzagAlgebra, build_zigzag, cochain_differential,
                      hochschild_dim, is_coboundary, is_cocycle)
 from .ainfty import AInftyCandidate, StasheffReport, check_stasheff, class_of, extended_d4_m4
@@ -33,7 +33,7 @@ __all__ = [
     "Path", "basis_of_bidegree", "paths_between",
     "GradedQuotientPiece", "TracePiece", "cyclic_piece_dim",
     "koszul_dual_zigzag_piece", "lambda_piece", "trace_piece", "trace_piece_general",
-    "h0_dim", "hh2_dim",
+    "h0_dim", "hh2_complex", "hh2_dim",
     "HochschildCochain", "ZigzagAlgebra", "build_zigzag", "cochain_differential",
     "hochschild_dim", "is_coboundary", "is_cocycle",
     "AInftyCandidate", "StasheffReport", "check_stasheff", "class_of", "extended_d4_m4",

@@ -18,25 +18,18 @@ rotation class, and every other cycle is a pivot of a rotation column,
 so the free necklaces are the free cycles of the full complex.  Modulo
 rotations the loop of a one-loop word u t_v u' can go first, so one
 column r_v c per closed walk c of length q at v spans the rest, each
-term read as its necklace and the coefficients summed.  The full
-complex, rotation columns and domain paths included, is kept in
-`tests/oracle.py` as the reference.
+term read as its necklace and the coefficients summed: `hh2_complex`.
+The full complex, rotation columns and domain paths included, is kept
+in `tests/oracle.py` as the reference.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .exactla import FieldSpec, span_info
-from .pathalg import all_cycles, all_necklaces, largest_rotation, path_name
+from .pathalg import Path, all_cycles, all_necklaces, largest_rotation, path_name
 from .preproj import doubled_of, lambda_piece, preprojective_relations
-from .quiver import GinzburgQuiver, Quiver, ginzburg_extend
+from .quiver import Quiver
 from .reports import HHReport
-
-
-@functools.cache
-def ginzburg_of(q: Quiver) -> GinzburgQuiver:
-    return ginzburg_extend(doubled_of(q))
 
 
 def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
@@ -44,11 +37,13 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
     return lambda_piece(q, adams, fld).dimension if adams >= 0 else 0
 
 
-def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:
-    """HH^{2,adams} of the dg algebra, as the cokernel of the relation
-    columns r_v c on the necklaces of length adams + 2."""
+def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
+    """The small complex in Adams degree adams >= -2, rotation columns
+    eliminated: the necklaces of length adams + 2, ascending, and one
+    relation column r_v c per closed walk c of length adams, sparse
+    {necklace index: coeff}."""
     if adams < -2:
-        return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
+        raise ValueError("no complex below Adams degree -2")
     qd = doubled_of(q)
     necklaces = all_necklaces(qd, adams + 2)
     index = {w.letters: i for i, w in enumerate(necklaces)}
@@ -60,8 +55,16 @@ def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False)
             i = index[largest_rotation(pair + c.letters)]
             col[i] = col.get(i, 0) + coeff
         cols.append(col)
+    return necklaces, cols
+
+
+def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:
+    """HH^{2,adams} of the dg algebra, as the cokernel of `hh2_complex`."""
+    if adams < -2:
+        return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
+    necklaces, cols = hh2_complex(q, adams)
     info = span_info(fld, cols, len(necklaces))
     reps = None
     if want_witnesses:
-        reps = tuple(path_name(qd, necklaces[i]) for i in info.free_coords)
+        reps = tuple(path_name(doubled_of(q), necklaces[i]) for i in info.free_coords)
     return HHReport(2, adams, "ginzburg", info.quotient_dim, reps)

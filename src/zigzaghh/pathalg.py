@@ -223,6 +223,7 @@ def largest_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     top = max(letters)
     k = letters.index(top)
     best = letters[k:] + letters[:k]
+    # one slice per later top letter: faster than max() over the rotations
     if letters.count(top) > 1:
         n = len(letters)
         twice = letters + letters

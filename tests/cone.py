@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from zigzaghh.exactla import FieldSpec, span_info
-from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import Path, basis_of_bidegree, loop_count, make_path
 from zigzaghh.quiver import Quiver
 
-from dg import concat, differential, vertex_relations
+from dg import concat, differential, ginzburg_of, vertex_relations
 
 
 @dataclass

@@ -10,14 +10,15 @@ as a derivation with the Koszul sign of the prefix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from zigzaghh.exactla import ExactMatrix, FieldSpec, Scalar
 from zigzaghh.pathalg import (Path, basis_of_bidegree, loop_count, make_path, path_name,
                               trivial_path)
-from zigzaghh.preproj import preprojective_relations
-from zigzaghh.quiver import GinzburgQuiver
+from zigzaghh.preproj import doubled_of, preprojective_relations
+from zigzaghh.quiver import GinzburgQuiver, Quiver, ginzburg_extend
 
 
 def path_from_names(q, names: list[str]) -> Path:
@@ -153,6 +154,12 @@ def multiply(a: BigradedElement, b: BigradedElement) -> BigradedElement:
 def commutator(a: BigradedElement, b: BigradedElement) -> BigradedElement:
     """ab - ba (both arguments sit in cohomological degree 0 where used)."""
     return a * b - b * a
+
+
+@functools.cache
+def ginzburg_of(q: Quiver) -> GinzburgQuiver:
+    """The Ginzburg quiver of q, one per quiver, on its cached double."""
+    return ginzburg_extend(doubled_of(q))
 
 
 def vertex_relations(qg: GinzburgQuiver) -> dict[int, list[tuple[int, tuple[int, int]]]]:

@@ -19,11 +19,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from zigzaghh.exactla import FieldSpec, echelonize, in_span, span_info
-from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import Path, all_cycles, all_words
 from zigzaghh.preproj import preprojective_relations
 from zigzaghh.quiver import Quiver
 from zigzaghh.zigzag import ZigzagAlgebra
+
+from dg import ginzburg_of
 
 
 class OracleInfeasible(RuntimeError):
@@ -475,7 +476,7 @@ class HH2Complex(NamedTuple):
         return self.cols1 + self.cols2
 
 
-def hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
+def oracle_hh2_complex(q: Quiver, adams: int, fld: FieldSpec) -> HH2Complex:
     """The complex in Adams degree adams >= -2, one rotation column per cycle
     w = pi x* (x the star of w's last letter), ordered by x and then by w."""
     if adams < -2:

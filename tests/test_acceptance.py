@@ -12,14 +12,14 @@ import pytest
 from zigzaghh.ainfty import class_of, extended_d4_m4
 from zigzaghh.cli import main as cli_main
 from zigzaghh.exactla import GF, QQ, ExactMatrix
-from zigzaghh.ginzburg import ginzburg_of, hh2_dim
+from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.pathalg import all_cycles, basis_of_bidegree, make_path
 from zigzaghh.preproj import cyclic_piece_dim, doubled_of, lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite
 from zigzaghh.zigzag import build_zigzag, cochain_basis, delta_columns, hochschild_dim
 
 from cone import verify_cone_resolution
-from dg import BigradedElement, commutator, differential, element_differential
+from dg import BigradedElement, commutator, differential, element_differential, ginzburg_of
 from oracle import oracle_hh_unreduced, oracle_lambda_dim
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]

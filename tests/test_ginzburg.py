@@ -5,16 +5,17 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
-from zigzaghh.ginzburg import ginzburg_of, h0_dim, hh2_dim
+from zigzaghh.ginzburg import h0_dim, hh2_complex, hh2_dim
 from zigzaghh.pathalg import Path, all_words, loop_count, make_path, path_name, paths_between
 from zigzaghh.preproj import (cycle_class_in_trace_is_zero, doubled_of, lambda_piece,
                               preprojective_relations, trace_piece)
 from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
 
 from cone import verify_cone_resolution
-from dg import (BigradedElement, dg_piece, differential, element_differential,
+from dg import (BigradedElement, dg_piece, differential, element_differential, ginzburg_of,
                 path_from_names)
-from oracle import hh2_complex, oracle_basis_of_bidegree, oracle_necklace, oracle_necklace_space
+from oracle import (oracle_basis_of_bidegree, oracle_hh2_complex, oracle_necklace,
+                    oracle_necklace_space)
 
 
 def _q(family, n):
@@ -135,7 +136,7 @@ def test_hh2_complex_spans_the_full_complex(quiv):
     qd = qg.doubled
     rels = preprojective_relations(quiv)
     for adams in range(-2, 7):
-        cx = hh2_complex(quiv, adams, QQ)
+        cx = oracle_hh2_complex(quiv, adams, QQ)
         index = {w.letters: i for i, w in enumerate(cx.codomain)}
         dom1, cols1 = [], []
         for x in range(qd.arrow_count if adams + 1 >= 0 else 0):
@@ -161,7 +162,7 @@ def test_hh2_complex_spans_the_full_complex(quiv):
             full.append(col)
         assert len(cx.dom2) <= len(full)
         for fld in (QQ, GF(2), GF(3)):
-            cx = hh2_complex(quiv, adams, fld)
+            cx = oracle_hh2_complex(quiv, adams, fld)
             small = cx.combined_columns()
             ech = echelonize(fld, small, len(cx.codomain))
             assert all(in_span(fld, ech, col) for col in full), (quiv.name, fld, adams)
@@ -198,7 +199,7 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
     for fld in (QQ, GF(2), GF(3)):
         for adams in range(-2, 9):
             rep = hh2_dim(quiv, adams, fld, want_witnesses=True)
-            cx = hh2_complex(quiv, adams, fld)
+            cx = oracle_hh2_complex(quiv, adams, fld)
             (cols, ambient), = seen
             seen.clear()
             classes = sorted({rotation_class(w) for w in cx.codomain})
@@ -212,6 +213,9 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
                     image[k] = image.get(k, 0) + x
                 projected.append(image)
             assert cols == projected, (fld, adams)
+            necklaces, ours = hh2_complex(quiv, adams)
+            assert [rotation_class(w) for w in necklaces] == classes, (fld, adams)
+            assert ours == cols, (fld, adams)
             full = span_info(fld, cx.combined_columns(), len(cx.codomain))
             assert rep.dimension == full.quotient_dim, (fld, adams)
             assert rep.representatives == tuple(path_name(qd, cx.codomain[i])
@@ -219,20 +223,20 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
 
 
 def test_hh2_complex_a2_q0_dimensions():
-    cx = hh2_complex(_q("A", 2), 0, QQ)
+    cx = oracle_hh2_complex(_q("A", 2), 0, QQ)
     assert len(cx.dom1) == 2
     assert len(cx.dom2) == 2
     assert len(cx.codomain) == 2
 
 
 def test_hh2_complex_a1_qminus2():
-    cx = hh2_complex(_q("A", 1), -2, QQ)
+    cx = oracle_hh2_complex(_q("A", 1), -2, QQ)
     assert len(cx.dom1) == 0 and len(cx.dom2) == 0
     assert len(cx.codomain) == 1  # the idempotent
 
 
 def test_hh2_complex_d4_odd_q_empty_codomain():
-    cx = hh2_complex(_q("D", 4), 1, QQ)
+    cx = oracle_hh2_complex(_q("D", 4), 1, QQ)
     assert len(cx.codomain) == 0  # trees have no odd cycles
 
 
@@ -259,7 +263,7 @@ def test_hh2_image_lands_in_commutator_span():
     q = _q("D", 4)
     qd = doubled_of(q)
     adams = 2
-    cx = hh2_complex(q, adams, QQ)
+    cx = oracle_hh2_complex(q, adams, QQ)
     necklaces, index, rows = oracle_necklace_space(qd, preprojective_relations(q), adams + 2)
     ech = echelonize(QQ, rows, len(necklaces))
     for col in cx.combined_columns():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.ginzburg import ginzburg_of
 from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, basis_of_bidegree,
                               largest_rotation, necklaces_descending)
 from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
@@ -15,6 +14,7 @@ from zigzaghh.quiver import (Graph, Quiver, catalog, double, orient_bipartite,
                              orient_by_edge_order)
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
+from dg import ginzburg_of
 from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
                     oracle_hh_unreduced, oracle_lambda_dim, oracle_necklace, oracle_trace_dim)
 
