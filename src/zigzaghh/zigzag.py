@@ -23,18 +23,19 @@ ones, from an index of the multiplication table.
 
 A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
-2, so the words of C^{p,q} are walked within a budget of 2 - p cycle
-classes, the walk takes a last letter only where the word's ends admit
-an output of degree p + c, and C^{p,q} is empty for p >= 3.  A word of
-C^{2,q} has only arrows and outputs the cycle class at its source, so
-it is closed: those are the closed walks of length q + 2 in the double
-quiver, read from `pathalg.all_cycles`, which walks none of odd length
-on a tree.
+2, so C^{p,q} is empty for p >= 3, and below the words are walked depth
+first within a budget of 2 - p cycle classes, closed by a table of the
+last two letters that admit an output of degree p + c.  A word of
+C^{2,q} has only arrows and outputs the cycle class at its source: those
+are the closed walks of length q + 2 in the double quiver, read from
+`pathalg.all_cycles`, which walks none of odd length on a tree.  The
+columns of the incoming differential go to the kernel as the walk yields
+their words, so HH^{2,q} keeps no C^{1,q} table.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .exactla import Echelon, ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
 from .pathalg import all_cycles
@@ -78,37 +79,15 @@ class ZigzagAlgebra:
 def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     """Basis and multiplication table of the zigzag algebra of g."""
     n = g.vertex_count
-    names: list[str] = []
-    degrees: list[int] = []
-    src: list[int] = []
-    tgt: list[int] = []
-    e_index: dict[int, int] = {}
-    arrow_index: dict[tuple[int, int], int] = {}
-    cycle_index: dict[int, int] = {}
-
-    for v in range(1, n + 1):
-        e_index[v] = len(names)
-        names.append("e%d" % v)
-        degrees.append(0)
-        src.append(v)
-        tgt.append(v)
-    for k, (i, j) in enumerate(g.edges):
-        arrow_index[(i, j)] = len(names)
-        names.append("a%d" % (k + 1))
-        degrees.append(1)
-        src.append(i)
-        tgt.append(j)
-        arrow_index[(j, i)] = len(names)
-        names.append("a%d*" % (k + 1))
-        degrees.append(1)
-        src.append(j)
-        tgt.append(i)
-    for v in range(1, n + 1):
-        cycle_index[v] = len(names)
-        names.append("c%d" % v)
-        degrees.append(2)
-        src.append(v)
-        tgt.append(v)
+    # (name, degree, source, target) in index order
+    basis = ([("e%d" % v, 0, v, v) for v in range(1, n + 1)]
+             + [letter for k, (i, j) in enumerate(g.edges)
+                for letter in (("a%d" % (k + 1), 1, i, j), ("a%d*" % (k + 1), 1, j, i))]
+             + [("c%d" % v, 2, v, v) for v in range(1, n + 1)])
+    names, degrees, src, tgt = (list(column) for column in zip(*basis))
+    e_index = {v: v - 1 for v in range(1, n + 1)}
+    arrow_index = {(i, j): x for x, (_, d, i, j) in enumerate(basis) if d == 1}
+    cycle_index = {v: len(basis) - n + v - 1 for v in range(1, n + 1)}
 
     table: dict[tuple[int, int], int] = {}
     for x in range(len(names)):
@@ -172,30 +151,67 @@ def _table_index(alg: ZigzagAlgebra) -> tuple[dict, dict, dict]:
     return hit
 
 
-def _words(alg: ZigzagAlgebra, n: int, cycles: int, ends=None) -> list[tuple[Word, int]]:
+def _words(alg: ZigzagAlgebra, n: int, cycles: int,
+           fit: bool = False) -> Iterator[tuple[Word, int]]:
     """Composable length-n words (n >= 1) over the positive-degree basis with
-    at most `cycles` cycle classes, lex order, each with its count c of them.
+    at most `cycles` cycle classes, lex order, each with its count c of them;
+    with `fit`, only the words whose ends admit an output of degree
+    2 - cycles + c, each with that output: the basis of C^{2-cycles,q}.
 
-    With `ends`, a container of (source, target, c) triples, only the words
-    whose triple it holds: the last letter is taken only there, so no other
-    word is built.  A cycle class is tried only while budget remains.  Every
-    per-vertex letter list is in index order, so the walk is lexicographic
-    and pruning keeps that order.
+    One depth-first walk.  inner[v, c] lists (letter, target, classes spent)
+    leaving v within the budget, c spent; vertex 0 is the empty prefix.
+    close[v, s, c], filled as the walk reaches it, lists the last two
+    letters, with the output or count, of the words from s whose prefix
+    ends at v, so no prefix that cannot close is extended.  Lists are in
+    index order; the tables are kept per graph, beside its closed walks.
     """
-    # (letter, its target, cycle classes it spends) by source; None starts
-    # a word, and every vertex has its cycle class to leave by
-    steps: dict[Optional[int], list[tuple[int, int, int]]] = {
-        None: [(i, alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]}
-    for step in steps[None]:
-        steps.setdefault(alg.src[step[0]], []).append(step)
-    # prefixes of n - 1 letters with their source, target and count; the
-    # empty prefix takes its source from the letter after it
-    level = [((), None, None, 0)]
-    for _ in range(n - 1):
-        level = [(w + (i,), s or alg.src[i], t, c + d) for w, s, v, c in level
-                 for i, t, d in steps[v] if c + d <= cycles]
-    return [(w + (i,), c + d) for w, s, v, c in level for i, t, d in steps[v]
-            if c + d <= cycles and (ends is None or (s or alg.src[i], t, c + d) in ends)]
+    key = ("zigzag walk", cycles, fit)
+    tables = doubled_of_graph(alg.graph)._cache
+    if key not in tables:
+        letters = [(i, alg.src[i], alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]
+        inner = {(0, 0): [(i, t, d) for i, _, t, d in letters if d <= cycles]}
+        for i, v, t, d in letters:
+            for c in range(cycles + 1 - d):
+                inner.setdefault((v, c), []).append((i, t, c + d))
+        if fit:   # the one output of degree 2 - cycles + c between two vertices
+            ends = {(alg.src[z], alg.tgt[z], alg.degrees[z] - 2 + cycles): z
+                    for z in range(alg.dim)}
+        else:
+            vertices = range(1, alg.graph.vertex_count + 1)
+            ends = {(s, t, c): c for s in vertices for t in vertices for c in range(cycles + 1)}
+        tables[key] = inner, {}, ends
+    inner, close, ends = tables[key]
+    src = alg.src
+    if n == 1:
+        yield from (((i,), ends[src[i], t, c]) for i, t, c in inner[0, 0] if (src[i], t, c) in ends)
+        return
+    # prefixes to extend, (letters, end, source, classes spent), the least on
+    # top; the empty prefix takes its source from the letter after it
+    stack = [((), 0, 0, 0)]
+    while stack:
+        w, v, s, c = stack.pop()
+        if len(w) < n - 2:
+            stack += [(w + (i,), t, s or src[i], b) for i, t, b in reversed(inner.get((v, c), ()))]
+            continue
+        pairs = close.get((v, s, c))
+        if pairs is None:
+            pairs = close[v, s, c] = [((i, e), x) for i, u, a in inner.get((v, c), ())
+                                      for e, t, b in inner.get((u, a), ())
+                                      if (x := ends.get((s or src[i], t, b))) is not None]
+        yield from [(w + pair, x) for pair, x in pairs]
+
+
+def _cochain_words(alg: ZigzagAlgebra, p: int, q: int) -> Iterable[tuple[Word, int]]:
+    """The basis of `cochain_basis`, in its order, as walked (p <= 2, p + q >= 0)."""
+    n = p + q
+    if p == 2:
+        # doubled letter k is basis index k + vertex count (edge order, a_k before a_k*)
+        shift = alg.graph.vertex_count
+        return ((tuple(a + shift for a in c.letters), alg.cycle_index[c.source])
+                for c in all_cycles(doubled_of_graph(alg.graph), n))
+    if n == 0:
+        return [((), z) for z in range(alg.dim) if alg.degrees[z] == p and alg.src[z] == alg.tgt[z]]
+    return _words(alg, n, 2 - p, fit=True)
 
 
 def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
@@ -209,29 +225,13 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     the words with at most 2 - p of them are walked, for p = 2 only the
     closed ones, and below only those whose ends admit that output.
     """
-    n = p + q
-    if n < 0 or p > 2:
+    if p + q < 0 or p > 2:
         return []   # for p > 2 the output degree p + c exceeds 2 on every word
     key = ("cbasis", p, q)
     hit = alg._cache.get(key)
-    if hit is not None:
-        return hit
-    if p == 2:
-        # doubled letter k is basis index k + vertex count (edge order, a_k before a_k*)
-        shift = alg.graph.vertex_count
-        basis = [(tuple(a + shift for a in c.letters), alg.cycle_index[c.source])
-                 for c in all_cycles(doubled_of_graph(alg.graph), n)]
-    else:
-        # the one output of degree p + c between two vertices, by (source, target, c)
-        out = {(alg.src[z], alg.tgt[z], alg.degrees[z] - p): z for z in range(alg.dim)}
-        if n == 0:
-            basis = [((), out[v, v, 0]) for v in range(1, alg.graph.vertex_count + 1)
-                     if (v, v, 0) in out]
-        else:
-            basis = [(w, out[alg.src[w[0]], alg.tgt[w[-1]], c])
-                     for w, c in _words(alg, n, 2 - p, out)]
-    alg._cache[key] = basis
-    return basis
+    if hit is None:
+        hit = alg._cache[key] = list(_cochain_words(alg, p, q))
+    return hit
 
 
 def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
@@ -278,23 +278,24 @@ def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
 
 def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
                    want_witnesses: bool = False) -> HHReport:
-    """dim HH^{p,q} of the zigzag algebra via the reduced complex."""
+    """dim HH^{p,q} of the zigzag algebra via the reduced complex; the columns
+    of d: C^{p-1,q} -> C^{p,q} go to the kernel as the walk yields their words."""
     if p < 0:
         raise ValueError("cohomological degree must be >= 0")
     basis = cochain_basis(alg, p, q)
     if not basis:
         return HHReport(p, q, "zigzag", 0, () if want_witnesses else None)
-    _, _, out_cols = delta_columns(alg, p, q)
-    target_dim = len(cochain_basis(alg, p + 1, q))
-    rank_out = span_info(alg.field, out_cols, target_dim).rank
+    _, target, out_cols = delta_columns(alg, p, q)
+    rank_out = span_info(alg.field, out_cols, len(target)).rank
     image = Echelon(alg.field, len(basis))
     if p >= 1 and p - 1 + q >= 0:
-        _, _, in_cols = delta_columns(alg, p - 1, q)
-        image = echelonize(alg.field, in_cols, len(basis))
+        index = {b: i for i, b in enumerate(basis)}
+        image = echelonize(alg.field, (_delta_elementary(alg, w, z, index)
+                                       for w, z in _cochain_words(alg, p - 1, q)), len(basis))
     dimension = len(basis) - rank_out - image.rank
     reps = None
     if want_witnesses:
-        reps = tuple(_representative_names(alg, basis, target_dim, out_cols, image, dimension))
+        reps = tuple(_representative_names(alg, basis, len(target), out_cols, image, dimension))
     return HHReport(p, q, "zigzag", dimension, reps)
 
 
@@ -360,11 +361,7 @@ class HochschildCochain:
     def vector(self) -> dict[int, Scalar]:
         basis = cochain_basis(self.algebra, self.p, self.q)
         index = {b: i for i, b in enumerate(basis)}
-        vec = {}
-        for w, outs in self.values.items():
-            for z, c in outs.items():
-                vec[index[(w, z)]] = c
-        return vec
+        return {index[(w, z)]: c for w, outs in self.values.items() for z, c in outs.items()}
 
 
 def zero_cochain(alg: ZigzagAlgebra, p: int, q: int) -> HochschildCochain:

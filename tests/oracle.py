@@ -5,10 +5,10 @@ deliberately share no code with the optimized modules beyond the field
 and path types: paths are enumerated by a separate breadth-first
 routine, matrices are plain row dicts over Fractions / residues, and
 elimination is the textbook algorithm with no fraction-free tricks.
-The exception is the last section, the word-table quotients that the
-table of Lambda replaced: they keep the package's word walk and kernel,
-so their free columns, which the tests compare with the table's
-representatives and witnesses, are chosen by the same pivot rule.
+The exceptions are `oracle_quotient_representatives`, the word-table
+quotient that the table of Lambda replaced, which keeps the package's
+word walk and kernel, and the full Ginzburg complex at the end, which
+reads the package's closed walks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from zigzaghh.exactla import FieldSpec, echelonize, in_span, span_info
+from zigzaghh.exactla import FieldSpec, span_info
 from zigzaghh.pathalg import Path, all_cycles, all_words
 from zigzaghh.preproj import preprojective_relations
 from zigzaghh.quiver import Quiver
@@ -40,7 +40,16 @@ class OracleResult:
 
 
 def _row_reduce_rank(fld: FieldSpec, rows: list[dict[int, object]]) -> int:
-    """Textbook elimination: repeatedly normalize a pivot and clear below."""
+    return len(_row_reduce_pivots(fld, rows))
+
+
+def _row_reduce_pivots(fld: FieldSpec, rows: list[dict[int, object]]) -> list[int]:
+    """Textbook elimination: repeatedly normalize a pivot and clear below.
+
+    Returns the pivot columns in the order they are found: each pivot is
+    the smallest column left in any row, so column c is a pivot exactly
+    when it is not in the span of the columns before it.
+    """
     p = fld.characteristic
     work = []
     for r in rows:
@@ -50,12 +59,12 @@ def _row_reduce_rank(fld: FieldSpec, rows: list[dict[int, object]]) -> int:
             rr = {c: v % p for c, v in r.items() if v % p}
         if rr:
             work.append(rr)
-    rank = 0
+    pivots = []
     while work:
         lead = min(min(r) for r in work)
         pivot = next(r for r in work if min(r) == lead)
         work.remove(pivot)
-        rank += 1
+        pivots.append(lead)
         inv = (Fraction(1) / pivot[lead]) if p == 0 else pow(pivot[lead], p - 2, p)
         if p == 0:
             pivot = {c: v * inv for c, v in pivot.items()}
@@ -79,7 +88,7 @@ def _row_reduce_rank(fld: FieldSpec, rows: list[dict[int, object]]) -> int:
             else:
                 nxt.append(r)
         work = nxt
-    return rank
+    return pivots
 
 
 def _doubled_arrows(q: Quiver) -> list[tuple[int, int]]:
@@ -380,11 +389,13 @@ def oracle_hh_unreduced(alg: ZigzagAlgebra, p: int, q: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The word-table quotients that the package's normal-form table of Lambda
-# replaced, kept as references for it.  They walk words with the package's
-# walk and eliminate with its kernel, but read no table of Lambda: every
+# replaced, kept as references for it; they read no table of Lambda.  Every
 # word of length n modulo r_v inserted at every cut of the words of length
-# n - 2, and the necklaces of length n modulo the rows [r_v w] for the
-# closed walks w of length n - 2.
+# n - 2 uses the package's walk and kernel.  The necklaces of length n
+# modulo the rows [r_v w] for the closed walks w of length n - 2 come from
+# `_walks` and the textbook elimination, so the trace witnesses and the
+# Ginzburg pipeline, which eliminates the same rows, are checked against a
+# construction that shares no code with them.
 # ---------------------------------------------------------------------------
 
 def oracle_relation_rows(qd, rels, shorter: list[Path], index: dict[tuple[int, ...], int]):
@@ -417,33 +428,42 @@ def oracle_necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
 def oracle_necklace_space(qd, rels, n: int):
     """Degree-n necklaces and the relation rows [r_v w] among them.
 
-    Columns are the necklaces in the order of their representatives,
-    index maps a representative's letters to its column, and there is one
-    row per closed walk w of length n - 2, at v = w.source.
+    Built from `_walks`, not from the package's walk: the columns are the
+    closed walks of length n that are their own largest rotation
+    (`oracle_necklace`), in lexicographic order, index maps a
+    representative's letters to its column, and there is one row per
+    closed walk w of length n - 2, at v = its source, each term read on
+    the necklace of its rotation class.
     """
-    necklaces = [c for c in all_cycles(qd, n) if c.letters == oracle_necklace(c.letters)]
+    arrows = list(zip(qd.arrow_source, qd.arrow_target))
+    necklaces = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
+                 if s == t and word == oracle_necklace(word)]
     index = {c.letters: k for k, c in enumerate(necklaces)}
     rows = []
-    for w in all_cycles(qd, n - 2) if n >= 2 else ():
+    for word, s, t in _walks(arrows, qd.vertex_count, n - 2) if n >= 2 else ():
+        if s != t:
+            continue
         row: dict[int, int] = {}
-        for coeff, pair in rels[w.source]:
-            col = index[oracle_necklace(pair + w.letters)]
+        for coeff, pair in rels[s]:
+            col = index[oracle_necklace(pair + word)]
             row[col] = row.get(col, 0) + coeff
         rows.append(row)
     return necklaces, index, rows
 
 
 def oracle_trace_witnesses(qd, rels, n: int, fld: FieldSpec) -> list[Path]:
-    """The free necklaces of the necklace matrix: a basis of the degree-n trace."""
+    """The free necklaces of the necklace matrix, by the textbook pivot rule:
+    a basis of the degree-n trace."""
     necklaces, _, rows = oracle_necklace_space(qd, rels, n)
-    return [necklaces[c] for c in span_info(fld, rows, len(necklaces)).free_coords]
+    pivots = set(_row_reduce_pivots(fld, rows))
+    return [c for k, c in enumerate(necklaces) if k not in pivots]
 
 
 def oracle_class_is_zero(qd, rels, vector: dict[Path, int], fld: FieldSpec) -> bool:
     """Membership of a combination of equal-length cycles in relations + commutators.
 
     Projects the vector onto necklaces, which is exact modulo commutators,
-    and tests it against the necklace relation rows.
+    and tests it against the necklace relation rows by textbook rank.
     """
     (n,) = {c.length for c in vector}
     necklaces, index, rows = oracle_necklace_space(qd, rels, n)
@@ -451,7 +471,7 @@ def oracle_class_is_zero(qd, rels, vector: dict[Path, int], fld: FieldSpec) -> b
     for c, x in vector.items():
         k = index[oracle_necklace(c.letters)]
         image[k] = image.get(k, 0) + x
-    return in_span(fld, echelonize(fld, rows, len(necklaces)), image)
+    return _row_reduce_rank(fld, rows + [image]) == _row_reduce_rank(fld, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -628,7 +628,7 @@ def test_zigzag_word_count_is_the_walk(monkeypatch, label):
     g = parse_label(label)
     alg = build_zigzag(g, QQ)
     for q in range(0, 9, 2):
-        words = len(_words(alg, q + 1, 1))
+        words = sum(1 for _ in _words(alg, q + 1, 1))
         monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words)
         cli._check_zigzag_count(g, q, q)
         monkeypatch.setattr(cli, "MAX_ZIGZAG_WORDS", words - 1)
