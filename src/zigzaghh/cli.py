@@ -46,8 +46,8 @@ MAX_CYCLES = 300_000
 
 # hh2's zigzag method walks the words of C^{1,q} within its cycle budget and
 # streams those whose ends admit an output into the kernel: D4 has 144,342 at
-# q = 14 (78,732 built; 0.7 s, 38 MB cold), E6 214,048 at q = 12 (90,448; 0.9 s,
-# 42 MB) and E~6 368,640 at q = 12 (139,320; 2.0 s, 58 MB) (2-vCPU Xeon, Python
+# q = 14 (78,732 built; 0.7 s, 33 MB cold), E6 214,048 at q = 12 (90,448; 0.8 s,
+# 35 MB) and E~6 368,640 at q = 12 (139,320; 1.4 s, 47 MB) (2-vCPU Xeon, Python
 # 3.11); the cap stays because the exit codes of every accepted input are pinned
 MAX_ZIGZAG_WORDS = 200_000
 

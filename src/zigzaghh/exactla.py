@@ -23,7 +23,6 @@ representatives reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -136,23 +135,29 @@ def GF(p: int) -> FieldSpec:
 
 
 class Echelon:
-    """Result of forward elimination: echelon rows plus the pivot profile."""
+    """Result of forward elimination: the echelon rows by their pivot column."""
 
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list[dict[int, int]] = []   # echelon rows, pivot order
-        self.pivot_cols: list[int] = []
         self.pivot_row: dict[int, dict[int, int]] = {}   # pivot column -> its row
         self._index: Optional[dict[int, list[int]]] = None   # see _users
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_cols)
+        return len(self.pivot_row)
+
+    @property
+    def pivot_cols(self) -> list[int]:
+        return sorted(self.pivot_row)
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        """The echelon rows in pivot order."""
+        return [self.pivot_row[c] for c in self.pivot_cols]
 
     def free_cols(self) -> list[int]:
-        piv = set(self.pivot_cols)
-        return [c for c in range(self.ncols) if c not in piv]
+        return [c for c in range(self.ncols) if c not in self.pivot_row]
 
     def kernel_vector(self, f: int) -> dict[int, Scalar]:
         """The null vector at free column f, sparse: x_f = 1, 0 at the other free columns.
@@ -162,7 +167,8 @@ class Echelon:
         right of c is known.  Only a row that holds f, or a coordinate
         already filled in, can give a nonzero x_c, so the rows are reached
         through an index from each column to the pivots of the rows that
-        hold it, and taken highest pivot first; no other row is visited.
+        hold it, and taken highest pivot first from a heap, whatever the
+        order of `pivot_row`; no other row is visited.
         Over Q a coordinate is an int wherever its value is integral, and a
         Fraction only where a pivot does not divide.
         """
@@ -212,7 +218,7 @@ class Echelon:
         return (self.kernel_vector(f) for f in self.free_cols())
 
     def add(self, vector: dict) -> bool:
-        """Reduce vector against the rows and install any residue, keeping pivot order.
+        """Reduce vector against the rows and install any residue under its pivot.
 
         Returns False when vector already lies in the row space.
         """
@@ -220,11 +226,7 @@ class Echelon:
         r = _reduce(_normalized(vector, p), self.pivot_row, p)
         if not r:
             return False
-        c = min(r)
-        k = bisect_left(self.pivot_cols, c)
-        self.pivot_cols.insert(k, c)
-        self.rows.insert(k, r)
-        self.pivot_row[c] = r
+        self.pivot_row[min(r)] = r
         self._index = None   # rebuilt by the next kernel_vector
         return True
 
@@ -308,7 +310,7 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     normalized, projected onto the union-find's live roots and reduced by
     `_reduce`.  The echelon holds e_c - w_c e_root for each non-root c of
     a live component, e_c for each c of a zero component, and the reduced
-    long rows, sorted by pivot.
+    long rows, each under its pivot column.
     """
     p = field.characteristic
     # e_c = weight[c] * e_parent[c] modulo the short rows; a root, the largest
@@ -410,10 +412,6 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     for c in dead:
         if c not in parent:
             pivot_row[c] = {c: 1}
-    # sorted by pivot column, so that back-substitution can walk upward
-    ech.pivot_cols = sorted(pivot_row)
-    ech.rows = [pivot_row[c] for c in ech.pivot_cols]
-    ech.pivot_row = dict(zip(ech.pivot_cols, ech.rows))
     return ech
 
 
@@ -438,7 +436,7 @@ def span_info(fld: FieldSpec, vectors: Iterable[dict], ambient_dim: int) -> Span
     ambient/span.
     """
     ech = echelonize(fld, vectors, ambient_dim)
-    return SpanInfo(ambient_dim, ech.rank, list(ech.pivot_cols), ech.free_cols())
+    return SpanInfo(ambient_dim, ech.rank, ech.pivot_cols, ech.free_cols())
 
 
 def in_span(fld: FieldSpec, ech: Echelon, vector: dict) -> bool:
@@ -539,7 +537,7 @@ class ExactMatrix:
         # echelonize drops the zero entries of b
         aug = [{**row, bcol: f.element(bv)} for row, bv in zip(self.rows, b)]
         ech = echelonize(f, aug, self.ncols + 1)
-        if bcol in ech.pivot_cols:
+        if bcol in ech.pivot_row:
             return None  # an echelon row is supported on b alone: inconsistent
         # the null vector at b's column solves M(-x) = b, free variables zero
         x = ech.kernel_vector(bcol)

@@ -173,26 +173,36 @@ class _Table:
         pairs = [tuple(c.items()) for c in normal]
         self.times.append([{a: pairs[k] for a, k in cols.items()} for cols in column])
 
-    def normal_form(self, letters: tuple[int, ...], memo: dict) -> Coords:
-        """Coordinates of a nonempty composable word, right-multiplied letter by
-        letter; memo keeps those of its prefixes."""
-        hit = memo.get(letters)
-        if hit is None:
-            n = len(letters)
+    def normal_form(self, letters: tuple[int, ...], stack: list) -> Coords:
+        """Coordinates of a nonempty composable word, right-multiplied letter by letter.
+
+        stack holds (letter, coordinates) for each prefix of the word read
+        before.  It is cut back to the prefix this word shares with that one
+        and extended letter by letter, so a stream of words in lexicographic
+        order, ascending or descending, computes each prefix once and holds
+        at most one coordinate map per letter.
+        """
+        k = 0
+        for (a, _), b in zip(stack, letters):
+            if a != b:
+                break
+            k += 1
+        del stack[k:]
+        p = self.fld.characteristic
+        for n in range(k + 1, len(letters) + 1):
+            last = letters[n - 1]
             if n == 1:
-                hit = {letters[0]: 1}
+                hit = {last: 1}
             else:
-                p = self.fld.characteristic
-                last = letters[-1]
                 times = self.times[n]
                 hit = {}
-                for x, v in self.normal_form(letters[:-1], memo).items():
+                for x, v in stack[-1][1].items():
                     for y, w in times[x][last]:
                         hit[y] = hit.get(y, 0) + v * w
                 hit = {y: v % p for y, v in hit.items() if v % p} if p else \
                     {y: v for y, v in hit.items() if v}
-            memo[letters] = hit
-        return hit
+            stack.append((last, hit))
+        return stack[-1][1]
 
     def trace(self, n: int) -> tuple[int, Echelon]:
         hit = self.traces.get(n)
@@ -205,11 +215,11 @@ class _Table:
                 between: dict[tuple[int, int], list[int]] = {}
                 for k, b in enumerate(self.basis[n - 1]):
                     between.setdefault((b.source, b.target), []).append(k)
-                memo: dict = {}
+                stack: list = []   # the words a b come in ascending order
                 prev, times = self.basis[n - 1], self.times[n]
                 for a in range(self.qd.arrow_count):
                     for k in between.get((tgt[a], src[a]), ()):
-                        row = dict(self.normal_form((a,) + prev[k].letters, memo))
+                        row = dict(self.normal_form((a,) + prev[k].letters, stack))
                         for y, w in times[k][a]:
                             row[y] = row.get(y, 0) - w
                         rows.append(row)
@@ -224,22 +234,21 @@ class _Table:
             return []
         # add installs new rows and never edits one, so the copy shares them
         scan = Echelon(self.fld, ech.ncols)
-        scan.rows, scan.pivot_cols = list(ech.rows), list(ech.pivot_cols)
         scan.pivot_row = dict(ech.pivot_row)
         found: list[Path] = []
-        memo: dict = {}
+        stack: list = []
         for c in necklaces_descending(self.qd, n):
-            if scan.add(self.class_of(c, memo)):
+            if scan.add(self.class_of(c, stack)):
                 found.append(c)
                 if len(found) == dim:
                     break
         found.reverse()
         return found
 
-    def class_of(self, cycle: Path, memo: dict) -> Coords:
+    def class_of(self, cycle: Path, stack: list) -> Coords:
         if not cycle.letters:
             return {cycle.source - 1: 1}
-        return self.normal_form(cycle.letters, memo)
+        return self.normal_form(cycle.letters, stack)
 
 
 def _table(qd: DoubledQuiver, kind: str, rels: RelationTable, fld: FieldSpec) -> _Table:
@@ -333,4 +342,4 @@ def cycle_class_in_trace_is_zero(q: Quiver, cycle: Path, fld: FieldSpec) -> bool
         raise ValueError("cycle does not belong to this quiver")
     table = _preprojective_table(q, fld)
     _, ech = table.trace(cycle.length)
-    return in_span(fld, ech, table.class_of(cycle, {}))
+    return in_span(fld, ech, table.class_of(cycle, []))

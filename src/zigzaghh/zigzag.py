@@ -25,20 +25,20 @@ A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
 2, so C^{p,q} is empty for p >= 3, and below the words are walked depth
 first within a budget of 2 - p cycle classes, closed by a table of the
-last two letters that admit an output of degree p + c.  A word of
-C^{2,q} has only arrows and outputs the cycle class at its source: those
-are the closed walks of length q + 2 in the double quiver, read from
-`pathalg.all_cycles`, which walks none of odd length on a tree.  The
-columns of the incoming differential go to the kernel as the walk yields
-their words, so HH^{2,q} keeps no C^{1,q} table.
+last two letters that admit an output of degree p + c.  On a bipartite
+graph the word has p + q - c arrows, an even count exactly when the
+output starts and ends at one vertex, i.e. when p + c is even, so
+C^{p,q} = 0 for odd q.  Each differential is eliminated once: the rows
+of the outgoing one give the rank and the cocycles, and the columns of
+the incoming one go to the kernel as the walk yields their words, so
+HH^{2,q} keeps no C^{1,q} table.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .exactla import Echelon, ExactMatrix, FieldSpec, Scalar, echelonize, in_span, span_info
-from .pathalg import all_cycles
+from .exactla import Echelon, FieldSpec, Scalar, echelonize, in_span
 from .preproj import doubled_of_graph
 from .quiver import Graph
 from .reports import HHReport
@@ -163,7 +163,7 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: int,
     close[v, s, c], filled as the walk reaches it, lists the last two
     letters, with the output or count, of the words from s whose prefix
     ends at v, so no prefix that cannot close is extended.  Lists are in
-    index order; the tables are kept per graph, beside its closed walks.
+    index order; the tables are kept per graph.
     """
     key = ("zigzag walk", cycles, fit)
     tables = doubled_of_graph(alg.graph)._cache
@@ -204,11 +204,6 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: int,
 def _cochain_words(alg: ZigzagAlgebra, p: int, q: int) -> Iterable[tuple[Word, int]]:
     """The basis of `cochain_basis`, in its order, as walked (p <= 2, p + q >= 0)."""
     n = p + q
-    if p == 2:
-        # doubled letter k is basis index k + vertex count (edge order, a_k before a_k*)
-        shift = alg.graph.vertex_count
-        return ((tuple(a + shift for a in c.letters), alg.cycle_index[c.source])
-                for c in all_cycles(doubled_of_graph(alg.graph), n))
     if n == 0:
         return [((), z) for z in range(alg.dim) if alg.degrees[z] == p and alg.src[z] == alg.tgt[z]]
     return _words(alg, n, 2 - p, fit=True)
@@ -222,10 +217,10 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     word's endpoints.  For zero tensor factors the inputs are the
     idempotents, encoded as the empty word with the output carrying the
     vertex.  A word with c cycle classes has output degree p + c, so only
-    the words with at most 2 - p of them are walked, for p = 2 only the
-    closed ones, and below only those whose ends admit that output.
+    the words with at most 2 - p of them are walked, and only those whose
+    ends admit that output; on a bipartite graph none do for odd q.
     """
-    if p + q < 0 or p > 2:
+    if p + q < 0 or p > 2 or q % 2 and alg.graph.is_bipartite():
         return []   # for p > 2 the output degree p + c exceeds 2 on every word
     key = ("cbasis", p, q)
     hit = alg._cache.get(key)
@@ -278,48 +273,43 @@ def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
 
 def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
                    want_witnesses: bool = False) -> HHReport:
-    """dim HH^{p,q} of the zigzag algebra via the reduced complex; the columns
-    of d: C^{p-1,q} -> C^{p,q} go to the kernel as the walk yields their words."""
+    """dim HH^{p,q} of the zigzag algebra via the reduced complex.
+
+    The rows of d: C^{p,q} -> C^{p+1,q} are eliminated once, for its rank
+    and its kernel vectors, and the columns of d: C^{p-1,q} -> C^{p,q} go
+    to the kernel as the walk yields their words.  A witness is a kernel
+    vector, in free-column order, that the echelon of the incoming columns
+    and of the cocycles kept before it takes in with `add`.
+    """
     if p < 0:
         raise ValueError("cohomological degree must be >= 0")
     basis = cochain_basis(alg, p, q)
     if not basis:
         return HHReport(p, q, "zigzag", 0, () if want_witnesses else None)
-    _, target, out_cols = delta_columns(alg, p, q)
-    rank_out = span_info(alg.field, out_cols, len(target)).rank
-    image = Echelon(alg.field, len(basis))
+    fld = alg.field
+    target = cochain_basis(alg, p + 1, q)
+    rows: dict[int, dict[int, int]] = {}
+    if target:
+        tindex = {b: i for i, b in enumerate(target)}
+        for j, (w, z) in enumerate(basis):
+            for i, v in _delta_elementary(alg, w, z, tindex).items():
+                rows.setdefault(i, {})[j] = v
+    out = echelonize(fld, rows.values(), len(basis))
+    image = Echelon(fld, len(basis))
     if p >= 1 and p - 1 + q >= 0:
         index = {b: i for i, b in enumerate(basis)}
-        image = echelonize(alg.field, (_delta_elementary(alg, w, z, index)
-                                       for w, z in _cochain_words(alg, p - 1, q)), len(basis))
-    dimension = len(basis) - rank_out - image.rank
-    reps = None
-    if want_witnesses:
-        reps = tuple(_representative_names(alg, basis, len(target), out_cols, image, dimension))
-    return HHReport(p, q, "zigzag", dimension, reps)
-
-
-def _representative_names(alg, basis, target_dim, out_cols, image, dimension):
-    """Names of `dimension` cocycles whose classes span the cohomology.
-
-    The sparse kernel vectors are built one at a time, in free-column
-    order, and a cocycle is kept when `image`, the echelon of the incoming
-    columns and of the cocycles kept before it, takes it in with `add`.
-    """
-    if not dimension:
-        return []
-    fld = alg.field
-    rows = ExactMatrix.from_columns(fld, out_cols, target_dim).rows
-    kernel = echelonize(fld, rows, len(basis)).kernel_vectors()
+        image = echelonize(fld, (_delta_elementary(alg, w, z, index)
+                                 for w, z in _cochain_words(alg, p - 1, q)), len(basis))
+    dimension = len(basis) - out.rank - image.rank
     names = []
-    for cand in kernel:
-        if not image.add(cand):
-            continue
-        names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1", alg.names[z])
-                              for w, z in (basis[i] for i in sorted(cand))))
-        if len(names) == dimension:
-            break
-    return names
+    for cand in out.kernel_vectors() if want_witnesses and dimension else ():
+        if image.add(cand):
+            names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1",
+                                             alg.names[z])
+                                  for w, z in (basis[i] for i in sorted(cand))))
+            if len(names) == dimension:
+                break
+    return HHReport(p, q, "zigzag", dimension, tuple(names) if want_witnesses else None)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,10 @@ def test_oracle_cochain_basis_matches_budgeted_walk():
     # lists equal in order too: the order fixes every zigzag matrix and witness;
     # p 3 and 4 check that the walk skips spaces the definition leaves empty
     # (lengths in increasing order, so the oracle walks each length once);
-    # D~4 and A~3 go to q = 8, the depth of the deep bar-complex runs
-    for family, n, top in (("D", 4, 6), ("E", 6, 6), ("D~", 4, 8), ("E~", 6, 6), ("A~", 3, 8)):
+    # D~4 and A~3 go to q = 8, the depth of the deep bar-complex runs; A~2 and
+    # A~4 are odd cycles, not bipartite, so their odd q are walked, not skipped
+    for family, n, top in (("D", 4, 6), ("E", 6, 6), ("D~", 4, 8), ("E~", 6, 6), ("A~", 3, 8),
+                           ("A~", 2, 6), ("A~", 4, 6)):
         algs = [build_zigzag(catalog(family, n), fld) for fld in (QQ, GF(2))]
         for length in range(11):
             for p in range(5):

@@ -302,6 +302,26 @@ def test_witness_scan_stops_at_the_dimension(monkeypatch):
     assert len(pathalg.all_cycles(qd, 12)) == 8838
 
 
+def test_witness_scan_holds_one_normal_form_per_letter():
+    # the necklaces come in descending order, so the scan keeps the normal
+    # forms of the current necklace's prefixes on a stack, not a memo of
+    # every prefix read: D~4 over Q in degree 18 reads 15,157 necklaces for 4
+    # witnesses (Python 3.11: a memo of every prefix peaked near 13.8 MB, the
+    # stack peaks near 0.01 MB)
+    import tracemalloc
+
+    q = orient_bipartite(catalog("D~", 4))
+    assert trace_piece(q, 18, QQ, want_witnesses=False).dimension == 4
+    tracemalloc.start()
+    try:
+        tr = trace_piece(q, 18, QQ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr.witnesses) == 4
+    assert peak < 2 ** 20, peak
+
+
 def test_relation_times_closed_walk_has_zero_class():
     # r_v w for every closed walk w at v, and every rotation x r_v y of it
     from zigzaghh.pathalg import Path, words_by_endpoints
