@@ -14,8 +14,7 @@ explicit extended-D4 deformation) and a batch CLI.
 """
 
 from .exactla import GF, QQ, ExactMatrix, FieldSpec
-from .quiver import (Graph, Quiver, catalog, double, ginzburg_extend, load_graph,
-                     orient_bipartite, parse_label)
+from .quiver import Graph, Quiver, catalog, double, load_graph, orient_bipartite, parse_label
 from .pathalg import Path, basis_of_bidegree, paths_between
 from .preproj import (GradedQuotientPiece, TracePiece, cyclic_piece_dim,
                       koszul_dual_zigzag_piece, lambda_piece, trace_piece,
@@ -28,8 +27,7 @@ from .reports import HHReport
 
 __all__ = [
     "GF", "QQ", "ExactMatrix", "FieldSpec",
-    "Graph", "Quiver", "catalog", "double", "ginzburg_extend", "load_graph",
-    "orient_bipartite", "parse_label",
+    "Graph", "Quiver", "catalog", "double", "load_graph", "orient_bipartite", "parse_label",
     "Path", "basis_of_bidegree", "paths_between",
     "GradedQuotientPiece", "TracePiece", "cyclic_piece_dim",
     "koszul_dual_zigzag_piece", "lambda_piece", "trace_piece", "trace_piece_general",
@@ -40,4 +38,4 @@ __all__ = [
     "HHReport",
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -95,11 +95,6 @@ class FieldSpec(Frozen):
             return a + b
         return (a + b) % self.characteristic
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.characteristic == 0:
-            return a - b
-        return (a - b) % self.characteristic
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         if self.characteristic == 0:
             return a * b

@@ -86,13 +86,11 @@ def zigzag_dual_relations(qd: DoubledQuiver) -> RelationTable:
 class GradedQuotientPiece(NamedTuple):
     """One graded piece of a degreewise quotient of the doubled path algebra.
 
-    ambient is the spanning words b a (b in the basis one degree down, a an
-    arrow), and representatives the normal words among them.
+    representatives are the normal words of that degree.
     """
 
     degree: int
     field: FieldSpec
-    ambient: list[Path]
     dimension: int
     representatives: list[Path]
 
@@ -130,12 +128,10 @@ class _Table:
         return self.basis[n]
 
     def spanning(self, n: int) -> list[Path]:
-        """The columns of degree n: the words b a, b in the basis one degree
-        down and a an arrow, and in degree 1, where no relation has one
-        letter, every arrow by id.  Built when asked for, not kept."""
+        """The columns of degree n >= 1: the words b a, b in the basis one
+        degree down and a an arrow, and in degree 1, where no relation has
+        one letter, every arrow by id.  Built when asked for, not kept."""
         tgt = self.qd.arrow_target
-        if n == 0:
-            return self.basis[0]
         if n == 1:
             return [Path(self.qd.arrow_source[a], (a,), tgt[a]) for a in range(self.qd.arrow_count)]
         return [Path(b.source, b.letters + (a,), tgt[a])
@@ -272,7 +268,7 @@ def _piece(table: _Table, n: int) -> GradedQuotientPiece:
     if n < 0:
         raise ValueError("degree must be >= 0")
     basis = table.degree(n)
-    return GradedQuotientPiece(n, table.fld, table.spanning(n), len(basis), list(basis))
+    return GradedQuotientPiece(n, table.fld, len(basis), list(basis))
 
 
 def lambda_piece(q: Quiver, n: int, fld: FieldSpec) -> GradedQuotientPiece:

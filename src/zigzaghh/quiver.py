@@ -332,10 +332,6 @@ def double(q: Quiver) -> DoubledQuiver:
     return DoubledQuiver(q)
 
 
-def ginzburg_extend(qd: DoubledQuiver) -> GinzburgQuiver:
-    return GinzburgQuiver(qd)
-
-
 # ---------------------------------------------------------------------------
 # graph file ingestion (CLI): JSON or two plain-text lines
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ of total degree > 2 vanish, a a* = c at the source of a, and every
 other composable arrow product is zero.  For the one-vertex graph this
 is k[x]/(x^2) with x in degree 2; for the one-edge graph the two
 2-cycle classes sit at different vertices and stay distinct.  Degree-k
-elements carry bidegree (k, -k).
+elements carry bidegree (k, -k).  The table is associative by
+construction, as `build_zigzag` shows, so nothing checks it at run time.
 
 Hochschild cohomology is computed from the cochain complex relative to
 the span of the idempotents: because every homogeneous element sits in
@@ -25,21 +26,22 @@ A (p, q) input word has p+q letters; with c of them cycle classes its
 degree is p+q+c, so the output degree is p + c.  That must be at most
 2, so C^{p,q} is empty for p >= 3, and below the words are walked depth
 first within a budget of 2 - p cycle classes, closed by a table of the
-last two letters that admit an output of degree p + c.  On a bipartite
-graph the word has p + q - c arrows, an even count exactly when the
-output starts and ends at one vertex, i.e. when p + c is even, so
-C^{p,q} = 0 for odd q.  Each differential is eliminated once: the rows
-of the outgoing one give the rank and the cocycles, and the columns of
-the incoming one go to the kernel as the walk yields their words, so
-HH^{2,q} keeps no C^{1,q} table.
+last two letters that admit an output of degree p + c, kept per graph
+for every field.  On a bipartite graph the word has p + q - c arrows,
+an even count exactly when the output starts and ends at one vertex,
+i.e. when p + c is even, so C^{p,q} = 0 for odd q.  Each differential
+is eliminated once: the rows of the outgoing one give the rank and the
+cocycles, and the columns of the incoming one go to the kernel as the
+walk yields their words, so HH^{2,q} keeps no C^{1,q} table.  The
+module reads only `exactla`, `quiver` and `reports` of the package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+import functools
+from typing import Iterable, Iterator
 
 from .exactla import Echelon, FieldSpec, Scalar, echelonize, in_span
-from .preproj import doubled_of_graph
 from .quiver import Graph
 from .reports import HHReport
 
@@ -50,7 +52,7 @@ class ZigzagAlgebra:
     def __init__(self, graph: Graph, field: FieldSpec, names: list[str], degrees: list[int],
                  src: list[int], tgt: list[int], table: dict[tuple[int, int], int],
                  e_index: dict[int, int], arrow_index: dict[tuple[int, int], int],
-                 cycle_index: dict[int, int], _cache: Optional[dict] = None):
+                 cycle_index: dict[int, int]):
         self.graph = graph
         self.field = field
         self.names = names
@@ -61,7 +63,7 @@ class ZigzagAlgebra:
         self.e_index = e_index
         self.arrow_index = arrow_index
         self.cycle_index = cycle_index
-        self._cache = {} if _cache is None else _cache
+        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -71,19 +73,28 @@ class ZigzagAlgebra:
     def positive(self) -> list[int]:
         return [i for i in range(self.dim) if self.degrees[i] > 0]
 
-    def mult(self, i: int, j: int) -> Optional[int]:
-        """Product of two basis elements: a basis index (coefficient 1) or None."""
-        return self.table.get((i, j))
+
+def _basis(g: Graph) -> list[tuple[str, int, int, int]]:
+    """(name, degree, source, target) of each basis element, in index order."""
+    n = g.vertex_count
+    return ([("e%d" % v, 0, v, v) for v in range(1, n + 1)]
+            + [letter for k, (i, j) in enumerate(g.edges)
+               for letter in (("a%d" % (k + 1), 1, i, j), ("a%d*" % (k + 1), 1, j, i))]
+            + [("c%d" % v, 2, v, v) for v in range(1, n + 1)])
 
 
 def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
-    """Basis and multiplication table of the zigzag algebra of g."""
+    """Basis and multiplication table of the zigzag algebra of g.
+
+    The table is associative, so it is not checked.  The only nonzero
+    product of two positive elements is a a* = c, and a positive element
+    times c, or c times a positive element, is zero: both bracketings of
+    three positive elements are 0.  The idempotent rules only compare
+    endpoints, and a a* = c_src(a) keeps the endpoints of the pair.  That
+    holds on every graph `Graph` accepts (no loops, no multiple edges).
+    """
+    basis = _basis(g)
     n = g.vertex_count
-    # (name, degree, source, target) in index order
-    basis = ([("e%d" % v, 0, v, v) for v in range(1, n + 1)]
-             + [letter for k, (i, j) in enumerate(g.edges)
-                for letter in (("a%d" % (k + 1), 1, i, j), ("a%d*" % (k + 1), 1, j, i))]
-             + [("c%d" % v, 2, v, v) for v in range(1, n + 1)])
     names, degrees, src, tgt = (list(column) for column in zip(*basis))
     e_index = {v: v - 1 for v in range(1, n + 1)}
     arrow_index = {(i, j): x for x, (_, d, i, j) in enumerate(basis) if d == 1}
@@ -95,34 +106,8 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
         table[(x, e_index[tgt[x]])] = x
     for (i, j), a in arrow_index.items():
         table[(a, arrow_index[(j, i)])] = cycle_index[i]
-
-    alg = ZigzagAlgebra(g, fld, names, degrees, src, tgt, table,
-                        e_index, arrow_index, cycle_index)
-    _check_associativity(alg)
-    return alg
-
-
-def _check_associativity(alg: ZigzagAlgebra):
-    """Raise on the first triple, in index order, with (ij)k != i(jk).
-
-    Only the triples where (ij)k or i(jk) is a nonzero product can differ:
-    they come from the entries (i, j) and the products of ij, and from the
-    entries (i, m) and the factorizations of m.
-    """
-    by_first: dict[int, list[int]] = {}
-    by_product: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), ij in alg.table.items():
-        by_first.setdefault(i, []).append(j)
-        by_product.setdefault(ij, []).append((i, j))
-    triples = {(i, j, k) for (i, j), ij in alg.table.items() for k in by_first.get(ij, ())}
-    triples |= {(i, j, k) for (i, m) in alg.table for (j, k) in by_product.get(m, ())}
-    for i, j, k in sorted(triples):
-        ij, jk = alg.mult(i, j), alg.mult(j, k)
-        left = alg.mult(ij, k) if ij is not None else None
-        right = alg.mult(i, jk) if jk is not None else None
-        if left != right:
-            raise AssertionError("non-associative table at %s,%s,%s" % (
-                alg.names[i], alg.names[j], alg.names[k]))
+    return ZigzagAlgebra(g, fld, names, degrees, src, tgt, table,
+                         e_index, arrow_index, cycle_index)
 
 
 # ---------------------------------------------------------------------------
@@ -151,39 +136,39 @@ def _table_index(alg: ZigzagAlgebra) -> tuple[dict, dict, dict]:
     return hit
 
 
-def _words(alg: ZigzagAlgebra, n: int, cycles: int,
-           fit: bool = False) -> Iterator[tuple[Word, int]]:
-    """Composable length-n words (n >= 1) over the positive-degree basis with
-    at most `cycles` cycle classes, lex order, each with its count c of them;
-    with `fit`, only the words whose ends admit an output of degree
-    2 - cycles + c, each with that output: the basis of C^{2-cycles,q}.
+@functools.cache
+def _walk_tables(g: Graph, cycles: int) -> tuple[dict, dict, dict]:
+    """(inner, close, ends) of `_words` within `cycles` classes, keyed by the
+    frozen graph's value and kept for the process, like the doubles of
+    `preproj`: every algebra of one graph, over any field, shares them."""
+    basis = _basis(g)
+    letters = [(i, s, t, d - 1) for i, (_, d, s, t) in enumerate(basis) if d > 0]
+    inner = {(0, 0): [(i, t, d) for i, _, t, d in letters if d <= cycles]}
+    for i, v, t, d in letters:
+        for c in range(cycles + 1 - d):
+            inner.setdefault((v, c), []).append((i, t, c + d))
+    # the one output of degree 2 - cycles + c between two vertices
+    ends = {(s, t, d - 2 + cycles): z for z, (_, d, s, t) in enumerate(basis)}
+    return inner, {}, ends
+
+
+def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> Iterator[tuple[Word, int]]:
+    """The composable length-n words (n >= 1) over the positive-degree basis
+    with c <= `cycles` cycle classes whose ends admit an output of degree
+    2 - cycles + c, in lex order, each with that output: the basis of
+    C^{2-cycles,q}.
 
     One depth-first walk.  inner[v, c] lists (letter, target, classes spent)
     leaving v within the budget, c spent; vertex 0 is the empty prefix.
     close[v, s, c], filled as the walk reaches it, lists the last two
-    letters, with the output or count, of the words from s whose prefix
-    ends at v, so no prefix that cannot close is extended.  Lists are in
-    index order; the tables are kept per graph.
+    letters, with the output, of the words from s whose prefix ends at v,
+    so no prefix that cannot close is extended.  Lists are in index order.
     """
-    key = ("zigzag walk", cycles, fit)
-    tables = doubled_of_graph(alg.graph)._cache
-    if key not in tables:
-        letters = [(i, alg.src[i], alg.tgt[i], alg.degrees[i] - 1) for i in alg.positive]
-        inner = {(0, 0): [(i, t, d) for i, _, t, d in letters if d <= cycles]}
-        for i, v, t, d in letters:
-            for c in range(cycles + 1 - d):
-                inner.setdefault((v, c), []).append((i, t, c + d))
-        if fit:   # the one output of degree 2 - cycles + c between two vertices
-            ends = {(alg.src[z], alg.tgt[z], alg.degrees[z] - 2 + cycles): z
-                    for z in range(alg.dim)}
-        else:
-            vertices = range(1, alg.graph.vertex_count + 1)
-            ends = {(s, t, c): c for s in vertices for t in vertices for c in range(cycles + 1)}
-        tables[key] = inner, {}, ends
-    inner, close, ends = tables[key]
+    inner, close, ends = _walk_tables(alg.graph, cycles)
     src = alg.src
     if n == 1:
-        yield from (((i,), ends[src[i], t, c]) for i, t, c in inner[0, 0] if (src[i], t, c) in ends)
+        yield from (((i,), x) for i, t, c in inner[0, 0]
+                    if (x := ends.get((src[i], t, c))) is not None)
         return
     # prefixes to extend, (letters, end, source, classes spent), the least on
     # top; the empty prefix takes its source from the letter after it
@@ -206,7 +191,7 @@ def _cochain_words(alg: ZigzagAlgebra, p: int, q: int) -> Iterable[tuple[Word, i
     n = p + q
     if n == 0:
         return [((), z) for z in range(alg.dim) if alg.degrees[z] == p and alg.src[z] == alg.tgt[z]]
-    return _words(alg, n, 2 - p, fit=True)
+    return _words(alg, n, 2 - p)
 
 
 def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:

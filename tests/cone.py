@@ -221,7 +221,7 @@ def verify_cone_resolution(q: Quiver, p_window: tuple[int, int], q_max: int,
             for cl, cr in zip(lhs, rhs):
                 diff = dict(cl)
                 for i, v in cr.items():
-                    s = fld.sub(diff.get(i, fld.zero()), fld.element(v))
+                    s = fld.add(diff.get(i, fld.zero()), fld.neg(fld.element(v)))
                     if fld.is_zero(s):
                         diff.pop(i, None)
                     else:

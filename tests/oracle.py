@@ -308,14 +308,14 @@ def oracle_delta_columns(alg: ZigzagAlgebra, source, target, letters) -> list[di
     The letter-scanning rule: for (w -> z), x z in front of w and z x behind
     it for every letter x, and w[k] replaced by (u, v) for every pair of
     letters with u v = w[k], each with the sign of the alternating sum, as
-    `alg.mult` says.  Terms that are not in `target` drop out.
+    `alg.table` says.  Terms that are not in `target` drop out.
     """
     letters = list(letters)
     tindex = {b: i for i, b in enumerate(target)}
     splits: dict[int, list[tuple[int, int]]] = {}
     for u in letters:
         for v in letters:
-            uv = alg.mult(u, v)
+            uv = alg.table.get((u, v))
             if uv is not None:
                 splits.setdefault(uv, []).append((u, v))
     cols = []
@@ -337,8 +337,8 @@ def oracle_delta_columns(alg: ZigzagAlgebra, source, target, letters) -> list[di
         m = len(w)
         last_sign = -1 if (m + 1) % 2 else 1
         for x in letters:
-            put((x,) + w, alg.mult(x, z), 1)
-            put(w + (x,), alg.mult(z, x), last_sign)
+            put((x,) + w, alg.table.get((x, z)), 1)
+            put(w + (x,), alg.table.get((z, x)), last_sign)
         for k in range(m):
             sign = -1 if (k + 1) % 2 else 1
             for u, v in splits.get(w[k], ()):

@@ -15,11 +15,32 @@ from oracle import _graded_walks, oracle_check_stasheff
 TRIANGLE = Graph(3, ((1, 2), (2, 3), (1, 3)), name="triangle")
 
 
+def _seeded_graphs(seed: int, count: int) -> list[Graph]:
+    """Random trees and, in every other slot, random non-trees on 3..7 vertices."""
+    rng = random.Random(seed)
+    graphs = []
+    for k in range(count):
+        n = rng.randint(3, 7)
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+        if k % 2:
+            missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                       if (i, j) not in edges]
+            edges += rng.sample(missing, rng.randint(1, min(3, len(missing))))
+        graphs.append(Graph(n, tuple(edges), name="random-%d-%d" % (seed, k)))
+    return graphs
+
+
 def test_m2_only_passes_all_arities():
+    # arity 3 is associativity of the product table over the full basis, so
+    # this is the check of the table: catalog trees and cycles, the triangle,
+    # and seeded random trees and non-trees, odd cycles among them
     labels = ("A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8",
               "A~2", "A~3", "D~4", "D~5", "D~6", "E~6", "E~7", "E~8")
+    seeded = _seeded_graphs(31, 8)
+    assert any(len(g.edges) == g.vertex_count - 1 for g in seeded)
+    assert any(not g.is_bipartite() for g in seeded)   # odd cycles
     for fld in (QQ, GF(2), GF(3)):
-        for g in [parse_label(label) for label in labels] + [TRIANGLE]:
+        for g in [parse_label(label) for label in labels] + [TRIANGLE] + seeded:
             report = check_stasheff(AInftyCandidate(build_zigzag(g, fld), {}), 5)
             assert report.passed, (g.name, fld)
             assert report.conditional_arities == [4, 5]

@@ -7,7 +7,7 @@ import pytest
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.pathalg import (Path, all_words, basis_of_bidegree, make_path, path_name,
                               paths_between, trivial_path)
-from zigzaghh.quiver import catalog, double, ginzburg_extend, orient_bipartite
+from zigzaghh.quiver import GinzburgQuiver, catalog, double, orient_bipartite
 
 from dg import (BigradedElement, commutator, concat, multiply, path_bidegree,
                 path_from_names)
@@ -18,7 +18,7 @@ def _a2_doubled():
 
 
 def _a2_ginzburg():
-    return ginzburg_extend(_a2_doubled())
+    return GinzburgQuiver(_a2_doubled())
 
 
 def test_unit_law():
@@ -72,7 +72,7 @@ def test_basis_of_bidegree_small():
     qg = _a2_ginzburg()
     assert [p.letters for p in basis_of_bidegree(qg, 0, 1)] == [(0,), (1,)]
     assert [p.letters for p in basis_of_bidegree(qg, -1, 2)] == [(2,), (3,)]
-    qg1 = ginzburg_extend(double(orient_bipartite(catalog("A", 1))))
+    qg1 = GinzburgQuiver(double(orient_bipartite(catalog("A", 1))))
     assert len(basis_of_bidegree(qg1, -1, 2)) == 1
     assert basis_of_bidegree(qg1, -2, 1) == []  # q + 2p < 0
 
@@ -119,7 +119,7 @@ def test_multiplication_associative_exhaustive():
 
 
 def test_bidegree_additivity():
-    qg = ginzburg_extend(double(orient_bipartite(catalog("D", 4))))
+    qg = GinzburgQuiver(double(orient_bipartite(catalog("D", 4))))
     rng = random.Random(9)
     pool = all_words(qg, 1) + all_words(qg, 2) + all_words(qg, 3)
     for _ in range(60):
@@ -133,7 +133,7 @@ def test_bidegree_additivity():
 
 
 def test_word_count_matches_paths_between():
-    qg = ginzburg_extend(double(orient_bipartite(catalog("A", 3))))
+    qg = GinzburgQuiver(double(orient_bipartite(catalog("A", 3))))
     qd = qg.doubled
     for n in range(5):
         total = sum(len(paths_between(qd, i, j, n))

@@ -8,9 +8,9 @@ frozen.
 import pytest
 
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.preproj import (cycle_class_in_trace_is_zero, cyclic_piece_dim,
-                              koszul_dual_zigzag_piece, lambda_piece, trace_piece,
-                              trace_piece_general)
+from zigzaghh.preproj import (_preprojective_table, cycle_class_in_trace_is_zero,
+                              cyclic_piece_dim, koszul_dual_zigzag_piece, lambda_piece,
+                              trace_piece, trace_piece_general)
 from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
 
 from dg import BigradedElement, commutator, path_from_names
@@ -49,7 +49,7 @@ def test_lambda_representatives_project_to_basis():
     piece = lambda_piece(q, 2, QQ)
     assert len(piece.representatives) == piece.dimension
     # the three r_v are the relation rows in degree 2, with disjoint supports
-    assert len(piece.ambient) - piece.dimension == 3
+    assert len(_preprojective_table(q, QQ).spanning(2)) - piece.dimension == 3
 
 
 def test_cyclic_piece_degree_zero():
@@ -432,9 +432,9 @@ def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
         piece = lambda_piece(q, n, fld)
         assert piece.representatives == oracle_quotient_representatives(
             qd, preprojective_relations(q), n, fld)
-        if n >= 2:   # the ambient words are b a, b normal one degree down
+        if n >= 2:   # the spanning words are b a, b normal one degree down
             prev = lambda_piece(q, n - 1, fld).representatives
-            assert [p.letters for p in piece.ambient] == [
+            assert [p.letters for p in _preprojective_table(q, fld).spanning(n)] == [
                 b.letters + (a,) for b in prev for a in range(qd.arrow_count)
                 if qd.arrow_source[a] == b.target]
         assert (koszul_dual_zigzag_piece(g, n, fld).representatives

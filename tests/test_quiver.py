@@ -2,9 +2,9 @@
 
 import pytest
 
-from zigzaghh.quiver import (Graph, NonBipartiteError, bad_characteristics, catalog,
-                             double, ginzburg_extend, orient_bipartite,
-                             orient_by_edge_order, parse_graph_document, parse_label)
+from zigzaghh.quiver import (GinzburgQuiver, Graph, NonBipartiteError, bad_characteristics,
+                             catalog, double, orient_bipartite, orient_by_edge_order,
+                             parse_graph_document, parse_label)
 
 
 def test_catalog_a1_is_a_point():
@@ -96,7 +96,7 @@ def test_two_coloring_components_and_loops():
     assert two_coloring(3, []) == [-1, 0, 0, 0]
     assert two_coloring(4, [(1, 2), (3, 3)]) is None
     assert two_coloring(5, [(1, 2), (3, 4), (4, 5), (3, 5)]) is None
-    qg = ginzburg_extend(double(orient_bipartite(catalog("D", 4))))
+    qg = GinzburgQuiver(double(orient_bipartite(catalog("D", 4))))
     assert two_coloring(qg.vertex_count, zip(qg.arrow_source, qg.arrow_target)) is None
     for label in ("A1", "A2", "D4", "E~8", "A~3", "A~2", "A~4"):
         g = parse_label(label)
@@ -128,16 +128,16 @@ def test_double_d4():
 
 
 def test_ginzburg_extension_a1_a2():
-    qg1 = ginzburg_extend(double(orient_bipartite(catalog("A", 1))))
+    qg1 = GinzburgQuiver(double(orient_bipartite(catalog("A", 1))))
     assert qg1.arrow_count == 1 and qg1.is_loop(0)
-    qg2 = ginzburg_extend(double(orient_bipartite(catalog("A", 2))))
+    qg2 = GinzburgQuiver(double(orient_bipartite(catalog("A", 2))))
     assert qg2.arrow_count == 4
     assert [qg2.arrow_names[k] for k in range(4)] == ["a1", "a1*", "t1", "t2"]
     assert qg2.bidegree(0) == (0, 1) and qg2.bidegree(2) == (-1, 2)
 
 
 def test_ginzburg_extension_extended_d4():
-    qg = ginzburg_extend(double(orient_bipartite(catalog("D~", 4))))
+    qg = GinzburgQuiver(double(orient_bipartite(catalog("D~", 4))))
     assert qg.arrow_count == 8 + 5
     assert sum(qg.is_loop(k) for k in range(qg.arrow_count)) == 5
     for v in range(1, 6):
