@@ -44,11 +44,12 @@ MAX_ARITY = 8
 # about 0.7 s and 40 MB cold, and 535,846 at q = 16 (2-vCPU Xeon, Python 3.11)
 MAX_CYCLES = 300_000
 
-# hh2's zigzag method walks the words of C^{1,q} within its cycle budget and
-# streams those whose ends admit an output into the kernel: D4 has 144,342 at
-# q = 14 (78,732 built; 0.7 s, 33 MB cold), E6 214,048 at q = 12 (90,448; 0.8 s,
-# 35 MB) and E~6 368,640 at q = 12 (139,320; 1.4 s, 47 MB) (2-vCPU Xeon, Python
-# 3.11); the cap stays because the exit codes of every accepted input are pinned
+# hh2's zigzag method is bounded by the words of C^{1,q} within its cycle
+# budget, which over-counts its work: the kernel gets only tr(A^(q+2)) +
+# tr(A^q) incoming columns.  D4 has 144,342 words at q = 14 (17,496 columns
+# built; 0.2 s in process, 24 MB cold), E6 214,048 at q = 12 (25,576; 0.35 s)
+# and E~6 368,640 at q = 12 (40,968; 0.6 s, 37 MB) (2-vCPU Xeon, Python 3.11);
+# the cap stays because the exit codes of every accepted input are pinned
 MAX_ZIGZAG_WORDS = 200_000
 
 # preproj refuses a --max whose all-words relation rows, one per word of
@@ -173,8 +174,11 @@ def _check_zigzag_count(g: Graph, qlo: int, qhi: int):
     Those are the words of length q + 1 with at most one cycle class.  With
     W(m) arrow walks of length m, W(q + 1) have none, and as A is symmetric,
     sum over k of <A^k 1, A^(q-k) 1> = (q + 1) W(q) have one, between walks
-    of lengths k and q - k.  The count never falls with q, so stepping stops
-    at the first even q past the cap.  Odd q is not counted: the graph is a
+    of lengths k and q - k.  That is the size of C^{1,q}; HH^{2,q} builds
+    fewer columns, tr(A^(q+2)) + tr(A^q), one per word of C^{2,q} and one
+    per closed walk of length q, so the count over-counts the work, and the
+    cap stays so that every exit code stays as it was.  The count never
+    falls with q, so stepping stops at the first even q past the cap.  Odd q is not counted: the graph is a
     tree, so C^{2,q} is empty, and HH^{2,q} is 0 before C^{1,q} is walked.
     """
     counts = _walk_counts(g)

@@ -31,9 +31,24 @@ for every field.  On a bipartite graph the word has p + q - c arrows,
 an even count exactly when the output starts and ends at one vertex,
 i.e. when p + c is even, so C^{p,q} = 0 for odd q.  Each differential
 is eliminated once: the rows of the outgoing one give the rank and the
-cocycles, and the columns of the incoming one go to the kernel as the
-walk yields their words, so HH^{2,q} keeps no C^{1,q} table.  The
-module reads only `exactla`, `quiver` and `reports` of the package.
+cocycles, and the columns of the incoming one go to the kernel as they
+are built, so HH^{2,q} keeps no C^{1,q} table.  The module reads only
+`exactla`, `quiver` and `reports` of the package.
+
+For p = 2 the kernel gets a spanning subset of d(C^{1,q}), which has the
+same span, so the same rank and witnesses.  C^{2,q} is the closed arrow
+words y X, and y X -> c gives the word (X -> y*) of C^{1,q}, y* the
+reverse of y: these are all the words with no cycle class, and each has
+the two-term column e_{yX} + (-1)^q e_{Xy}.  The other words u c_v u' hold
+one class; with c_v at position k, as c_v = sum of a a* over the arrows
+a out of v, the column is -(-1)^k sum_a e_{u a a* u'}.  Lemma: modulo the
+two-term columns, column(u c_v u') = (-1)^(q |u|) column(c_v u' u).  Proof:
+write u = y u1; each term e_{y X} with X = u1 a a* u' is -(-1)^q e_{X y}
+modulo the column of (X -> y*), and moving c_v to position k - 1 flips
+the sign, so column(u c_v u') = (-1)^q column(u1 c_v u' y); induct on |u|.
+So the relation columns sent are those of c_v u, one per closed arrow
+walk u of length q at v: tr(A^(q+2)) + tr(A^q) columns for the adjacency
+matrix A, against (q + 1) tr(A^q) relation columns in the full map.
 """
 
 from __future__ import annotations
@@ -240,10 +255,22 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
         put((x,) + w, xz, 1)
     for x, zx in right.get(z, ()):
         put(w + (x,), zx, 1 if n % 2 else -1)
+    if factors.keys().isdisjoint(w):   # only the cycle classes factor
+        return col
     for k in range(n):
         for u, v in factors.get(w[k], ()):
             put(w[:k] + (u, v) + w[k + 1:], z, 1 if k % 2 else -1)
     return col
+
+
+def _spanning_words(alg: ZigzagAlgebra, q: int,
+                    basis: list[tuple[Word, int]]) -> Iterator[tuple[Word, int]]:
+    """Words of C^{1,q} whose columns span d(C^{1,q}) in C^{2,q} = `basis`
+    (q >= 0): (X -> y*) for each y X, then (c_v u -> c_v) for each closed
+    arrow walk u at v, the basis of C^{2,q-2}, as the module docstring proves."""
+    arrow, src, tgt = alg.arrow_index, alg.src, alg.tgt
+    yield from ((w[1:], arrow[tgt[w[0]], src[w[0]]]) for w, _ in basis)
+    yield from (((c,) + u, c) for u, c in _cochain_words(alg, 2, q - 2))
 
 
 def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
@@ -262,7 +289,8 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
 
     The rows of d: C^{p,q} -> C^{p+1,q} are eliminated once, for its rank
     and its kernel vectors, and the columns of d: C^{p-1,q} -> C^{p,q} go
-    to the kernel as the walk yields their words.  A witness is a kernel
+    to the kernel as they are built: for p = 2 only `_spanning_words`, for
+    p = 1 every word of C^{0,q}.  A witness is a kernel
     vector, in free-column order, that the echelon of the incoming columns
     and of the cocycles kept before it takes in with `add`.
     """
@@ -283,8 +311,9 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
     image = Echelon(fld, len(basis))
     if p >= 1 and p - 1 + q >= 0:
         index = {b: i for i, b in enumerate(basis)}
-        image = echelonize(fld, (_delta_elementary(alg, w, z, index)
-                                 for w, z in _cochain_words(alg, p - 1, q)), len(basis))
+        words = _spanning_words(alg, q, basis) if p == 2 else _cochain_words(alg, 0, q)
+        image = echelonize(fld, (_delta_elementary(alg, w, z, index) for w, z in words),
+                           len(basis))
     dimension = len(basis) - out.rank - image.rank
     names = []
     for cand in out.kernel_vectors() if want_witnesses and dimension else ():

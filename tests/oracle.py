@@ -176,6 +176,26 @@ def oracle_cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[tuple
     return out
 
 
+def transport(alg: ZigzagAlgebra, qd, cycle: Path) -> tuple[tuple[int, ...], int]:
+    """T(cycle): the elementary (2, q) zigzag cochain of a cycle of length
+    q + 2 in the double quiver qd, as its (input word, output) basis pair.
+
+    It maps the cycle's zigzag arrows, each matched to a letter of qd by its
+    endpoints (the graph has no multiple edges), to the cycle class at the
+    cycle's source, with coefficient 1.  C^{2,q} has exactly these basis
+    elements, and C^{3,q} = 0, so T(cycle) is a cocycle.
+    """
+    if not cycle.is_cycle():
+        raise ValueError("not a cycle: %r" % (cycle,))
+    word, at = [], cycle.source
+    for a in cycle.letters:
+        if qd.arrow_source[a] != at:
+            raise ValueError("not a walk: %r" % (cycle,))
+        at = qd.arrow_target[a]
+        word.append(alg.arrow_index[qd.arrow_source[a], at])
+    return tuple(word), alg.cycle_index[cycle.source]
+
+
 def oracle_check_stasheff(alg: ZigzagAlgebra, products: dict, max_arity: int):
     """Stasheff defects of m_2 = `alg.table` plus the higher `products`, word by word.
 

@@ -8,10 +8,10 @@ import tracemalloc
 import pytest
 
 from zigzaghh import zigzag
-from zigzaghh.exactla import GF, QQ, ExactMatrix
+from zigzaghh.exactla import GF, QQ, ExactMatrix, echelonize
 from zigzaghh.ginzburg import hh2_dim
-from zigzaghh.preproj import trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite, parse_label
+from zigzaghh.preproj import doubled_of, trace_piece
+from zigzaghh.quiver import Graph, catalog, orient_bipartite, parse_label
 from zigzaghh.zigzag import (HochschildCochain, _words, build_zigzag, cochain_basis,
                              cochain_differential, delta_columns, hochschild_dim, is_coboundary,
                              is_cocycle, zero_cochain)
@@ -162,10 +162,12 @@ def test_word_walk_counts_the_cycle_classes():
 def test_hh2_walks_only_the_budgeted_word_tables():
     # C^{2,6} is the closed arrow words of length 8, C^{1,6} the words of
     # length 7 with at most one cycle class whose ends admit an output, and
-    # C^{3,6} is empty: the words of C^{1,6} are walked as their columns are
-    # eliminated, so one basis is kept and no word table, each word of C^{1,6}
-    # with one output; both come from the budgeted walk (no closed-walk list:
-    # the module cannot reach `pathalg` or `preproj`, as the import pin shows)
+    # C^{3,6} is empty: the incoming columns are read off C^{2,6} and the
+    # closed walks of length 6, walked as their columns are eliminated, so
+    # one basis is kept and no word table; C^{1,6} is not walked for HH^{2,6}
+    # but, asked for, has each word with one output; both come from the
+    # budgeted walk (no closed-walk list: the module cannot reach `pathalg`
+    # or `preproj`, as the import pin shows)
     from oracle import _graded_walks
     g = catalog("E~", 6)
     alg = build_zigzag(g, QQ)
@@ -179,11 +181,12 @@ def test_hh2_walks_only_the_budgeted_word_tables():
 
 @pytest.mark.parametrize("label", ["D~4", "E~6"])
 def test_hh2_streams_the_incoming_columns(label):
-    # with C^{2,8} built, HH^{2,8} walks C^{1,8} once and sends each column
-    # to the kernel as it is built: the kernel keeps only its long rows, and
-    # neither C^{1,8} nor a column list outlives the call (Python 3.11:
-    # about 1.6 / 1.5 MB peak and 0.01-0.03 MB kept; keeping that basis and
-    # its columns peaks near 4.9 / 4.6 MB and keeps 1.9 / 1.7 MB)
+    # with C^{2,8} built, HH^{2,8} reads its two-term columns off C^{2,8},
+    # walks the closed walks of length 8 once for its relation columns, and
+    # sends each column to the kernel as it is built: the kernel keeps only
+    # its long rows, and no column list outlives the call (Python 3.11:
+    # about 0.8 MB peak and 0.01-0.02 MB kept for either graph; keeping all
+    # of C^{1,8} and its columns peaks near 4.9 / 4.6 MB and keeps 1.9 / 1.7 MB)
     alg = build_zigzag(parse_label(label), QQ)
     cochain_basis(alg, 2, 8)
     tracemalloc.start()
@@ -195,6 +198,101 @@ def test_hh2_streams_the_incoming_columns(label):
     assert dim == hh2_dim(orient_bipartite(parse_label(label)), 8, QQ).dimension
     assert peak < 2.5 * 2 ** 20, peak
     assert kept < 0.1 * 2 ** 20, kept
+
+
+def _closed_walks(g, n):
+    """tr(A^n) for the adjacency matrix A of g, by counting walks per start."""
+    nbrs = {v: [] for v in range(1, g.vertex_count + 1)}
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    total = 0
+    for s in nbrs:
+        at = {s: 1}
+        for _ in range(n):
+            nxt = {}
+            for v, c in at.items():
+                for u in nbrs[v]:
+                    nxt[u] = nxt.get(u, 0) + c
+            at = nxt
+        total += at.get(s, 0)
+    return total
+
+
+def test_the_sent_columns_span_the_image_of_the_full_differential():
+    # modulo the two-term columns (X -> y*), the column of u c_v u' is +- that
+    # of c_v u' u (the lemma of the module docstring): the columns HH^{2,q}
+    # sends, the oracle's full d: C^{1,q} -> C^{2,q} and the two together have
+    # one rank; A~2 and A~4 have odd cycles, so odd q is not empty there
+    from oracle import oracle_cochain_basis, oracle_delta_columns
+    rng = random.Random(2207)
+    graphs = [parse_label(label) for label in ("A~2", "A~4", "D~4", "E~6", "D4", "A5")]
+    graphs += [Graph(7, tuple((rng.randint(1, v - 1), v) for v in range(2, 8)),
+                     name="random-tree-%d" % k) for k in range(2)]
+    nonzero = 0
+    for g in graphs:
+        for fld in (QQ, GF(2), GF(3)):
+            alg = build_zigzag(g, fld)
+            for q in range(-1, 7):
+                target = cochain_basis(alg, 2, q)
+                if not target:
+                    continue
+                index = {b: i for i, b in enumerate(target)}
+                full = oracle_delta_columns(alg, oracle_cochain_basis(alg, 1, q), target,
+                                            alg.positive)
+                sent = [zigzag._delta_elementary(alg, w, z, index)
+                        for w, z in zigzag._spanning_words(alg, q, target)]
+                assert len(sent) == _closed_walks(g, q + 2) + _closed_walks(g, q) <= len(full)
+                ranks = [echelonize(fld, cols, len(target)).rank for cols in (full, sent, full + sent)]
+                assert ranks[0] == ranks[1] == ranks[2], (g.name, fld.characteristic, q, ranks)
+                nonzero += 1
+    assert nonzero >= 100
+
+
+@pytest.mark.parametrize("label, q, columns",
+                         [("D~4", 8, 2560), ("E~6", 8, 2568), ("D4", 10, 1944), ("A~2", 5, 156)])
+def test_hh2_sends_one_relation_column_per_closed_walk(monkeypatch, label, q, columns):
+    # the two-term columns, one per word of C^{2,q}, and one relation column
+    # c_v u per closed walk u of length q: tr(A^(q+2)) + tr(A^q), against
+    # 6,656, 6,696, 6,804 and 306 columns in the full map; the outgoing
+    # elimination gets no row, as C^{3,q} is empty
+    real = zigzag.echelonize
+    calls = []
+
+    def spy(fld, rows, ncols):
+        rows = list(rows)
+        calls.append(len(rows))
+        return real(fld, rows, ncols)
+
+    monkeypatch.setattr(zigzag, "echelonize", spy)
+    g = parse_label(label)
+    hochschild_dim(build_zigzag(g, QQ), 2, q)
+    assert calls == [0, columns], calls
+    assert columns == _closed_walks(g, q + 2) + _closed_walks(g, q)
+
+
+@pytest.mark.parametrize("label, p, q", [(label, p, q) for label in ("D~4", "E~6")
+                                         for p in (0, 2, 3) for q in (2, 4)]
+                         + [("E8", 2, 6), ("E6", 3, 4)])
+def test_trace_witnesses_transport_to_independent_bar_classes(label, p, q):
+    # T sends each trace witness, a cycle of length q + 2, to the elementary
+    # cochain of its zigzag arrows with output c at its source: the witnesses
+    # give dim HH^{2,q} classes independent modulo the oracle's full im d,
+    # by textbook elimination, so the bar complex and the trace pipeline
+    # agree on classes, not only on their count
+    from oracle import _row_reduce_rank, oracle_cochain_basis, oracle_delta_columns, transport
+    fld = GF(p) if p else QQ
+    g = parse_label(label)
+    quiv = orient_bipartite(g)
+    alg = build_zigzag(g, fld)
+    witnesses = trace_piece(quiv, q + 2, fld, want_witnesses=True).witnesses
+    target = cochain_basis(alg, 2, q)
+    index = {b: i for i, b in enumerate(target)}
+    classes = [{index[transport(alg, doubled_of(quiv), w)]: 1} for w in witnesses]
+    image = oracle_delta_columns(alg, oracle_cochain_basis(alg, 1, q), target, alg.positive)
+    dim = hochschild_dim(alg, 2, q).dimension
+    assert len(classes) == dim == hh2_dim(quiv, q, fld).dimension
+    assert _row_reduce_rank(fld, image + classes) == _row_reduce_rank(fld, image) + dim
 
 
 def test_hochschild_dim_a2_vanishing():
