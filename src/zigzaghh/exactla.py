@@ -451,77 +451,17 @@ class ExactMatrix:
         self.rows: list[dict[int, Scalar]] = [dict() for _ in range(nrows)] if rows is None else rows
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
-        self._ech: Optional[Echelon] = None
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, fld: FieldSpec, entries: list[list]) -> "ExactMatrix":
-        nrows = len(entries)
-        ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for er in entries:
-            if len(er) != ncols:
-                raise ValueError("ragged rows")
-            row = {}
-            for j, v in enumerate(er):
-                fv = fld.element(v)
-                if not fld.is_zero(fv):
-                    row[j] = fv
-            rows.append(row)
-        return cls(fld, nrows, ncols, rows)
-
-    @classmethod
-    def from_columns(cls, fld: FieldSpec, cols: list[dict], nrows: int) -> "ExactMatrix":
-        rows: list[dict] = [dict() for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return cls(fld, nrows, len(cols), rows)
-
-    @classmethod
-    def identity(cls, fld: FieldSpec, n: int) -> "ExactMatrix":
-        return cls(fld, n, n, [{i: fld.one()} for i in range(n)])
-
-    @classmethod
-    def zero(cls, fld: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls(fld, nrows, ncols)
-
-    # -- basics --------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i].get(j, self.field.zero())
-
-    def mul_vector(self, x: list[Scalar]) -> list[Scalar]:
-        f = self.field
-        out = []
-        for row in self.rows:
-            s = f.zero()
-            for j, v in row.items():
-                if x[j] != 0:
-                    s = f.add(s, f.mul(f.element(v), x[j]))
-            out.append(s)
-        return out
-
-    def _echelon(self) -> Echelon:
-        if self._ech is None:
-            self._ech = echelonize(self.field, self.rows, self.ncols)
-        return self._ech
 
     # -- the four operations -------------------------------------------
 
     def rank(self) -> int:
-        return self._echelon().rank
+        return echelonize(self.field, self.rows, self.ncols).rank
 
     def kernel_basis(self) -> list[list[Scalar]]:
         """Canonical basis of the right null space (one vector per free column)."""
         zero = self.field.zero()
         return [[x.get(c, zero) for c in range(self.ncols)]
-                for x in self._echelon().kernel_vectors()]
-
-    def cokernel_dim(self) -> int:
-        """Dimension of target/image for a map into a space of dim = nrows."""
-        return self.nrows - self.rank()
+                for x in echelonize(self.field, self.rows, self.ncols).kernel_vectors()]
 
     def solve(self, b: list) -> Optional[list[Scalar]]:
         """Some x with Mx = b, or None when b is outside the column space."""
@@ -549,6 +489,3 @@ class ExactMatrix:
             for j, v in row.items():
                 cols[j][i] = v
         return span_info(self.field, cols, self.nrows)
-
-    def __repr__(self):
-        return "ExactMatrix(%dx%d over char %d)" % (self.nrows, self.ncols, self.field.characteristic)

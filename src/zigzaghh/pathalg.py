@@ -16,9 +16,9 @@ cycle that is its own largest rotation, so `all_necklaces` builds one
 cycle per rotation class and skips most prefixes (on the double of E~8
 at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes);
 `largest_rotation` maps any cycle to its necklace.  The walk builds each
-word when it reaches it, and can try letters from the largest down:
-`necklaces_descending` reads the necklaces in reverse order, uncached,
-for a scan that stops early.
+word when it reaches it.  Necklaces are walked one way, from the largest
+down: `necklaces_descending` reads them uncached, for a scan that stops
+early, and `all_necklaces` keeps that walk reversed.
 """
 
 from __future__ import annotations
@@ -74,25 +74,23 @@ def loop_count(q, p: Path) -> int:
 # enumeration (deterministic: lexicographic in arrow ids)
 # ---------------------------------------------------------------------------
 
-def _walk(q, n: int, closed: bool = False, descending: bool = False,
-          necklace: bool = False) -> Iterator[Path]:
-    """Length-n words in lexicographic letter order, from one depth-first walk
-    that builds each word when it reaches it.
-
-    With `closed`, only the cycles: the last letter must return to the
-    first letter's source.  With `descending`, every position tries its
-    letters from the largest down, so the words come in reverse order.
-    With `necklace` as well, only the necklaces (cycles that are their own
-    largest rotation), and a prefix grows only while it passes the FKM
+def _walk(q, n: int, mode: str = "open") -> Iterator[Path]:
+    """Length-n words from one depth-first walk that builds each word when
+    it reaches it: every word ("open") or the cycles ("closed", the last
+    letter returns to the first letter's source) in lexicographic letter
+    order, or the necklaces ("necklace", cycles that are their own largest
+    rotation) in reverse order, every position trying its letters from the
+    largest down.  A necklace prefix grows only while it passes the FKM
     prenecklace test for the largest rotation (Ruskey, Savage and Wang,
     Generating necklaces, J. Algorithms 1992): with period p, the letter at
     position t is at most word[t - p], an equal one keeps p and a smaller
     one makes it t + 1; a word of n letters is a necklace iff p divides n.
     A closed walk's letters only narrow the alphabet, so none is pruned.
     """
+    necklace, closed = mode == "necklace", mode != "open"
     if n == 0:
         vertices = range(1, q.vertex_count + 1)
-        for v in reversed(vertices) if descending else vertices:
+        for v in reversed(vertices) if necklace else vertices:
             yield trivial_path(v)
         return
     src = q.arrow_source
@@ -101,7 +99,7 @@ def _walk(q, n: int, closed: bool = False, descending: bool = False,
     # the first position.  ends[v, s] lists the letters from v back to s.
     steps: dict[int, list[int]] = {v: [] for v in range(q.vertex_count + 1)}
     ends: dict[tuple[int, int], list[int]] = {}
-    for k in reversed(range(q.arrow_count)) if descending else range(q.arrow_count):
+    for k in reversed(range(q.arrow_count)) if necklace else range(q.arrow_count):
         steps[src[k]].append(k)
         steps[0].append(k)
         ends.setdefault((src[k], tgt[k]), []).append(k)
@@ -185,7 +183,7 @@ def all_cycles(q, n: int) -> list[Path]:
     key = ("closed", n)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = [] if _odd_on_two_colored(q, n) else list(_walk(q, n, closed=True))
+        hit = cache[key] = [] if _odd_on_two_colored(q, n) else list(_walk(q, n, "closed"))
     return hit
 
 
@@ -194,14 +192,15 @@ def all_necklaces(q, n: int) -> list[Path]:
     rotation class, in global lexicographic letter order.
 
     They are the cycles c of all_cycles(q, n) with
-    c.letters == largest_rotation(c.letters), walked without the others.
+    c.letters == largest_rotation(c.letters), walked without the others:
+    `necklaces_descending`, kept reversed.
     """
     cache = q._cache
     key = ("necklaces", n)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = [] if _odd_on_two_colored(q, n) else \
-            list(_walk(q, n, closed=True, necklace=True))
+        hit = cache[key] = list(necklaces_descending(q, n))
+        hit.reverse()
     return hit
 
 
@@ -213,7 +212,7 @@ def necklaces_descending(q, n: int) -> Iterator[Path]:
     """
     if _odd_on_two_colored(q, n):
         return iter(())
-    return _walk(q, n, closed=True, descending=True, necklace=True)
+    return _walk(q, n, "necklace")
 
 
 def largest_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:

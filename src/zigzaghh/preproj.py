@@ -54,16 +54,15 @@ Coords = dict
 Pairs = tuple
 
 
-# Keyed by the frozen quiver's value and kept for the process, so equal
-# quivers built apart share one double and with it its tables.
+# Keyed by the frozen quiver's value and kept for the process: equal quivers share one
+# double and its tables, those of Lambda by relation kind, as a graph's may be a quiver's.
 @functools.cache
 def doubled_of(q: Quiver) -> DoubledQuiver:
     return double(q)
 
 
-@functools.cache
 def doubled_of_graph(g: Graph) -> DoubledQuiver:
-    return double(orient_by_edge_order(g))
+    return doubled_of(orient_by_edge_order(g))
 
 
 def preprojective_relations(q: Quiver) -> RelationTable:

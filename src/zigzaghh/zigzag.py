@@ -32,8 +32,9 @@ an even count exactly when the output starts and ends at one vertex,
 i.e. when p + c is even, so C^{p,q} = 0 for odd q.  Each differential
 is eliminated once: the rows of the outgoing one give the rank and the
 cocycles, and the columns of the incoming one go to the kernel as they
-are built, so HH^{2,q} keeps no C^{1,q} table.  The module reads only
-`exactla`, `quiver` and `reports` of the package.
+are built, so HH^{2,q} keeps no C^{1,q} table.  An algebra keeps no
+cache: each cochain basis is walked when asked for.  The module reads
+only `exactla`, `quiver` and `reports` of the package.
 
 For p = 2 the kernel gets a spanning subset of d(C^{1,q}), which has the
 same span, so the same rank and witnesses.  C^{2,q} is the closed arrow
@@ -49,6 +50,7 @@ the sign, so column(u c_v u') = (-1)^q column(u1 c_v u' y); induct on |u|.
 So the relation columns sent are those of c_v u, one per closed arrow
 walk u of length q at v: tr(A^(q+2)) + tr(A^q) columns for the adjacency
 matrix A, against (q + 1) tr(A^q) relation columns in the full map.
+`hochschild_dim` and `is_coboundary` read this one image, from `_image`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .exactla import Echelon, FieldSpec, Scalar, echelonize, in_span
+from .exactla import Echelon, FieldSpec, Scalar, echelonize
 from .quiver import Graph
 from .reports import HHReport
 
@@ -78,7 +80,7 @@ class ZigzagAlgebra:
         self.e_index = e_index
         self.arrow_index = arrow_index
         self.cycle_index = cycle_index
-        self._cache: dict = {}
+        self.products = _table_index(table, degrees)   # built once, with the algebra
 
     @property
     def dim(self) -> int:
@@ -132,23 +134,21 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
 Word = tuple[int, ...]
 
 
-def _table_index(alg: ZigzagAlgebra) -> tuple[dict, dict, dict]:
-    """The nonzero products of `alg.table` by the factor they hold fixed.
+def _table_index(table: dict[tuple[int, int], int], degrees: list[int]) -> tuple[dict, dict, dict]:
+    """The nonzero products of `table` by the factor they hold fixed.
 
     left[z] lists (x, x z) and right[z] lists (x, z x) over positive x, and
     factors[m] the positive pairs (u, v) with u v = m, each in table order.
     """
-    hit = alg._cache.get("index")
-    if hit is None:
-        left, right, factors = hit = alg._cache["index"] = ({}, {}, {})
-        for (u, v), m in sorted(alg.table.items()):
-            if alg.degrees[u] > 0:
-                left.setdefault(v, []).append((u, m))
-            if alg.degrees[v] > 0:
-                right.setdefault(u, []).append((v, m))
-                if alg.degrees[u] > 0:
-                    factors.setdefault(m, []).append((u, v))
-    return hit
+    left, right, factors = {}, {}, {}
+    for (u, v), m in sorted(table.items()):
+        if degrees[u] > 0:
+            left.setdefault(v, []).append((u, m))
+        if degrees[v] > 0:
+            right.setdefault(u, []).append((v, m))
+            if degrees[u] > 0:
+                factors.setdefault(m, []).append((u, v))
+    return left, right, factors
 
 
 @functools.cache
@@ -222,11 +222,7 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     """
     if p + q < 0 or p > 2 or q % 2 and alg.graph.is_bipartite():
         return []   # for p > 2 the output degree p + c exceeds 2 on every word
-    key = ("cbasis", p, q)
-    hit = alg._cache.get(key)
-    if hit is None:
-        hit = alg._cache[key] = list(_cochain_words(alg, p, q))
-    return hit
+    return list(_cochain_words(alg, p, q))
 
 
 def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
@@ -234,7 +230,7 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
     """Image of the elementary cochain (w -> z) under the differential.
 
     Only nonzero products contribute, so the terms are read from
-    `_table_index`: x z and z x at the two ends, and each factorization
+    `alg.products`: x z and z x at the two ends, and each factorization
     u v of a letter of w.  The empty word (n = 0) follows the same rule.
     """
     col: dict[int, int] = {}
@@ -249,7 +245,7 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
         else:
             col.pop(i, None)
 
-    left, right, factors = _table_index(alg)
+    left, right, factors = alg.products
     n = len(w)
     for x, xz in left.get(z, ()):
         put((x,) + w, xz, 1)
@@ -273,6 +269,17 @@ def _spanning_words(alg: ZigzagAlgebra, q: int,
     yield from (((c,) + u, c) for u, c in _cochain_words(alg, 2, q - 2))
 
 
+def _image(alg: ZigzagAlgebra, p: int, q: int, basis: list[tuple[Word, int]]) -> Echelon:
+    """The echelon of d(C^{p-1,q}) in C^{p,q} = `basis`, each column sent to the kernel as
+    built: for p = 2 only `_spanning_words`, for p = 1 all of C^{0,q}, else none."""
+    if not basis or p not in (1, 2) or p - 1 + q < 0:
+        return Echelon(alg.field, len(basis))
+    index = {b: i for i, b in enumerate(basis)}
+    words = _spanning_words(alg, q, basis) if p == 2 else _cochain_words(alg, 0, q)
+    return echelonize(alg.field, (_delta_elementary(alg, w, z, index) for w, z in words),
+                      len(basis))
+
+
 def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
         list[tuple[Word, int]], list[tuple[Word, int]], list[dict[int, int]]]:
     """(source basis, target basis, columns) of d: C^{p,q} -> C^{p+1,q}."""
@@ -288,11 +295,10 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
     """dim HH^{p,q} of the zigzag algebra via the reduced complex.
 
     The rows of d: C^{p,q} -> C^{p+1,q} are eliminated once, for its rank
-    and its kernel vectors, and the columns of d: C^{p-1,q} -> C^{p,q} go
-    to the kernel as they are built: for p = 2 only `_spanning_words`, for
-    p = 1 every word of C^{0,q}.  A witness is a kernel
-    vector, in free-column order, that the echelon of the incoming columns
-    and of the cocycles kept before it takes in with `add`.
+    and its kernel vectors, and the incoming image once, by `_image`.  A
+    witness is a kernel vector, in free-column order, that the echelon of
+    the incoming columns and of the cocycles kept before it takes in with
+    `add`.
     """
     if p < 0:
         raise ValueError("cohomological degree must be >= 0")
@@ -308,12 +314,7 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
             for i, v in _delta_elementary(alg, w, z, tindex).items():
                 rows.setdefault(i, {})[j] = v
     out = echelonize(fld, rows.values(), len(basis))
-    image = Echelon(fld, len(basis))
-    if p >= 1 and p - 1 + q >= 0:
-        index = {b: i for i, b in enumerate(basis)}
-        words = _spanning_words(alg, q, basis) if p == 2 else _cochain_words(alg, 0, q)
-        image = echelonize(fld, (_delta_elementary(alg, w, z, index) for w, z in words),
-                           len(basis))
+    image = _image(alg, p, q, basis)
     dimension = len(basis) - out.rank - image.rank
     names = []
     for cand in out.kernel_vectors() if want_witnesses and dimension else ():
@@ -399,12 +400,7 @@ def is_cocycle(c: HochschildCochain) -> bool:
 
 
 def is_coboundary(c: HochschildCochain) -> bool:
-    """Exact membership of c in the image of the incoming differential."""
+    """Exact membership of c in the image of the incoming differential: the
+    echelon of `_image` does not take c's vector in."""
     alg = c.algebra
-    vec = c.vector()
-    if not vec:
-        return True
-    if c.p < 1:
-        return False
-    _, basis, in_cols = delta_columns(alg, c.p - 1, c.q)
-    return in_span(alg.field, echelonize(alg.field, in_cols, len(basis)), vec)
+    return not _image(alg, c.p, c.q, cochain_basis(alg, c.p, c.q)).add(c.vector())

@@ -213,5 +213,8 @@ def dg_piece(qg: GinzburgQuiver, p: int, q: int, fld: FieldSpec) -> DgPiece:
     basis = basis_of_bidegree(qg, p, q)
     target = basis_of_bidegree(qg, p + 1, q) if p + 1 <= 0 else []
     index = {w: i for i, w in enumerate(target)}
-    cols = [{index[t]: c for t, c in differential(qg, w, fld).terms.items()} for w in basis]
-    return DgPiece((p, q), basis, target, ExactMatrix.from_columns(fld, cols, len(target)))
+    rows: list[dict] = [{} for _ in target]
+    for j, w in enumerate(basis):
+        for t, c in differential(qg, w, fld).terms.items():
+            rows[index[t]][j] = c
+    return DgPiece((p, q), basis, target, ExactMatrix(fld, len(target), len(basis), rows))

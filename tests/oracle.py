@@ -14,7 +14,6 @@ reads the package's closed walks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,64 +30,47 @@ class OracleInfeasible(RuntimeError):
     """The request is too large for a brute-force computation."""
 
 
-@dataclass
-class OracleResult:
-    quantity: str
-    parameters: dict
-    value: int
-    method: str
-
-
 def _row_reduce_rank(fld: FieldSpec, rows: list[dict[int, object]]) -> int:
-    return len(_row_reduce_pivots(fld, rows))
+    return len(_row_reduce_rows(fld, rows))
 
 
-def _row_reduce_pivots(fld: FieldSpec, rows: list[dict[int, object]]) -> list[int]:
+def _row_reduce_rows(fld: FieldSpec, rows: list[dict[int, object]]) -> list[dict]:
     """Textbook elimination: repeatedly normalize a pivot and clear below.
 
-    Returns the pivot columns in the order they are found: each pivot is
-    the smallest column left in any row, so column c is a pivot exactly
-    when it is not in the span of the columns before it.
+    Returns the normalized pivot rows, which span the rows, in the order
+    found: each pivot is the smallest column left in any row, so column c
+    is a pivot exactly when it is not in the span of the columns before
+    it.  Only the rows that lead with that column hold it, so the rows
+    wait by leading column, and the shortest of them is the pivot.
     """
     p = fld.characteristic
-    work = []
+    waiting: dict[int, list[dict]] = {}   # leading column -> its rows
+
+    def put(r):
+        r = {c: v % p if p else v for c, v in r.items() if (v % p if p else v)}
+        if r:
+            waiting.setdefault(min(r), []).append(r)
+
     for r in rows:
-        if p == 0:
-            rr = {c: Fraction(v) for c, v in r.items() if v != 0}
-        else:
-            rr = {c: v % p for c, v in r.items() if v % p}
-        if rr:
-            work.append(rr)
-    pivots = []
-    while work:
-        lead = min(min(r) for r in work)
-        pivot = next(r for r in work if min(r) == lead)
-        work.remove(pivot)
-        pivots.append(lead)
-        inv = (Fraction(1) / pivot[lead]) if p == 0 else pow(pivot[lead], p - 2, p)
-        if p == 0:
-            pivot = {c: v * inv for c, v in pivot.items()}
-        else:
-            pivot = {c: (v * inv) % p for c, v in pivot.items()}
-        nxt = []
-        for r in work:
-            if lead in r:
-                f = r[lead]
-                out = dict(r)
-                for c, v in pivot.items():
-                    w = out.get(c, 0) - f * v
-                    if p != 0:
-                        w %= p
-                    if w:
-                        out[c] = w
-                    else:
-                        out.pop(c, None)
-                if out:
-                    nxt.append(out)
-            else:
-                nxt.append(r)
-        work = nxt
-    return pivots
+        put(r if p else {c: Fraction(v) for c, v in r.items()})
+    echelon = []
+    while waiting:
+        lead = min(waiting)
+        pivot, *below = sorted(waiting.pop(lead), key=len)
+        inv = pow(pivot[lead], p - 2, p) if p else 1 / pivot[lead]
+        pivot = {c: v * inv % p if p else v * inv for c, v in pivot.items()}
+        echelon.append(pivot)
+        for r in below:
+            f, out = r[lead], dict(r)
+            for c, v in pivot.items():
+                out[c] = out.get(c, 0) - f * v
+            put(out)
+    return echelon
+
+
+def oracle_times(m, x: list) -> list:
+    """The ExactMatrix m times the dense vector x."""
+    return [m.field.element(sum(v * x[j] for j, v in row.items())) for row in m.rows]
 
 
 def _doubled_arrows(q: Quiver) -> list[tuple[int, int]]:
@@ -475,7 +457,7 @@ def oracle_trace_witnesses(qd, rels, n: int, fld: FieldSpec) -> list[Path]:
     """The free necklaces of the necklace matrix, by the textbook pivot rule:
     a basis of the degree-n trace."""
     necklaces, _, rows = oracle_necklace_space(qd, rels, n)
-    pivots = set(_row_reduce_pivots(fld, rows))
+    pivots = {min(r) for r in _row_reduce_rows(fld, rows)}
     return [c for k, c in enumerate(necklaces) if k not in pivots]
 
 

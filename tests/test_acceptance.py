@@ -7,16 +7,14 @@ to see the per-criterion lines.
 
 import json
 
-import pytest
-
 from zigzaghh.ainfty import class_of, extended_d4_m4
 from zigzaghh.cli import main as cli_main
-from zigzaghh.exactla import GF, QQ, ExactMatrix
+from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.pathalg import all_cycles, basis_of_bidegree, make_path
 from zigzaghh.preproj import cyclic_piece_dim, doubled_of, lambda_piece, trace_piece
 from zigzaghh.quiver import catalog, orient_bipartite
-from zigzaghh.zigzag import build_zigzag, cochain_basis, delta_columns, hochschild_dim
+from zigzaghh.zigzag import build_zigzag, delta_columns, hochschild_dim
 
 from cone import verify_cone_resolution
 from dg import BigradedElement, commutator, differential, element_differential, ginzburg_of
@@ -169,13 +167,14 @@ def test_criterion_7_structural_suites():
         alg = build_zigzag(catalog(*fam_n), QQ)
         for adams in range(0, 4):
             for p in range(0, 3):
-                _, mid, cols1 = delta_columns(alg, p, adams)
+                _, _, cols1 = delta_columns(alg, p, adams)
                 _, _, cols2 = delta_columns(alg, p + 1, adams)
-                nxt_dim = len(cochain_basis(alg, p + 2, adams))
-                m2 = ExactMatrix.from_columns(QQ, cols2, nxt_dim)
                 for col in cols1:
-                    v = [col.get(i, 0) for i in range(len(mid))]
-                    assert all(x == 0 for x in m2.mul_vector(v))
+                    image = {}
+                    for i, v in col.items():
+                        for j, w in cols2[i].items():
+                            image[j] = image.get(j, 0) + v * w
+                    assert not any(image.values())
                     compositions += 1
 
     # cone resolution witness on A1 and A2

@@ -15,7 +15,7 @@ from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential, ginzburg_of,
                 path_from_names)
 from oracle import (oracle_basis_of_bidegree, oracle_hh2_complex, oracle_necklace,
-                    oracle_necklace_space)
+                    oracle_necklace_space, oracle_times)
 
 
 def _q(family, n):
@@ -75,8 +75,8 @@ def test_dg_piece_matrix_squares_to_zero():
             piece = dg_piece(qg, p, adams, QQ)
             nxt = dg_piece(qg, p + 1, adams, QQ)
             for col in range(piece.matrix.ncols):
-                v = [piece.matrix.entry(i, col) for i in range(piece.matrix.nrows)]
-                assert all(x == 0 for x in nxt.matrix.mul_vector(v))
+                v = [piece.matrix.rows[i].get(col, 0) for i in range(piece.matrix.nrows)]
+                assert all(x == 0 for x in oracle_times(nxt.matrix, v))
 
 
 def test_h0_equals_lambda():

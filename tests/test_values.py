@@ -10,7 +10,8 @@ from zigzaghh.exactla import QQ, FieldSpec
 from zigzaghh.preproj import doubled_of
 from zigzaghh.quiver import Graph, Quiver, catalog
 from zigzaghh.reports import HHReport
-from zigzaghh.zigzag import build_zigzag
+from zigzaghh.zigzag import (HochschildCochain, build_zigzag, cochain_basis, hochschild_dim,
+                             is_coboundary)
 
 VALUES = [
     (lambda: Graph(3, ((2, 1), (2, 3)), "A3"), "name", "B3"),
@@ -95,7 +96,12 @@ def test_stasheff_reports_do_not_share_their_lists():
     assert StasheffReport(3, conditional_arities=[4, 5]).conditional_arities == [4, 5]
 
 
-def test_zigzag_algebras_do_not_share_their_caches():
-    a, b = build_zigzag(catalog("A", 2), QQ), build_zigzag(catalog("A", 2), QQ)
-    a._cache["probe"] = 1
-    assert "probe" not in b._cache
+def test_zigzag_algebras_keep_no_state_across_calls():
+    # an algebra holds no cache: computing on it leaves its attributes as built
+    alg = build_zigzag(catalog("D~", 4), QQ)
+    built = copy.deepcopy(vars(alg))
+    hochschild_dim(alg, 1, 2)
+    hochschild_dim(alg, 2, 2, want_witnesses=True)
+    (w, z), *_ = cochain_basis(alg, 2, 2)
+    is_coboundary(HochschildCochain(alg, 2, 2, {w: {z: 1}}))
+    assert vars(alg) == built

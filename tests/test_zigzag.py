@@ -22,6 +22,18 @@ def _letters(alg):
     return tuple((i, alg.src[i], alg.tgt[i], alg.degrees[i]) for i in alg.positive)
 
 
+def _calls(monkeypatch, name):
+    """The arguments after the algebra of each later call of zigzag.<name>."""
+    real, seen = getattr(zigzag, name), []
+
+    def spy(alg, *args):
+        seen.append(args)
+        return real(alg, *args)
+
+    monkeypatch.setattr(zigzag, name, spy)
+    return seen
+
+
 def test_zigzag_reads_only_exactla_quiver_and_reports():
     # the bar complex shares no code with the Ginzburg and trace pipelines:
     # its package imports are pinned, so no later change borrows from them
@@ -159,34 +171,35 @@ def test_word_walk_counts_the_cycle_classes():
                 assert list(_words(alg, n, budget)) == want, (label, n, budget)
 
 
-def test_hh2_walks_only_the_budgeted_word_tables():
+def test_hh2_walks_only_the_budgeted_word_tables(monkeypatch):
     # C^{2,6} is the closed arrow words of length 8, C^{1,6} the words of
     # length 7 with at most one cycle class whose ends admit an output, and
     # C^{3,6} is empty: the incoming columns are read off C^{2,6} and the
-    # closed walks of length 6, walked as their columns are eliminated, so
-    # one basis is kept and no word table; C^{1,6} is not walked for HH^{2,6}
-    # but, asked for, has each word with one output; both come from the
-    # budgeted walk (no closed-walk list: the module cannot reach `pathalg`
-    # or `preproj`, as the import pin shows)
+    # closed walks of length 6, so HH^{2,6} walks exactly those two word
+    # tables and never C^{1,6}, which, asked for, has each word with one
+    # output; both come from the budgeted walk (no closed-walk list: the
+    # module cannot reach `pathalg` or `preproj`, as the import pin shows)
     from oracle import _graded_walks
+    walked = _calls(monkeypatch, "_words")
     g = catalog("E~", 6)
     alg = build_zigzag(g, QQ)
     hochschild_dim(alg, 2, 6)
-    tables = sorted(k for k in alg._cache if isinstance(k, tuple))
-    assert tables == [("cbasis", 2, 6)]
+    assert walked == [(8, 0), (6, 0)]
     basis = cochain_basis(alg, 1, 6)
+    assert walked[2:] == [(7, 1)]
     assert len({w for w, _ in basis}) == len(basis) < sum(
         1 for *_, d in _graded_walks(_letters(alg), g.vertex_count, 7) if d <= 8)
 
 
 @pytest.mark.parametrize("label", ["D~4", "E~6"])
 def test_hh2_streams_the_incoming_columns(label):
-    # with C^{2,8} built, HH^{2,8} reads its two-term columns off C^{2,8},
-    # walks the closed walks of length 8 once for its relation columns, and
-    # sends each column to the kernel as it is built: the kernel keeps only
-    # its long rows, and no column list outlives the call (Python 3.11:
+    # HH^{2,8} walks C^{2,8}, reads its two-term columns off it, walks the
+    # closed walks of length 8 once for its relation columns, and sends each
+    # column to the kernel as it is built: the kernel keeps only its long
+    # rows, and no basis or column list outlives the call (Python 3.11:
     # about 0.8 MB peak and 0.01-0.02 MB kept for either graph; keeping all
-    # of C^{1,8} and its columns peaks near 4.9 / 4.6 MB and keeps 1.9 / 1.7 MB)
+    # of C^{1,8} and its columns peaks near 4.9 / 4.6 MB and keeps 1.9 / 1.7 MB).
+    # One walk first fills the graph's walk tables, which the process keeps.
     alg = build_zigzag(parse_label(label), QQ)
     cochain_basis(alg, 2, 8)
     tracemalloc.start()
@@ -383,13 +396,14 @@ def test_delta_squared_zero_random_cochains():
 def test_delta_matrices_compose_to_zero():
     alg = build_zigzag(catalog("D", 4), GF(2))
     for q in (1, 2):
-        src, mid, cols1 = delta_columns(alg, 1, q)
+        _, _, cols1 = delta_columns(alg, 1, q)
         _, _, cols2 = delta_columns(alg, 2, q)
-        tindex_dim = len(cochain_basis(alg, 3, q))
-        m2 = ExactMatrix.from_columns(GF(2), cols2, tindex_dim)
         for col in cols1:
-            v = [col.get(i, 0) for i in range(len(mid))]
-            assert all(x == 0 for x in m2.mul_vector(v))
+            image = {}
+            for i, v in col.items():
+                for j, w in cols2[i].items():
+                    image[j] = image.get(j, 0) + v * w
+            assert all(x % 2 == 0 for x in image.values())
 
 
 def test_center_0cochain_is_closed():
@@ -420,6 +434,63 @@ def test_delta_of_cochain_is_coboundary():
         c = HochschildCochain(alg, 1, 1, values)
         d = cochain_differential(c)
         assert is_cocycle(d) and is_coboundary(d)
+
+
+def test_is_coboundary_is_membership_in_the_oracle_full_image():
+    # is_coboundary eliminates only the spanning columns of d(C^{1,q}); its
+    # verdict is membership in the oracle's full image (textbook rank with and
+    # without the cochain) on elementary cochains, random two-term ones and,
+    # for p = 2, (y X -> c) + s (X y -> c) for both signs s; A~2 and A~4 have
+    # odd cycles.  For p = 1 the columns are all of C^{0,q}, as in the full
+    # map, so q stops at 5: at q = 6 one verdict eliminates ~1,400 columns
+    from oracle import _row_reduce_rank, _row_reduce_rows, oracle_cochain_basis, \
+        oracle_delta_columns
+    rng = random.Random(2323)
+    tree = Graph(7, tuple((rng.randint(1, v - 1), v) for v in range(2, 8)), name="random-tree")
+    verdicts = []
+    for g in [parse_label(label) for label in ("A~2", "A~4", "D4", "D~4", "E~6")] + [tree]:
+        algs = [build_zigzag(g, fld) for fld in (QQ, GF(2), GF(3))]   # one basis, int columns
+        for p, q in [(1, q) for q in range(-1, 6)] + [(2, q) for q in range(-1, 7)]:
+            target = oracle_cochain_basis(algs[0], p, q)
+            if not target:
+                continue
+            full = oracle_delta_columns(algs[0], oracle_cochain_basis(algs[0], p - 1, q), target,
+                                        algs[0].positive)
+            index = {b: i for i, b in enumerate(target)}
+            for alg in algs:
+                fld = alg.field
+                image = _row_reduce_rows(fld, full)
+                i, j = rng.randrange(len(target)), rng.randrange(len(target))
+                cochains = [{i: 1}] + ([{i: 1, j: rng.choice((1, -1, 2))}] if i != j else [])
+                if p == 2:   # y X turned into X y, with the class at its new source
+                    w, z = rng.choice(target)
+                    turned = index[w[1:] + w[:1], alg.cycle_index[alg.tgt[w[0]]]]
+                    cochains += [{index[w, z]: 1, turned: s} for s in (1, -1)]
+                for vec in cochains:
+                    values = {}
+                    for k, c in vec.items():
+                        values.setdefault(target[k][0], {})[target[k][1]] = c
+                    got = is_coboundary(HochschildCochain(alg, p, q, values))
+                    want = _row_reduce_rank(fld, image + [vec]) == len(image)
+                    assert got == want, (g.name, fld.characteristic, p, q, vec)
+                    verdicts.append(got)
+    assert verdicts.count(True) >= 200 and verdicts.count(False) >= 200, \
+        (verdicts.count(True), verdicts.count(False))
+
+
+def test_is_coboundary_walks_no_c1(monkeypatch):
+    # neither the default ainfty-check job nor is_coboundary on a (2, 8)
+    # cochain asks for C^{1,q} or the full map, or walks words within the
+    # budget of one cycle class, the walk of C^{1,q}
+    from zigzaghh.cli import main
+    walked, bases = _calls(monkeypatch, "_words"), _calls(monkeypatch, "cochain_basis")
+    full = _calls(monkeypatch, "delta_columns")
+    assert main(["ainfty-check"]) == 0
+    alg = build_zigzag(parse_label("D~4"), QQ)
+    (w, z), *_ = cochain_basis(alg, 2, 8)
+    assert is_coboundary(HochschildCochain(alg, 2, 8, {w: {z: 1}}))
+    assert walked and all(cycles == 0 for _, cycles in walked), walked
+    assert bases and all(p != 1 for p, _ in bases) and not full, (bases, full)
 
 
 def test_cochain_validation_rejects_bad_values():
