@@ -20,7 +20,7 @@ from . import ainfty, ginzburg, preproj, zigzag
 from .exactla import FieldSpec
 from .pathalg import path_name
 from .reports import HHReport
-from .quiver import (Graph, NonBipartiteError, load_graph, orient_bipartite,
+from .quiver import (Graph, NonBipartiteError, double, load_graph, orient_bipartite,
                      orient_by_edge_order, parse_label)
 
 EXIT_OK = 0
@@ -310,8 +310,7 @@ def cmd_hh2(args) -> int:
             tr = preproj.trace_piece(quiv, q + 2, fld, want_witnesses=args.witnesses)
             reps = None
             if args.witnesses:
-                qd = preproj.doubled_of(quiv)
-                reps = tuple(path_name(qd, w) for w in (tr.witnesses or []))
+                reps = tuple(path_name(double(quiv), w) for w in (tr.witnesses or []))
             return HHReport(2, q, "trace", tr.dimension, reps)
         return zigzag.hochschild_dim(alg, 2, q, want_witnesses=args.witnesses)
 
@@ -367,7 +366,7 @@ def cmd_classify(args) -> int:
     witness = None
     if nonzero:
         first = preproj.trace_piece(quiv, nonzero[0] + 2, fld, want_witnesses=True)
-        witness = path_name(preproj.doubled_of(quiv), first.witnesses[0])
+        witness = path_name(double(quiv), first.witnesses[0])
     if nonzero:
         verdict = ("nonzero HH^{2,q} at q in {%s} => NOT intrinsically formal "
                    "(nontrivial first-order deformation witnessed; bound N=%d)"

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .exactla import FieldSpec, span_info
 from .pathalg import Path, all_cycles, all_necklaces, largest_rotation, path_name
-from .preproj import doubled_of, lambda_piece, preprojective_relations
-from .quiver import Quiver
+from .preproj import lambda_piece, preprojective_relations
+from .quiver import Quiver, double
 from .reports import HHReport
 
 
@@ -44,7 +44,7 @@ def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
     {necklace index: coeff}."""
     if adams < -2:
         raise ValueError("no complex below Adams degree -2")
-    qd = doubled_of(q)
+    qd = double(q)
     necklaces = all_necklaces(qd, adams + 2)
     index = {w.letters: i for i, w in enumerate(necklaces)}
     rels = preprojective_relations(q)
@@ -66,5 +66,5 @@ def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False)
     info = span_info(fld, cols, len(necklaces))
     reps = None
     if want_witnesses:
-        reps = tuple(path_name(doubled_of(q), necklaces[i]) for i in info.free_coords)
+        reps = tuple(path_name(double(q), necklaces[i]) for i in info.free_coords)
     return HHReport(2, adams, "ginzburg", info.quotient_dim, reps)

@@ -18,11 +18,14 @@ at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes);
 `largest_rotation` maps any cycle to its necklace.  The walk builds each
 word when it reaches it.  Necklaces are walked one way, from the largest
 down: `necklaces_descending` reads them uncached, for a scan that stops
-early, and `all_necklaces` keeps that walk reversed.
+early, and `all_necklaces` is that walk reversed.  The tables are
+`functools.cache` memos keyed by (quiver, length), kept for the process;
+equal quivers share them, as `quiver.double` gives them one double.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, NamedTuple
 
 from .quiver import two_coloring
@@ -143,25 +146,17 @@ def _walk(q, n: int, mode: str = "open") -> Iterator[Path]:
             stack.pop()
 
 
+@functools.cache
 def all_words(q, n: int) -> list[Path]:
     """All length-n words in the quiver, in lexicographic letter order."""
-    cache = q._cache
-    hit = cache.get(n)
-    if hit is None:
-        hit = cache[n] = list(_walk(q, n))
-    return hit
+    return list(_walk(q, n))
 
 
+@functools.cache
 def words_by_endpoints(q, n: int) -> dict[tuple[int, int], list[Path]]:
-    cache = q._cache
-    key = ("by_st", n)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     table: dict[tuple[int, int], list[Path]] = {}
     for p in all_words(q, n):
         table.setdefault((p.source, p.target), []).append(p)
-    cache[key] = table
     return table
 
 
@@ -172,6 +167,7 @@ def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
     return words_by_endpoints(qd, n).get((i, j), [])
 
 
+@functools.cache
 def all_cycles(q, n: int) -> list[Path]:
     """All length-n cycles, in global lexicographic letter order.
 
@@ -179,29 +175,19 @@ def all_cycles(q, n: int) -> list[Path]:
     would visit every open word of length n - 1 to keep none, so it is
     not walked.
     """
-    cache = q._cache
-    key = ("closed", n)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = [] if _odd_on_two_colored(q, n) else list(_walk(q, n, "closed"))
-    return hit
+    return [] if _odd_on_two_colored(q, n) else list(_walk(q, n, "closed"))
 
 
+@functools.cache
 def all_necklaces(q, n: int) -> list[Path]:
     """The length-n cycles that are their own largest rotation, one per
     rotation class, in global lexicographic letter order.
 
     They are the cycles c of all_cycles(q, n) with
     c.letters == largest_rotation(c.letters), walked without the others:
-    `necklaces_descending`, kept reversed.
+    `necklaces_descending`, reversed.
     """
-    cache = q._cache
-    key = ("necklaces", n)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = list(necklaces_descending(q, n))
-        hit.reverse()
-    return hit
+    return list(necklaces_descending(q, n))[::-1]
 
 
 def necklaces_descending(q, n: int) -> Iterator[Path]:

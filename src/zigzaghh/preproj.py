@@ -54,15 +54,8 @@ Coords = dict
 Pairs = tuple
 
 
-# Keyed by the frozen quiver's value and kept for the process: equal quivers share one
-# double and its tables, those of Lambda by relation kind, as a graph's may be a quiver's.
-@functools.cache
-def doubled_of(q: Quiver) -> DoubledQuiver:
-    return double(q)
-
-
 def doubled_of_graph(g: Graph) -> DoubledQuiver:
-    return doubled_of(orient_by_edge_order(g))
+    return double(orient_by_edge_order(g))
 
 
 def preprojective_relations(q: Quiver) -> RelationTable:
@@ -246,21 +239,21 @@ class _Table:
         return self.normal_form(cycle.letters, stack)
 
 
-def _table(qd: DoubledQuiver, kind: str, rels: RelationTable, fld: FieldSpec) -> _Table:
-    key = ("lambda", kind, fld.characteristic)
-    hit = qd._cache.get(key)
-    if hit is None:
-        hit = qd._cache[key] = _Table(qd, rels, fld)
-    return hit
+# Kept for the process, keyed by the double, which `double` shares among equal quivers,
+# and by relation kind, since a graph's double may also be a quiver's.
+@functools.cache
+def _table(qd: DoubledQuiver, kind: str, fld: FieldSpec) -> _Table:
+    rels = preprojective_relations(qd.base) if kind == "preprojective" else \
+        zigzag_dual_relations(qd)
+    return _Table(qd, rels, fld)
 
 
 def _preprojective_table(q: Quiver, fld: FieldSpec) -> _Table:
-    return _table(doubled_of(q), "preprojective", preprojective_relations(q), fld)
+    return _table(double(q), "preprojective", fld)
 
 
 def _koszul_dual_table(g: Graph, fld: FieldSpec) -> _Table:
-    qd = doubled_of_graph(g)
-    return _table(qd, "koszul-dual-zigzag", zigzag_dual_relations(qd), fld)
+    return _table(doubled_of_graph(g), "koszul-dual-zigzag", fld)
 
 
 def _piece(table: _Table, n: int) -> GradedQuotientPiece:
@@ -333,7 +326,7 @@ def cycle_class_in_trace_is_zero(q: Quiver, cycle: Path, fld: FieldSpec) -> bool
     """Exact membership of a cycle in relations + commutators of its degree."""
     if not cycle.is_cycle():
         raise ValueError("not a cycle: %r" % (cycle,))
-    if not _is_walk(doubled_of(q), cycle):
+    if not _is_walk(double(q), cycle):
         raise ValueError("cycle does not belong to this quiver")
     table = _preprojective_table(q, fld)
     _, ech = table.trace(cycle.length)

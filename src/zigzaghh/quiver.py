@@ -8,6 +8,7 @@ the hub is 5; "e4" always means the fourth leaf.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Optional
@@ -148,7 +149,6 @@ class DoubledQuiver:
         self.arrow_source = src
         self.arrow_target = tgt
         self.arrow_names = names
-        self._cache: dict = {}  # word tables (pathalg), living as long as the quiver
 
     @property
     def arrow_count(self) -> int:
@@ -186,7 +186,6 @@ class GinzburgQuiver:
             self.arrow_target.append(v)
             self.arrow_names.append("t%d" % v)
         self._first_loop = m2
-        self._cache: dict = {}  # word tables (pathalg), living as long as the quiver
 
     @property
     def arrow_count(self) -> int:
@@ -328,6 +327,9 @@ def orient_by_edge_order(g: Graph) -> Quiver:
     return Quiver(g.vertex_count, tuple(g.edges), name=g.name)
 
 
+# Keyed by the frozen quiver's value and kept for the process: equal quivers share one
+# double, and so every table keyed by it (pathalg words, preproj Lambda).
+@functools.cache
 def double(q: Quiver) -> DoubledQuiver:
     return DoubledQuiver(q)
 

@@ -337,7 +337,8 @@ class HochschildCochain:
 
     values maps an input word to the output expressed in the basis of the
     algebra; every (word, output) key must satisfy the endpoint and Adams
-    constraints of the (p, q) cochain space.
+    constraints of the (p, q) cochain space.  basis is that space as
+    walked once, by `cochain_basis`, and index its positions.
     """
 
     def __init__(self, algebra: ZigzagAlgebra, p: int, q: int,
@@ -346,7 +347,8 @@ class HochschildCochain:
         self.p = p
         self.q = q
         fld = alg.field
-        allowed = set(cochain_basis(alg, p, q))
+        self.basis = cochain_basis(alg, p, q)
+        self.index = {b: i for i, b in enumerate(self.basis)}
         clean: dict[Word, dict[int, Scalar]] = {}
         for w, outs in values.items():
             w = tuple(w)
@@ -354,7 +356,7 @@ class HochschildCochain:
                 c = fld.element(coeff)
                 if fld.is_zero(c):
                     continue
-                if (w, z) not in allowed:
+                if (w, z) not in self.index:
                     raise ValueError("value (%r -> %s) violates the (p,q)=(%d,%d) constraints"
                                      % (w, alg.names[z], p, q))
                 clean.setdefault(w, {})[z] = c
@@ -364,8 +366,7 @@ class HochschildCochain:
         return not self.values
 
     def vector(self) -> dict[int, Scalar]:
-        basis = cochain_basis(self.algebra, self.p, self.q)
-        index = {b: i for i, b in enumerate(basis)}
+        index = self.index
         return {index[(w, z)]: c for w, outs in self.values.items() for z, c in outs.items()}
 
 
@@ -402,5 +403,4 @@ def is_cocycle(c: HochschildCochain) -> bool:
 def is_coboundary(c: HochschildCochain) -> bool:
     """Exact membership of c in the image of the incoming differential: the
     echelon of `_image` does not take c's vector in."""
-    alg = c.algebra
-    return not _image(alg, c.p, c.q, cochain_basis(alg, c.p, c.q)).add(c.vector())
+    return not _image(c.algebra, c.p, c.q, c.basis).add(c.vector())

@@ -17,8 +17,8 @@ from typing import Optional
 from zigzaghh.exactla import ExactMatrix, FieldSpec, Scalar
 from zigzaghh.pathalg import (Path, basis_of_bidegree, loop_count, make_path, path_name,
                               trivial_path)
-from zigzaghh.preproj import doubled_of, preprojective_relations
-from zigzaghh.quiver import GinzburgQuiver, Quiver
+from zigzaghh.preproj import preprojective_relations
+from zigzaghh.quiver import GinzburgQuiver, Quiver, double
 
 
 def path_from_names(q, names: list[str]) -> Path:
@@ -159,7 +159,7 @@ def commutator(a: BigradedElement, b: BigradedElement) -> BigradedElement:
 @functools.cache
 def ginzburg_of(q: Quiver) -> GinzburgQuiver:
     """The Ginzburg quiver of q, one per quiver, on its cached double."""
-    return GinzburgQuiver(doubled_of(q))
+    return GinzburgQuiver(double(q))
 
 
 def vertex_relations(qg: GinzburgQuiver) -> dict[int, list[tuple[int, tuple[int, int]]]]:

@@ -12,8 +12,8 @@ from zigzaghh.cli import main as cli_main
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.pathalg import all_cycles, basis_of_bidegree, make_path
-from zigzaghh.preproj import cyclic_piece_dim, doubled_of, lambda_piece, trace_piece
-from zigzaghh.quiver import catalog, orient_bipartite
+from zigzaghh.preproj import cyclic_piece_dim, lambda_piece, trace_piece
+from zigzaghh.quiver import catalog, double, orient_bipartite
 from zigzaghh.zigzag import build_zigzag, delta_columns, hochschild_dim
 
 from cone import verify_cone_resolution
@@ -186,7 +186,7 @@ def test_criterion_7_structural_suites():
     # cyclic commutator identity, exhaustively for cycles of length <= 6
     identities = 0
     for family, n in (("A", 2), ("D", 4)):
-        qd = doubled_of(_quiver(family, n))
+        qd = double(_quiver(family, n))
         for length in (2, 3, 4, 5, 6):
             for cyc in all_cycles(qd, length):
                 for split in range(1, length):

@@ -493,10 +493,10 @@ def test_preproj_letter_count_is_the_rows(monkeypatch, label):
     from oracle import oracle_relation_rows
     from zigzaghh import cli, preproj
     from zigzaghh.pathalg import all_words
-    from zigzaghh.quiver import orient_by_edge_order, parse_label
+    from zigzaghh.quiver import double, orient_by_edge_order, parse_label
     g = parse_label(label)
     quiv = orient_by_edge_order(g)
-    qd = preproj.doubled_of(quiv)
+    qd = double(quiv)
     rels = preproj.preprojective_relations(quiv)
     letters = 0
     for top in range(8):

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
+from zigzaghh import pathalg
 from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
 from zigzaghh.ginzburg import h0_dim, hh2_complex, hh2_dim
 from zigzaghh.pathalg import Path, all_words, loop_count, make_path, path_name, paths_between
-from zigzaghh.preproj import (cycle_class_in_trace_is_zero, doubled_of, lambda_piece,
+from zigzaghh.preproj import (cycle_class_in_trace_is_zero, lambda_piece,
                               preprojective_relations, trace_piece)
-from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
+from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, orient_by_edge_order
 
 from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential, ginzburg_of,
                 path_from_names)
+from memos import built_since, fresh, memo_sizes
 from oracle import (oracle_basis_of_bidegree, oracle_hh2_complex, oracle_necklace,
                     oracle_necklace_space, oracle_times)
 
@@ -96,25 +98,32 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
     # built apart, equal by value: warm batch callers rely on this reuse
     q1, q2 = _q("D~", 5), _q("D~", 5)
     assert q1 == q2 and q1 is not q2
-    assert doubled_of(q1) is doubled_of(q2)
+    assert double(q1) is double(q2)
     assert ginzburg_of(q1) is ginzburg_of(q2)
-    assert ginzburg_of(q1).doubled is doubled_of(q1)
-    assert all_words(doubled_of(q1), 3) is all_words(doubled_of(q2), 3)
+    assert ginzburg_of(q1).doubled is double(q1)
+    assert all_words(double(q1), 3) is all_words(double(q2), 3)
     assert all_words(ginzburg_of(q1), 2) is all_words(ginzburg_of(q2), 2)
 
 
-def test_hh2_builds_no_ginzburg_word_table():
+def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     # the codomain necklaces and the relation columns' closed walks both come
     # from the doubled quiver's closed walk, and each relation column is
     # r_v c read on necklaces, so no Ginzburg word, no open path table and
     # no table of the other cycles of length q + 2 is built
-    q = _q("E~", 6)
-    qg = ginzburg_of(q)
-    qg._cache.clear()
-    doubled_of(q)._cache.clear()
+    walks = []
+    walk = pathalg._walk
+
+    def spy(quiver, n, mode="open"):
+        walks.append((quiver, n, mode))
+        return walk(quiver, n, mode)
+
+    monkeypatch.setattr(pathalg, "_walk", spy)
+    q = fresh(_q("E~", 6))
+    before = memo_sizes()
     hh2_dim(q, 8, GF(2))
-    assert list(qg._cache) == []
-    assert list(doubled_of(q)._cache) == [("necklaces", 10), ("closed", 8)]
+    assert walks == [(double(q), 10, "necklace"), (double(q), 8, "closed")]
+    assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 1,
+                                   "all_necklaces": 1, "lambda": 0}
 
 
 def _random_nontree(seed: int, n: int) -> Graph:
@@ -191,7 +200,7 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
         return span_info(fld, vectors, ambient_dim)
 
     monkeypatch.setattr(ginzburg, "span_info", spy)
-    qd = doubled_of(quiv)
+    qd = double(quiv)
 
     def rotation_class(w):   # a trivial path is its own class
         return oracle_necklace(w.letters) if w.letters else (w.source,)
@@ -261,7 +270,7 @@ def test_hh2_image_lands_in_commutator_span():
     # each boundary column is a sum of commutators, so it must die in the
     # trace: its image on necklaces lies in the span of the relation rows
     q = _q("D", 4)
-    qd = doubled_of(q)
+    qd = double(q)
     adams = 2
     cx = oracle_hh2_complex(q, adams, QQ)
     necklaces, index, rows = oracle_necklace_space(qd, preprojective_relations(q), adams + 2)
@@ -315,7 +324,7 @@ def test_cone_randomized_delta_squared_on_d4():
 
 def test_first_order_deformation_extended_d4():
     q = _q("D~", 4)
-    qd = doubled_of(q)
+    qd = double(q)
     w = path_from_names(qd, ["a4", "a1*", "a1", "a4*"])
     assert not cycle_class_in_trace_is_zero(q, w, QQ)
 
@@ -324,7 +333,7 @@ def test_first_order_deformation_rejects_short_cycles():
     # Lambda_2 of A2 is 0, so a 2-cycle deforms nothing; a path that is not
     # a cycle is refused
     q = _q("A", 2)
-    qd = doubled_of(q)
+    qd = double(q)
     assert cycle_class_in_trace_is_zero(q, path_from_names(qd, ["a1", "a1*"]), QQ)
     with pytest.raises(ValueError):
         cycle_class_in_trace_is_zero(q, path_from_names(qd, ["a1"]), QQ)
@@ -332,7 +341,7 @@ def test_first_order_deformation_rejects_short_cycles():
 
 def test_first_order_deformation_trivial_on_d4_over_q():
     q = _q("D", 4)
-    qd = doubled_of(q)
+    qd = double(q)
     candidates = [w for w in all_words(qd, 4) if w.is_cycle()]
     rng = random.Random(3)
     for w in rng.sample(candidates, 5):

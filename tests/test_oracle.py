@@ -9,12 +9,13 @@ import pytest
 from zigzaghh.exactla import GF, QQ
 from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, basis_of_bidegree,
                               largest_rotation, necklaces_descending)
-from zigzaghh.preproj import doubled_of, lambda_piece, trace_piece
-from zigzaghh.quiver import (Graph, Quiver, catalog, double, orient_bipartite,
+from zigzaghh.preproj import lambda_piece, trace_piece
+from zigzaghh.quiver import (DoubledQuiver, Graph, Quiver, catalog, double, orient_bipartite,
                              orient_by_edge_order)
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
 from dg import ginzburg_of
+from memos import built_since, memo_sizes
 from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
                     oracle_hh_unreduced, oracle_lambda_dim, oracle_necklace, oracle_trace_dim)
 
@@ -77,7 +78,7 @@ def test_all_cycles_is_the_oracle_walk_filtered_to_cycles():
     quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
                orient_by_edge_order(catalog("A~", 2))]
     for quiv in quivers:
-        qd = doubled_of(quiv)
+        qd = double(quiv)
         arrows = list(zip(qd.arrow_source, qd.arrow_target))
         for n in range(9):
             want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
@@ -104,16 +105,20 @@ _NECKLACE_QUIVERS = (
 @pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
 def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv):
     # the pruned walk emits exactly the cycles the oracle calls necklaces,
-    # in order and in reverse; largest_rotation is the oracle's necklace
-    qd = double(quiv)
+    # in order and in reverse; largest_rotation is the oracle's necklace,
+    # and each length's ascending list is kept
+    qd = DoubledQuiver(quiv)   # a fresh double, with nothing cached
+    before = memo_sizes()
     for n in range(11):
         cycles = all_cycles(qd, n)
         want = [c for c in cycles if c.letters == oracle_necklace(c.letters)]
         assert all_necklaces(qd, n) == want, (quiv.name, n)
         assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
         assert all(largest_rotation(c.letters) == oracle_necklace(c.letters) for c in cycles)
-    assert [key for key in qd._cache if key[0] == "necklaces"] == \
-        [("necklaces", n) for n in range(11)]
+    assert built_since(before)["all_necklaces"] == 11
+    hits = all_necklaces.cache_info().hits
+    assert all(all_necklaces(qd, n) is all_necklaces(qd, n) for n in range(11))
+    assert all_necklaces.cache_info().hits - hits == 22
 
 
 def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy():
@@ -123,20 +128,22 @@ def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy():
     quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
                orient_by_edge_order(catalog("A~", 2))]
     for quiv in quivers:
-        qd = double(quiv)   # a fresh double, with nothing cached
+        qd = DoubledQuiver(quiv)   # a fresh double, with nothing cached
         arrows = list(zip(qd.arrow_source, qd.arrow_target))
+        before = memo_sizes()
         for n in range(9):
             want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
                     if s == t and word == oracle_necklace(word)]
             assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
-        assert qd._cache == {}
-    qd = double(_q("D~", 4))
+        assert not any(built_since(before).values())
+    qd = DoubledQuiver(_q("D~", 4))
+    before = memo_sizes()
     top = list(itertools.islice(necklaces_descending(qd, 40), 5))   # of about 4^40 / 40
     assert all(c.source == c.target and len(c.letters) == 40 for c in top)
     assert all(c.letters == oracle_necklace(c.letters) for c in top)
     assert top[0].letters[0] == qd.arrow_count - 1
     assert [c.letters for c in top] == sorted({c.letters for c in top}, reverse=True)
-    assert qd._cache == {}
+    assert not any(built_since(before).values())
 
 
 def test_oracle_cochain_basis_matches_budgeted_walk():

@@ -11,9 +11,10 @@ from zigzaghh.exactla import GF, QQ
 from zigzaghh.preproj import (_preprojective_table, cycle_class_in_trace_is_zero,
                               cyclic_piece_dim, koszul_dual_zigzag_piece, lambda_piece,
                               trace_piece, trace_piece_general)
-from zigzaghh.quiver import Graph, Quiver, catalog, orient_bipartite, orient_by_edge_order
+from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, orient_by_edge_order
 
 from dg import BigradedElement, commutator, path_from_names
+from memos import built_since, fresh, memo_sizes
 from oracle import oracle_class_is_zero, oracle_quotient_representatives, oracle_trace_witnesses
 
 
@@ -186,10 +187,9 @@ def test_cyclic_commutator_identity_random_sample():
     import random
 
     from zigzaghh.pathalg import all_cycles, make_path
-    from zigzaghh.preproj import doubled_of
 
     rng = random.Random(17)
-    qd = doubled_of(_q("D4"))
+    qd = double(_q("D4"))
     pool = [c for n in (2, 4, 6) for c in all_cycles(qd, n)]
     for _ in range(25):
         cyc = rng.choice(pool)
@@ -209,12 +209,11 @@ def test_cyclic_commutator_identity_random_sample():
 def test_cycle_class_membership():
     q = _q("D~4")
     qd_path = path_from_names
-    from zigzaghh.preproj import doubled_of
-    qd = doubled_of(q)
+    qd = double(q)
     w = qd_path(qd, ["a4", "a1*", "a1", "a4*"])
     assert not cycle_class_in_trace_is_zero(q, w, QQ)
     q4 = _q("D4")
-    qd4 = doubled_of(q4)
+    qd4 = double(q4)
     w4 = qd_path(qd4, ["a1", "a2*", "a2", "a1*"])
     assert cycle_class_in_trace_is_zero(q4, w4, QQ)
     with pytest.raises(ValueError):
@@ -224,9 +223,9 @@ def test_cycle_class_membership():
 def _class_is_zero(q, vector, fld):
     """Membership of a combination of equal-length cycles in relations +
     commutators, by the necklace elimination of tests/oracle.py."""
-    from zigzaghh.preproj import doubled_of, preprojective_relations
+    from zigzaghh.preproj import preprojective_relations
 
-    return oracle_class_is_zero(doubled_of(q), preprojective_relations(q), vector, fld)
+    return oracle_class_is_zero(double(q), preprojective_relations(q), vector, fld)
 
 
 def test_trace_witnesses_have_nonzero_classes():
@@ -242,12 +241,11 @@ def test_rotations_of_a_cycle_share_its_class():
     import random
 
     from zigzaghh.pathalg import all_cycles, make_path
-    from zigzaghh.preproj import doubled_of
 
     rng = random.Random(29)
     for label in ("D4", "D~4", "A~3", "E6"):
         q = _q(label)
-        qd = doubled_of(q)
+        qd = double(q)
         for fld in (QQ, GF(2), GF(3)):
             for n in (4, 5, 6):
                 cycles = all_cycles(qd, n)
@@ -265,16 +263,16 @@ def test_trace_reads_only_closed_walks():
     # else from the table of Lambda; an open word table left in the cache
     # would mean a second way of making cycles
     from zigzaghh.pathalg import make_path
-    from zigzaghh.preproj import doubled_of
+    from zigzaghh.preproj import _table
 
-    q = _q("E~6")
-    qd = doubled_of(q)
-    qd._cache.clear()
+    q = fresh(_q("E~6"))
+    before = memo_sizes()
     trace_piece(q, 10, GF(2))
-    cycle_class_in_trace_is_zero(q, make_path(qd, (0, 1) * 3), GF(2))
-    assert ("lambda", "preprojective", 2) in qd._cache
-    assert all(type(key) is tuple and key[0] in ("closed", "lambda") for key in qd._cache), \
-        list(qd._cache)
+    cycle_class_in_trace_is_zero(q, make_path(double(q), (0, 1) * 3), GF(2))
+    _table(double(q), "preprojective", GF(2))   # the one table built is this one
+    built = built_since(before)
+    assert built["lambda"] == 1
+    assert built["all_words"] == built["words_by_endpoints"] == built["all_necklaces"] == 0, built
 
 
 def test_witness_scan_stops_at_the_dimension(monkeypatch):
@@ -291,13 +289,15 @@ def test_witness_scan_stops_at_the_dimension(monkeypatch):
             yield c
 
     monkeypatch.setattr(preproj, "necklaces_descending", counted)
-    q = _q("E~8")
-    qd = preproj.doubled_of(q)
-    qd._cache.clear()
+    q = fresh(_q("E~8"))
+    qd = double(q)
+    before = memo_sizes()
     tr = trace_piece(q, 12, QQ)
     assert tr.dimension == len(tr.witnesses) == 1
     assert len(read) == 122 and read[-1] == tr.witnesses[0]
-    assert qd._cache.keys() == {("lambda", "preprojective", 0)}
+    preproj._table(qd, "preprojective", QQ)   # the one table built is this one
+    assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 0,
+                                   "all_necklaces": 0, "lambda": 1}
     assert len(pathalg.all_necklaces(qd, 12)) == 761
     assert len(pathalg.all_cycles(qd, 12)) == 8838
 
@@ -325,11 +325,11 @@ def test_witness_scan_holds_one_normal_form_per_letter():
 def test_relation_times_closed_walk_has_zero_class():
     # r_v w for every closed walk w at v, and every rotation x r_v y of it
     from zigzaghh.pathalg import Path, words_by_endpoints
-    from zigzaghh.preproj import doubled_of, preprojective_relations
+    from zigzaghh.preproj import preprojective_relations
 
     for label in ("D4", "D~4", "A~3"):
         q = _q(label)
-        qd = doubled_of(q)
+        qd = double(q)
         rels = preprojective_relations(q)
         for fld in (QQ, GF(2)):
             for n in (2, 4, 6):
@@ -351,13 +351,13 @@ def test_relation_times_closed_walk_has_zero_class():
 def _pieces(label, char, orientation):
     from zigzaghh.exactla import FieldSpec
     from zigzaghh.pathalg import path_name
-    from zigzaghh.preproj import doubled_of, doubled_of_graph
+    from zigzaghh.preproj import doubled_of_graph
     from zigzaghh.quiver import parse_label
 
     g = parse_label(label)
     q = orientation(g)
     fld = FieldSpec(char)
-    qd, gd = doubled_of(q), doubled_of_graph(g)
+    qd, gd = double(q), doubled_of_graph(g)
     cell = {"lambda": [], "koszul-dual": [], "cyclic": []}
     for n in range(9):
         for kind, piece, quiver in (("lambda", lambda_piece(q, n, fld), qd),
@@ -387,18 +387,41 @@ def test_quotient_pieces_pinned(label, char, orientation):
 def test_quotient_pieces_build_no_endpoint_table():
     # the relation rows come from the shorter words themselves, so no
     # table of words keyed by their endpoints is built
-    from zigzaghh.preproj import doubled_of, doubled_of_graph
-
-    g = catalog("D~", 4)
+    g = fresh(catalog("D~", 4))
     q = orient_bipartite(g)
-    for qd in (doubled_of(q), doubled_of_graph(g)):
-        qd._cache.clear()
+    before = memo_sizes()
     for n in range(7):
         lambda_piece(q, n, QQ)
         koszul_dual_zigzag_piece(g, n, GF(3))
         cyclic_piece_dim(q, n, 5, GF(2))
-    keys = list(doubled_of(q)._cache) + list(doubled_of_graph(g)._cache)
-    assert keys and not [k for k in keys if type(k) is tuple and k[0] == "by_st"], keys
+    built = built_since(before)
+    assert built["lambda"] == 3 and built["words_by_endpoints"] == 0, built
+
+
+@pytest.mark.parametrize("koszul_first", [False, True])
+def test_relation_kinds_on_one_double_stay_apart(koszul_first):
+    # the triangle's edge-order orientation is the quiver whose double is the
+    # graph's, so its preprojective and Koszul-dual tables sit on one double;
+    # built interleaved, in either order, each reads its own relations
+    from zigzaghh.preproj import doubled_of_graph, preprojective_relations, zigzag_dual_relations
+
+    g = fresh(catalog("A~", 2))
+    q = orient_by_edge_order(g)
+    qd, fld = double(q), GF(3)
+    assert doubled_of_graph(g) is qd
+    jobs = [("preprojective", lambda n: lambda_piece(q, n, fld),
+             lambda n: trace_piece(q, n, fld, want_witnesses=False)),
+            ("koszul-dual", lambda n: koszul_dual_zigzag_piece(g, n, fld),
+             lambda n: trace_piece_general("koszul-dual-zigzag", g, n, fld, want_witnesses=False))]
+    got: dict = {kind: [] for kind, _, _ in jobs}
+    for n in range(7):
+        for kind, piece, trace in jobs[::-1] if koszul_first else jobs:
+            got[kind].append((piece(n).representatives, trace(n).dimension))
+    for kind, rels in (("preprojective", preprojective_relations(q)),
+                       ("koszul-dual", zigzag_dual_relations(qd))):
+        assert got[kind] == [(oracle_quotient_representatives(qd, rels, n, fld),
+                              len(oracle_trace_witnesses(qd, rels, n, fld))) for n in range(7)]
+    assert got["preprojective"] != got["koszul-dual"]
 
 
 _ORACLE_CELLS = [(label, fld) for label in ("D4", "E6", "D~4", "A~3", "E~6")
@@ -409,10 +432,10 @@ _ORACLE_CELLS = [(label, fld) for label in ("D4", "E6", "D~4", "A~3", "E~6")
 def test_trace_witnesses_are_the_free_necklaces(label, fld):
     # the greedy scan from the largest necklace down keeps exactly the free
     # columns of the necklace matrix
-    from zigzaghh.preproj import doubled_of, preprojective_relations
+    from zigzaghh.preproj import preprojective_relations
 
     q = _q(label)
-    qd, rels = doubled_of(q), preprojective_relations(q)
+    qd, rels = double(q), preprojective_relations(q)
     for n in range(9):
         tr = trace_piece(q, n, fld)
         assert tr.witnesses == oracle_trace_witnesses(qd, rels, n, fld), (n, tr)
@@ -421,13 +444,13 @@ def test_trace_witnesses_are_the_free_necklaces(label, fld):
 
 @pytest.mark.parametrize("label,fld", _ORACLE_CELLS)
 def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
-    from zigzaghh.preproj import (doubled_of, doubled_of_graph, preprojective_relations,
+    from zigzaghh.preproj import (doubled_of_graph, preprojective_relations,
                                   zigzag_dual_relations)
     from zigzaghh.quiver import parse_label
 
     g = parse_label(label)
     q = _q(label)
-    qd, gd = doubled_of(q), doubled_of_graph(g)
+    qd, gd = double(q), doubled_of_graph(g)
     for n in range(9):
         piece = lambda_piece(q, n, fld)
         assert piece.representatives == oracle_quotient_representatives(

@@ -5,10 +5,12 @@ import pickle
 
 import pytest
 
+from zigzaghh import preproj
 from zigzaghh.ainfty import StasheffReport
-from zigzaghh.exactla import QQ, FieldSpec
-from zigzaghh.preproj import doubled_of
-from zigzaghh.quiver import Graph, Quiver, catalog
+from zigzaghh.exactla import GF, QQ, FieldSpec
+from zigzaghh.ginzburg import hh2_dim
+from zigzaghh.pathalg import all_cycles
+from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite
 from zigzaghh.reports import HHReport
 from zigzaghh.zigzag import (HochschildCochain, build_zigzag, cochain_basis, hochschild_dim,
                              is_coboundary)
@@ -85,7 +87,22 @@ def test_equal_quivers_share_one_double():
     a = Quiver(3, ((1, 2), (3, 2)), "A3")
     b = Quiver(3, ((1, 2), (3, 2)), "A3")
     assert a is not b
-    assert doubled_of(a) is doubled_of(b)
+    assert double(a) is double(b)
+    assert preproj._table(double(a), "preprojective", QQ) is \
+        preproj._table(double(b), "preprojective", FieldSpec(0))
+
+
+def test_a_double_carries_no_state():
+    # the tables read on a double are memoized by module functions, not on it:
+    # computing with it leaves its attributes as built
+    q = orient_bipartite(catalog("D~", 4))
+    qd = double(q)
+    built = copy.deepcopy(vars(qd))
+    preproj.trace_piece(q, 6, QQ, want_witnesses=True)
+    hh2_dim(q, 4, GF(3))
+    preproj.lambda_piece(q, 5, GF(2))
+    all_cycles(qd, 6)
+    assert vars(qd) == built
 
 
 def test_stasheff_reports_do_not_share_their_lists():

@@ -10,8 +10,8 @@ import pytest
 from zigzaghh import zigzag
 from zigzaghh.exactla import GF, QQ, ExactMatrix, echelonize
 from zigzaghh.ginzburg import hh2_dim
-from zigzaghh.preproj import doubled_of, trace_piece
-from zigzaghh.quiver import Graph, catalog, orient_bipartite, parse_label
+from zigzaghh.preproj import trace_piece
+from zigzaghh.quiver import Graph, catalog, double, orient_bipartite, parse_label
 from zigzaghh.zigzag import (HochschildCochain, _words, build_zigzag, cochain_basis,
                              cochain_differential, delta_columns, hochschild_dim, is_coboundary,
                              is_cocycle, zero_cochain)
@@ -301,7 +301,7 @@ def test_trace_witnesses_transport_to_independent_bar_classes(label, p, q):
     witnesses = trace_piece(quiv, q + 2, fld, want_witnesses=True).witnesses
     target = cochain_basis(alg, 2, q)
     index = {b: i for i, b in enumerate(target)}
-    classes = [{index[transport(alg, doubled_of(quiv), w)]: 1} for w in witnesses]
+    classes = [{index[transport(alg, double(quiv), w)]: 1} for w in witnesses]
     image = oracle_delta_columns(alg, oracle_cochain_basis(alg, 1, q), target, alg.positive)
     dim = hochschild_dim(alg, 2, q).dimension
     assert len(classes) == dim == hh2_dim(quiv, q, fld).dimension
@@ -491,6 +491,16 @@ def test_is_coboundary_walks_no_c1(monkeypatch):
     assert is_coboundary(HochschildCochain(alg, 2, 8, {w: {z: 1}}))
     assert walked and all(cycles == 0 for _, cycles in walked), walked
     assert bases and all(p != 1 for p, _ in bases) and not full, (bases, full)
+
+
+def test_a_cochain_and_its_coboundary_verdict_walk_its_space_once(monkeypatch):
+    # the cochain keeps the basis it validated against, and its vector and the
+    # coboundary test read that basis rather than walking C^{2,q} again
+    from zigzaghh.ainfty import class_of, extended_d4_m4
+    candidate = extended_d4_m4(QQ)
+    bases = _calls(monkeypatch, "cochain_basis")
+    assert not is_coboundary(class_of(candidate, 4))
+    assert bases == [(2, 2)]
 
 
 def test_cochain_validation_rejects_bad_values():
