@@ -11,14 +11,25 @@ settles them, keeping e_c = w_c e_root modulo the short rows, with the
 largest column of a component as its root; a one-term row, or a cycle
 whose weights disagree, sets a whole component to zero.  It reads a short
 row only for which entries are nonzero and the ratio of the two, so short
-rows are never scaled integral.  Only the longer rows, normalized and
-projected onto the live roots, reach the sparse core, whose
+rows are never scaled integral.  Only the longer rows, projected onto the
+live roots and normalized, reach the sparse core, whose
 elimination over Q is fraction-free, i.e. a cross-multiplication followed
 by a gcd division, so rows stay integral and coefficient growth stays
 tame on the path-algebra matrices we feed in.  Pivot columns are always
 taken in increasing column order, and the pivot set of an echelon form
 depends only on the row space, which makes ranks, kernels and quotient
 representatives reproducible.
+
+Over Q an echelon also carries a certificate, `unimodular`: every pivot
+entry installed is +-1, no row had a content divided out or a denominator
+cleared (on input or in `_reduce`), and every union-find merge
+coefficient, one-term kill and cycle-closing sum is +-1.  Then each
+echelon row is an integral combination of the input rows with a unit
+pivot, so for integral input the echelon spans the same Z-lattice.  For
+every prime p its rows reduced mod p are therefore independent and lie in
+the span of the input rows reduced mod p, whose rank is at most the rank
+over Q: they are an echelon of those rows with the same pivot columns,
+and the kernel vectors, integral, reduce mod p to the F_p kernel vectors.
 """
 
 from __future__ import annotations
@@ -137,6 +148,7 @@ class Echelon:
         self.ncols = ncols
         self.pivot_row: dict[int, dict[int, int]] = {}   # pivot column -> its row
         self._index: Optional[dict[int, list[int]]] = None   # see _users
+        self.unimodular = field.characteristic == 0   # the certificate above, Q only
 
     @property
     def rank(self) -> int:
@@ -218,10 +230,16 @@ class Echelon:
         Returns False when vector already lies in the row space.
         """
         p = self.field.characteristic
-        r = _reduce(_normalized(vector, p), self.pivot_row, p)
+        r = _normalized(vector, p)
+        for c in r:   # normalizing scales every entry alike
+            self.unimodular &= r[c] == vector[c]
+            break
+        r, divided = _reduce(r, self.pivot_row, p)
         if not r:
             return False
-        self.pivot_row[min(r)] = r
+        c = min(r)
+        self.unimodular &= not divided and r[c] in (1, -1)
+        self.pivot_row[c] = r
         self._index = None   # rebuilt by the next kernel_vector
         return True
 
@@ -254,11 +272,14 @@ def _normalized(row: dict, p: int) -> dict[int, int]:
     return {c: v % p for c, v in row.items() if v % p}
 
 
-def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]], p: int) -> dict[int, int]:
+def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]],
+            p: int) -> tuple[dict[int, int], bool]:
     """Eliminate r against the echelon rows until its leading column is free.
 
-    Returns the reduced row, empty when r lies in the echelon's row space.
+    Returns the reduced row, empty when r lies in the echelon's row space,
+    and whether a content was divided out on the way (never over F_p).
     """
+    divided = False
     while r:
         c = min(r)
         pr = pivot_row.get(c)
@@ -282,6 +303,7 @@ def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]], p: int) -> 
                 g2 = gcd(g2, v)
             if g2 > 1:
                 new = {col: v // g2 for col, v in new.items()}
+                divided = True
             r = new
         else:
             f = (r[c] * pow(pr[c], p - 2, p)) % p
@@ -293,7 +315,7 @@ def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]], p: int) -> 
                 elif col in new:
                     del new[col]
             r = new
-    return r
+    return r, divided
 
 
 def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
@@ -302,7 +324,7 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
     One- and two-term rows go to a weighted union-find over the columns,
     which reads a short row only for which entries are nonzero and the
     ratio of the two, so it is never scaled integral; the longer rows are
-    normalized, projected onto the union-find's live roots and reduced by
+    projected onto the union-find's live roots, normalized and reduced by
     `_reduce`.  The echelon holds e_c - w_c e_root for each non-root c of
     a live component, e_c for each c of a zero component, and the reduced
     long rows, each under its pivot column.
@@ -337,18 +359,17 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
             parent[node] = up
         return up, w
 
+    ech = Echelon(field, ncols)
+    unit = ech.unimodular   # see the certificate in the module docstring
     long_rows = []
     for row in rows:
-        if len(row) > 2:
-            row = _normalized(row, p)
-            if len(row) > 2:
-                long_rows.append(row)
-                continue
         if p:
             terms = [(c, v % p) for c, v in row.items() if v % p]
         else:
             terms = [(c, v) for c, v in row.items() if v]
-        if len(terms) == 2:
+        if len(terms) > 2:
+            long_rows.append(terms)
+        elif len(terms) == 2:
             (i, a), (j, b) = terms
             if i in parent:
                 i, w = find(i)
@@ -359,8 +380,10 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
             # a e_i + b e_j = 0 with i and j roots
             if i == j:
                 if (a + b) % p if p else a + b:
+                    unit = unit and a + b in (1, -1)
                     dead.add(i)
                 continue
+            unit = unit and a in (1, -1) and b in (1, -1)
             if i > j:
                 i, j, a, b = j, i, b, a
             if p:
@@ -376,13 +399,14 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
             if i in dead:
                 dead.add(j)
         elif terms:
-            c = terms[0][0]
+            c, v = terms[0]
+            unit = unit and v in (1, -1)
             dead.add(find(c)[0] if c in parent else c)
 
-    ech = Echelon(field, ncols)
+    ech.unimodular &= unit
     for r in long_rows:
         proj: dict[int, Scalar] = {}
-        for c, v in r.items():
+        for c, v in r:
             if c in parent:
                 c, w = find(c)
                 v *= w
@@ -437,7 +461,7 @@ def span_info(fld: FieldSpec, vectors: Iterable[dict], ambient_dim: int) -> Span
 def in_span(fld: FieldSpec, ech: Echelon, vector: dict) -> bool:
     """Exact membership of a vector in an echelonized row space."""
     p = fld.characteristic
-    return not _reduce(_normalized(vector, p), ech.pivot_row, p)
+    return not _reduce(_normalized(vector, p), ech.pivot_row, p)[0]
 
 
 class ExactMatrix:

@@ -31,6 +31,13 @@ witness when its class lies outside the span of the classes of the
 larger ones, the free-column rule of the necklace matrix (Ginzburg,
 Calabi-Yau algebras, arXiv:math/0612139).
 
+A double has one table per relation kind over Q, read by every field.
+Its rows are integral, and a unimodular echelon (see exactla) holds mod
+every p: an F_p table shares the Q words and coordinates below the first
+degree that is not, and grows its own from there; in the shared degrees
+it takes the Q trace echelon where that is unimodular and else eliminates
+the same integral trace rows mod p.
+
 The same builder, fed the relation "sum of all 2-cycles at each vertex",
 computes the quadratic dual of the zigzag algebra for an arbitrary graph
 (no orientation needed).
@@ -41,7 +48,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-from .exactla import Echelon, FieldSpec, echelonize, in_span
+from .exactla import QQ, Echelon, FieldSpec, echelonize, in_span
 from .pathalg import Path, necklaces_descending, trivial_path
 from .quiver import DoubledQuiver, Graph, Quiver, double, orient_by_edge_order
 
@@ -100,18 +107,29 @@ class _Table:
 
     basis[n] are the normal words of degree n, and times[n][b][a] the
     coordinates in degree n of basis[n-1][b] times the arrow a.  traces[n]
-    is (closed basis count, echelon of the trace rows).
+    is (closed basis count, echelon of the trace rows).  Over Q the degrees
+    below `exact` were eliminated unimodularly, and torsion[n] keeps the
+    trace rows of such a degree whose echelon is not, for the F_p tables,
+    which read this one as `over_q`.
     """
 
-    def __init__(self, qd: DoubledQuiver, rels: RelationTable, fld: FieldSpec):
+    def __init__(self, qd: DoubledQuiver, rels: RelationTable, fld: FieldSpec,
+                 over_q: Optional[_Table] = None):
         self.qd = qd
         self.rels = rels
         self.fld = fld
+        self.over_q = over_q
+        self.exact = 2
+        self.torsion: dict[int, list[Coords]] = {}
         self.leaving: dict[int, list[int]] = {v: [] for v in range(1, qd.vertex_count + 1)}
         for a in range(qd.arrow_count):
             self.leaving[qd.arrow_source[a]].append(a)
-        self.basis: list[list[Path]] = [[trivial_path(v) for v in range(1, qd.vertex_count + 1)]]
-        self.times: list[list[dict[int, Pairs]]] = [[]]
+        # no relation has one letter: degree 1 is every arrow by id
+        self.basis: list[list[Path]] = [
+            [trivial_path(v) for v in range(1, qd.vertex_count + 1)],
+            [Path(qd.arrow_source[a], (a,), qd.arrow_target[a]) for a in range(qd.arrow_count)]]
+        self.times: list[list[dict[int, Pairs]]] = [
+            [], [{a: ((a, 1),) for a in self.leaving[e.source]} for e in self.basis[0]]]
         self.traces: dict[int, tuple[int, Echelon]] = {}
 
     def degree(self, n: int) -> list[Path]:
@@ -120,23 +138,23 @@ class _Table:
         return self.basis[n]
 
     def spanning(self, n: int) -> list[Path]:
-        """The columns of degree n >= 1: the words b a, b in the basis one
-        degree down and a an arrow, and in degree 1, where no relation has
-        one letter, every arrow by id.  Built when asked for, not kept."""
+        """The columns of degree n >= 2: the words b a, b in the basis one
+        degree down and a an arrow.  Built when asked for, not kept."""
         tgt = self.qd.arrow_target
-        if n == 1:
-            return [Path(self.qd.arrow_source[a], (a,), tgt[a]) for a in range(self.qd.arrow_count)]
         return [Path(b.source, b.letters + (a,), tgt[a])
                 for b in self.degree(n - 1) for a in self.leaving[b.target]]
 
     def _grow(self):
         n = len(self.basis)
+        q = self.over_q
+        if q is not None:
+            while q.exact == len(q.basis) <= n:
+                q._grow()
+            if n < q.exact:   # certified: the Q words and integral coordinates hold mod p
+                self.basis.append(q.basis[n])
+                self.times.append(q.times[n])
+                return
         words = self.spanning(n)
-        if n == 1:
-            self.basis.append(words)
-            self.times.append([{a: ((a, 1),) for a in self.leaving[e.source]}
-                               for e in self.basis[0]])
-            return
         column: list[dict[int, int]] = []   # column[b][a]: the column of the word b a
         start = 0
         for b in self.basis[n - 1]:
@@ -152,6 +170,7 @@ class _Table:
                     row[k] = row.get(k, 0) + coeff * v
             rows.append(row)
         ech = echelonize(self.fld, rows, len(words))
+        self.exact += self.exact == n and ech.unimodular
         free = ech.free_cols()
         normal: list[Coords] = [{} for _ in words]
         for k, f in enumerate(free):
@@ -194,8 +213,15 @@ class _Table:
 
     def trace(self, n: int) -> tuple[int, Echelon]:
         hit = self.traces.get(n)
-        if hit is None:
-            basis = self.degree(n)
+        if hit is not None:
+            return hit
+        basis = self.degree(n)
+        q = self.over_q
+        if q is not None and n < q.exact:
+            closed, ech = q.trace(n)
+            if not ech.unimodular:
+                ech = echelonize(self.fld, q.torsion[n], len(basis))
+        else:
             closed = sum(1 for b in basis if b.source == b.target)
             rows: list[Coords] = []
             if n:
@@ -211,8 +237,11 @@ class _Table:
                         for y, w in times[k][a]:
                             row[y] = row.get(y, 0) - w
                         rows.append(row)
-            hit = self.traces[n] = (closed, echelonize(self.fld, rows, len(basis)))
-        return hit
+            ech = echelonize(self.fld, rows, len(basis))
+            if n < self.exact and not ech.unimodular:
+                self.torsion[n] = rows
+        self.traces[n] = (closed, ech)
+        return closed, ech
 
     def witnesses(self, n: int) -> list[Path]:
         """The necklaces whose class is outside the span of the larger necklaces' classes."""
@@ -245,7 +274,7 @@ class _Table:
 def _table(qd: DoubledQuiver, kind: str, fld: FieldSpec) -> _Table:
     rels = preprojective_relations(qd.base) if kind == "preprojective" else \
         zigzag_dual_relations(qd)
-    return _Table(qd, rels, fld)
+    return _Table(qd, rels, fld, None if fld == QQ else _table(qd, kind, QQ))
 
 
 def _preprojective_table(q: Quiver, fld: FieldSpec) -> _Table:

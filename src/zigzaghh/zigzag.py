@@ -374,8 +374,8 @@ def zero_cochain(alg: ZigzagAlgebra, p: int, q: int) -> HochschildCochain:
     return HochschildCochain(alg, p, q, {})
 
 
-def cochain_differential(c: HochschildCochain) -> HochschildCochain:
-    """The (p+1, q) cochain obtained by the standard alternating-sum rule."""
+def _differential(c: HochschildCochain) -> tuple[list[tuple[Word, int]], dict[int, Scalar]]:
+    """(basis of C^{p+1,q}, coordinates of dc in it), from one walk of that space."""
     alg = c.algebra
     fld = alg.field
     target = cochain_basis(alg, c.p + 1, c.q)
@@ -389,15 +389,21 @@ def cochain_differential(c: HochschildCochain) -> HochschildCochain:
                     acc.pop(i, None)
                 else:
                     acc[i] = s
+    return target, acc
+
+
+def cochain_differential(c: HochschildCochain) -> HochschildCochain:
+    """The (p+1, q) cochain obtained by the standard alternating-sum rule."""
+    target, acc = _differential(c)
     values: dict[Word, dict[int, Scalar]] = {}
     for i, v in acc.items():
         w, z = target[i]
         values.setdefault(w, {})[z] = v
-    return HochschildCochain(alg, c.p + 1, c.q, values)
+    return HochschildCochain(c.algebra, c.p + 1, c.q, values)
 
 
 def is_cocycle(c: HochschildCochain) -> bool:
-    return cochain_differential(c).is_zero()
+    return not _differential(c)[1]
 
 
 def is_coboundary(c: HochschildCochain) -> bool:

@@ -464,3 +464,64 @@ def test_long_two_term_chain_is_quick(fld):
     assert ech.pivot_cols == list(range(n - 1))
     assert in_span(fld, ech, {0: 1, n - 1: -1})
     assert not in_span(fld, ech, {0: 1})
+
+
+def _small_integer_rows(rng, ncols):
+    """One-term, two-term and long rows; in half of the sets every entry is
+    +-1, in the others a quarter of the entries are +-2."""
+    entries = [1, -1] if rng.random() < 0.5 else [1, -1, 1, -1, 1, -1, 2, -2]
+    rows = []
+    for _ in range(rng.randint(ncols // 2, ncols)):
+        size = min(ncols, rng.choice([1, 2, 2, 3, 4, rng.randint(3, ncols)]))
+        rows.append({c: rng.choice(entries) for c in rng.sample(range(ncols), size)})
+    return rows
+
+
+def test_a_unimodular_echelon_over_q_is_the_echelon_mod_every_p():
+    # a certified echelon spans the input's Z-lattice, so mod p it has the
+    # F_p pivots, and its kernel vectors, integral, reduce to the F_p ones
+    rng = random.Random(2505)
+    outcomes = set()
+    for _ in range(300):
+        ncols = rng.randint(3, 12)
+        rows = _small_integer_rows(rng, ncols)
+        ech = echelonize(QQ, rows, ncols)
+        outcomes.add(ech.unimodular)
+        if not ech.unimodular:
+            continue
+        assert all(r[c] in (1, -1) for c, r in ech.pivot_row.items())
+        kernel = list(ech.kernel_vectors())
+        assert all(type(v) is int for x in kernel for v in x.values())
+        for p in (2, 3, 5, 7):
+            fp = echelonize(GF(p), rows, ncols)
+            assert not fp.unimodular
+            assert fp.pivot_cols == ech.pivot_cols, (p, rows)
+            assert [{c: v % p for c, v in x.items() if v % p} for x in kernel] == \
+                list(fp.kernel_vectors()), (p, rows)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 2, 1: 2, 2: 2}],                          # a content divided out on input
+    [{0: 2}],                                      # a one-term kill by 2
+    [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}],    # an odd 2-term cycle closes to 2 e_2
+    [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 3: 1}],     # a long row reduces to pivot -2
+    [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 3}],      # a content 2 divided out in _reduce
+])
+def test_non_unimodular_steps_leave_the_echelon_uncertified(rows):
+    ncols = 1 + max(c for r in rows for c in r)
+    assert not echelonize(QQ, rows, ncols).unimodular
+    # each of these loses rank or moves a pivot mod 2
+    assert echelonize(GF(2), rows, ncols).pivot_cols != echelonize(QQ, rows, ncols).pivot_cols
+
+
+def test_unit_steps_keep_the_echelon_certified_until_add_takes_a_non_unit_step():
+    # e0 = e1 = -e2 and e3 = 0; the long rows project to e4 and -e2 - e4 + e5
+    rows = [{0: 1, 1: -1}, {1: -1, 2: -1}, {3: -1}, {0: 1, 2: 1, 4: 1}, {1: 1, 3: 1, 4: -1, 5: 1}]
+    ech = echelonize(QQ, rows, 6)
+    assert ech.unimodular and ech.pivot_cols == [0, 1, 2, 3, 4]
+    assert not ech.add({0: 1, 2: 1, 4: 1})
+    assert ech.unimodular
+    # e2 + e4 + e5 reduces to -2 e5: in the span mod 2, not over Q
+    assert ech.add({2: 1, 4: 1, 5: 1})
+    assert not ech.unimodular

@@ -269,9 +269,11 @@ def test_trace_reads_only_closed_walks():
     before = memo_sizes()
     trace_piece(q, 10, GF(2))
     cycle_class_in_trace_is_zero(q, make_path(double(q), (0, 1) * 3), GF(2))
-    _table(double(q), "preprojective", GF(2))   # the one table built is this one
+    # the two tables built are these: the F2 table reads the Q one
+    _table(double(q), "preprojective", GF(2))
+    _table(double(q), "preprojective", QQ)
     built = built_since(before)
-    assert built["lambda"] == 1
+    assert built["lambda"] == 2
     assert built["all_words"] == built["words_by_endpoints"] == built["all_necklaces"] == 0, built
 
 
@@ -395,7 +397,8 @@ def test_quotient_pieces_build_no_endpoint_table():
         koszul_dual_zigzag_piece(g, n, GF(3))
         cyclic_piece_dim(q, n, 5, GF(2))
     built = built_since(before)
-    assert built["lambda"] == 3 and built["words_by_endpoints"] == 0, built
+    # the Q and F2 preprojective tables, the F3 Koszul-dual one and the Q one it reads
+    assert built["lambda"] == 4 and built["words_by_endpoints"] == 0, built
 
 
 @pytest.mark.parametrize("koszul_first", [False, True])
@@ -462,3 +465,97 @@ def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
                 if qd.arrow_source[a] == b.target]
         assert (koszul_dual_zigzag_piece(g, n, fld).representatives
                 == oracle_quotient_representatives(gd, zigzag_dual_relations(gd), n, fld))
+
+
+def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
+    # every Lambda degree of E~6 to 8 is eliminated unimodularly over Q, so the
+    # F2 and F3 tables share its words and coordinates and run no Lambda
+    # elimination; a trace echelon over Q is read as it is where it is
+    # unimodular too, and only the others are eliminated again mod p
+    import sys
+
+    from zigzaghh import preproj
+
+    q = fresh(_q("E~6"))
+    over_q = preproj._table(double(q), "preprojective", QQ)
+    for n in range(9):
+        trace_piece(q, n, QQ)
+    assert over_q.exact > 8
+    calls = []
+    real = preproj.echelonize
+
+    def spy(fld, rows, ncols):
+        calls.append((sys._getframe(1).f_code.co_name, fld, ncols))
+        return real(fld, rows, ncols)
+
+    monkeypatch.setattr(preproj, "echelonize", spy)
+    for fld in (GF(2), GF(3)):
+        for n in range(9):
+            trace_piece(q, n, fld)
+        assert all(preproj._table(double(q), "preprojective", fld).basis[n] is over_q.basis[n]
+                   for n in range(2, 9))
+    torsion = [n for n in range(9) if not over_q.trace(n)[1].unimodular]
+    assert torsion and calls == [("trace", fld, len(over_q.basis[n]))
+                                 for fld in (GF(2), GF(3)) for n in torsion]
+
+
+@pytest.mark.parametrize("fp_first", [True, False])
+def test_an_uncertified_degree_falls_back_to_elimination_mod_p(fp_first):
+    # no catalog relation reaches this path: with the last term of the
+    # relation at the centre of D~4 taken 6 times, Q eliminates unimodularly
+    # to degree 3 but not in degree 4, so the F2 and F3 tables read the Q
+    # table below 4 and grow their own degrees from there, whichever field
+    # is asked first
+    from zigzaghh.preproj import _Table, preprojective_relations
+
+    q = _q("D~4")
+    qd = double(q)
+    rels = preprojective_relations(q)
+    centre = max(rels, key=lambda v: len(rels[v]))
+    coeff, pair = rels[centre][-1]
+    rels[centre][-1] = (6 * coeff, pair)
+    over_q = _Table(qd, rels, QQ)
+    tables = [_Table(qd, rels, fld, over_q) for fld in (GF(2), GF(3))]
+    for table in tables + [over_q] if fp_first else [over_q] + tables:
+        for n in range(8):
+            table.degree(n)
+            table.witnesses(n)
+    assert over_q.exact == 4
+    for table in tables:
+        assert table.basis[3] is over_q.basis[3] and table.basis[4] is not over_q.basis[4]
+        assert any(table.basis[n] != over_q.basis[n] for n in range(5, 8))
+        for n in range(8):
+            assert table.basis[n] == oracle_quotient_representatives(qd, rels, n, table.fld), n
+            assert table.witnesses(n) == oracle_trace_witnesses(qd, rels, n, table.fld), n
+
+
+@pytest.mark.parametrize("label,fld,n", [("D~4", GF(2), 4), ("E6", GF(3), 6),
+                                         ("E8", GF(2), 8), ("E8", GF(3), 6),
+                                         ("E8", GF(5), 10)])
+def test_torsion_cells_eliminate_the_integral_trace_rows_mod_p(label, fld, n):
+    # the Q echelon of these trace rows is not unimodular: the field
+    # eliminates the Q table's integral rows itself, and finds the classes
+    # that vanish over Q, whether it is asked before Q or after
+    import random
+
+    from zigzaghh import preproj
+    from zigzaghh.pathalg import all_cycles
+    from zigzaghh.preproj import preprojective_relations
+
+    from oracle import oracle_trace_dim
+
+    base = _q(label)
+    qd, rels = double(base), preprojective_relations(base)
+    dim = oracle_trace_dim(base, n, fld)
+    want = {f: oracle_trace_witnesses(qd, rels, n, f) for f in (fld, QQ)}
+    cycles = want[fld] + random.Random(n).sample(all_cycles(qd, n), 3)
+    zero = {(c, f): _class_is_zero(base, {c: 1}, f) for c in cycles for f in (fld, QQ)}
+    for order in ((fld, QQ), (QQ, fld)):
+        q = fresh(base)
+        got = {f: trace_piece(q, n, f) for f in order}
+        assert not preproj._table(double(q), "preprojective", QQ).trace(n)[1].unimodular
+        assert got[fld].dimension == dim > got[QQ].dimension
+        for f, tr in got.items():
+            assert tr.witnesses == want[f] and tr.dimension == len(tr.witnesses)
+        assert {(c, f): cycle_class_in_trace_is_zero(q, c, f)
+                for c in cycles for f in order} == zero

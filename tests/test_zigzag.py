@@ -503,6 +503,18 @@ def test_a_cochain_and_its_coboundary_verdict_walk_its_space_once(monkeypatch):
     assert bases == [(2, 2)]
 
 
+def test_a_cocycle_verdict_walks_the_next_space_once(monkeypatch):
+    # is_cocycle reads the coordinates of dc from the one walk of C^{p+1,q} that
+    # accumulates them; it builds no cochain there, which would walk it again
+    alg = build_zigzag(catalog("D~", 4), QQ)
+    (w, z), *_ = cochain_basis(alg, 1, 6)
+    c = HochschildCochain(alg, 1, 6, {w: {z: 1}})
+    closed = cochain_differential(c).is_zero()
+    bases = _calls(monkeypatch, "cochain_basis")
+    assert is_cocycle(c) == closed
+    assert bases == [(2, 6)]
+
+
 def test_cochain_validation_rejects_bad_values():
     alg = build_zigzag(catalog("A", 2), QQ)
     a = alg.arrow_index[(1, 2)]
