@@ -31,12 +31,14 @@ witness when its class lies outside the span of the classes of the
 larger ones, the free-column rule of the necklace matrix (Ginzburg,
 Calabi-Yau algebras, arXiv:math/0612139).
 
-A double has one table per relation kind over Q, read by every field.
-Its rows are integral, and a unimodular echelon (see exactla) holds mod
-every p: an F_p table shares the Q words and coordinates below the first
-degree that is not, and grows its own from there; in the shared degrees
-it takes the Q trace echelon where that is unimodular and else eliminates
-the same integral trace rows mod p.
+A double has one table per relation kind and field, and the F_p tables
+read the Q one.  Its rows are integral, and a unimodular echelon (see
+exactla) holds mod every p: an F_p table shares the words and coordinates
+of each degree the Q table has already grown below its first degree that
+is not, and of the Q trace echelons already built there, the unimodular
+ones and the integral rows of the others, which it eliminates mod p.  It
+never grows the Q table, so a process that asks only over F_p eliminates
+only over F_p; every other degree and trace it eliminates itself.
 
 The same builder, fed the relation "sum of all 2-cycles at each vertex",
 computes the quadratic dual of the zigzag algebra for an arbitrary graph
@@ -108,9 +110,9 @@ class _Table:
     basis[n] are the normal words of degree n, and times[n][b][a] the
     coordinates in degree n of basis[n-1][b] times the arrow a.  traces[n]
     is (closed basis count, echelon of the trace rows).  Over Q the degrees
-    below `exact` were eliminated unimodularly, and torsion[n] keeps the
-    trace rows of such a degree whose echelon is not, for the F_p tables,
-    which read this one as `over_q`.
+    below `exact` were eliminated unimodularly (on an F_p table it stays 2),
+    and torsion[n] keeps the trace rows of such a degree whose echelon is
+    not, for the F_p tables, which read this one as `over_q`.
     """
 
     def __init__(self, qd: DoubledQuiver, rels: RelationTable, fld: FieldSpec,
@@ -147,13 +149,10 @@ class _Table:
     def _grow(self):
         n = len(self.basis)
         q = self.over_q
-        if q is not None:
-            while q.exact == len(q.basis) <= n:
-                q._grow()
-            if n < q.exact:   # certified: the Q words and integral coordinates hold mod p
-                self.basis.append(q.basis[n])
-                self.times.append(q.times[n])
-                return
+        if q is not None and n < q.exact:   # the Q words and integral coordinates hold mod p
+            self.basis.append(q.basis[n])
+            self.times.append(q.times[n])
+            return
         words = self.spanning(n)
         column: list[dict[int, int]] = []   # column[b][a]: the column of the word b a
         start = 0
@@ -217,8 +216,9 @@ class _Table:
             return hit
         basis = self.degree(n)
         q = self.over_q
-        if q is not None and n < q.exact:
-            closed, ech = q.trace(n)
+        hit = q.traces.get(n) if q is not None and n < q.exact else None
+        if hit is not None:
+            closed, ech = hit
             if not ech.unimodular:
                 ech = echelonize(self.fld, q.torsion[n], len(basis))
         else:

@@ -176,7 +176,7 @@ def test_hh2_trace_witnesses_pinned(capsys):
 def test_hh2_trace_witnesses_on_torsion_cells_pinned(capsys, char):
     # recorded while every field built and eliminated its own table of Lambda:
     # E8 has classes over F2 and F3 that vanish over Q, where the field
-    # eliminates the integral trace rows mod p after reading the Q table
+    # eliminates the integral trace rows mod p even when it reads a Q table
     golden = pathlib.Path(__file__).parent / "golden" / ("hh2-trace-E8-char%d.json" % char)
     code, out = _run(capsys, "hh2", "--graph", "E8", "--char", str(char), "--q", "1..8",
                      "--method", "trace", "--witnesses", "--out", "json")

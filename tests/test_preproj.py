@@ -269,9 +269,10 @@ def test_trace_reads_only_closed_walks():
     before = memo_sizes()
     trace_piece(q, 10, GF(2))
     cycle_class_in_trace_is_zero(q, make_path(double(q), (0, 1) * 3), GF(2))
-    # the two tables built are these: the F2 table reads the Q one
+    # the two tables built are these: the F2 table, and the Q one it would
+    # read, which an F2-only job never grows past the arrows
     _table(double(q), "preprojective", GF(2))
-    _table(double(q), "preprojective", QQ)
+    assert len(_table(double(q), "preprojective", QQ).basis) == 2
     built = built_since(before)
     assert built["lambda"] == 2
     assert built["all_words"] == built["words_by_endpoints"] == built["all_necklaces"] == 0, built
@@ -397,7 +398,7 @@ def test_quotient_pieces_build_no_endpoint_table():
         koszul_dual_zigzag_piece(g, n, GF(3))
         cyclic_piece_dim(q, n, 5, GF(2))
     built = built_since(before)
-    # the Q and F2 preprojective tables, the F3 Koszul-dual one and the Q one it reads
+    # the Q and F2 preprojective tables, the F3 Koszul-dual one and the Q one it would read
     assert built["lambda"] == 4 and built["words_by_endpoints"] == 0, built
 
 
@@ -499,13 +500,50 @@ def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
                                  for fld in (GF(2), GF(3)) for n in torsion]
 
 
+def test_fp_tables_read_only_what_q_has_grown(monkeypatch):
+    # an F_p table never grows the Q table, so a job asked only over F2
+    # eliminates only over F2; a field asked after Q reads the degrees Q has
+    # grown, and a field that grew its own degrees reads the Q degrees grown
+    # after them
+    import sys
+
+    from zigzaghh import preproj
+
+    q = fresh(_q("E~6"))
+    ref = fresh(q)
+    want = {(n, f): trace_piece(ref, n, f) for n in range(11) for f in (GF(2), GF(3))}
+    calls = []
+    real = preproj.echelonize
+
+    def spy(fld, rows, ncols):
+        calls.append((sys._getframe(1).f_code.co_name, fld))
+        return real(fld, rows, ncols)
+
+    monkeypatch.setattr(preproj, "echelonize", spy)
+    for n in range(9):
+        trace_piece(q, n, GF(2))
+    over_q = preproj._table(double(q), "preprojective", QQ)
+    assert {f for _, f in calls} == {GF(2)} and len(over_q.basis) == 2 and not over_q.traces
+    for n in range(5):
+        trace_piece(q, n, QQ)
+    lambda_piece(q, 10, QQ)
+    del calls[:]
+    for n in range(11):
+        assert trace_piece(q, n, GF(3)) == want[n, GF(3)], n
+    assert calls and all(c == ("trace", GF(3)) for c in calls)
+    f2 = preproj._table(double(q), "preprojective", GF(2))
+    assert f2.basis[8] is not over_q.basis[8]
+    assert trace_piece(q, 10, GF(2)) == want[10, GF(2)]
+    assert f2.basis[10] is over_q.basis[10]
+
+
 @pytest.mark.parametrize("fp_first", [True, False])
 def test_an_uncertified_degree_falls_back_to_elimination_mod_p(fp_first):
     # no catalog relation reaches this path: with the last term of the
     # relation at the centre of D~4 taken 6 times, Q eliminates unimodularly
-    # to degree 3 but not in degree 4, so the F2 and F3 tables read the Q
-    # table below 4 and grow their own degrees from there, whichever field
-    # is asked first
+    # to degree 3 but not in degree 4, so F2 and F3 tables asked after Q read
+    # the Q table below 4 and grow their own degrees from there; asked
+    # before Q they grow every degree themselves
     from zigzaghh.preproj import _Table, preprojective_relations
 
     q = _q("D~4")
@@ -522,7 +560,8 @@ def test_an_uncertified_degree_falls_back_to_elimination_mod_p(fp_first):
             table.witnesses(n)
     assert over_q.exact == 4
     for table in tables:
-        assert table.basis[3] is over_q.basis[3] and table.basis[4] is not over_q.basis[4]
+        assert (table.basis[3] is over_q.basis[3]) != fp_first
+        assert table.basis[4] is not over_q.basis[4]
         assert any(table.basis[n] != over_q.basis[n] for n in range(5, 8))
         for n in range(8):
             assert table.basis[n] == oracle_quotient_representatives(qd, rels, n, table.fld), n
@@ -534,8 +573,8 @@ def test_an_uncertified_degree_falls_back_to_elimination_mod_p(fp_first):
                                          ("E8", GF(5), 10)])
 def test_torsion_cells_eliminate_the_integral_trace_rows_mod_p(label, fld, n):
     # the Q echelon of these trace rows is not unimodular: the field
-    # eliminates the Q table's integral rows itself, and finds the classes
-    # that vanish over Q, whether it is asked before Q or after
+    # eliminates the integral rows itself, and finds the classes that vanish
+    # over Q, whether it is asked before Q or after
     import random
 
     from zigzaghh import preproj
