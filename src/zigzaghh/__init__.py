@@ -20,8 +20,8 @@ from .preproj import (GradedQuotientPiece, TracePiece, cyclic_piece_dim,
                       koszul_dual_zigzag_piece, lambda_piece, trace_piece,
                       trace_piece_general)
 from .ginzburg import h0_dim, hh2_complex, hh2_dim
-from .zigzag import (HochschildCochain, ZigzagAlgebra, build_zigzag, cochain_differential,
-                     hochschild_dim, is_coboundary, is_cocycle)
+from .zigzag import (HochschildCochain, ZigzagAlgebra, build_zigzag, hochschild_dim,
+                     is_coboundary, is_cocycle)
 from .ainfty import AInftyCandidate, StasheffReport, check_stasheff, class_of, extended_d4_m4
 from .reports import HHReport
 
@@ -32,10 +32,10 @@ __all__ = [
     "GradedQuotientPiece", "TracePiece", "cyclic_piece_dim",
     "koszul_dual_zigzag_piece", "lambda_piece", "trace_piece", "trace_piece_general",
     "h0_dim", "hh2_complex", "hh2_dim",
-    "HochschildCochain", "ZigzagAlgebra", "build_zigzag", "cochain_differential",
-    "hochschild_dim", "is_coboundary", "is_cocycle",
+    "HochschildCochain", "ZigzagAlgebra", "build_zigzag", "hochschild_dim",
+    "is_coboundary", "is_cocycle",
     "AInftyCandidate", "StasheffReport", "check_stasheff", "class_of", "extended_d4_m4",
     "HHReport",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -29,14 +29,14 @@ first within a budget of 2 - p cycle classes, closed by a table of the
 last two letters that admit an output of degree p + c, kept per graph
 for every field.  On a bipartite graph the word has p + q - c arrows,
 an even count exactly when the output starts and ends at one vertex,
-i.e. when p + c is even, so C^{p,q} = 0 for odd q.  Each differential
-is eliminated once: the rows of the outgoing one give the rank and the
-cocycles, and the columns of the incoming one go to the kernel as they
-are built, so HH^{2,q} keeps no C^{1,q} table.  An algebra keeps no
-cache: each cochain basis is walked when asked for.  The module reads
-only `exactla`, `quiver` and `reports` of the package.
+i.e. when p + c is even, so C^{p,q} = 0 for odd q.  The package asks
+for HH^{2,q} only; C^{3,q} is empty, so every (2, q) cochain is a
+cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
+image sent to the kernel as they are built, so no C^{1,q} table is kept.
+An algebra keeps no cache: each cochain basis is walked when asked for.
+The module reads only `exactla`, `quiver` and `reports` of the package.
 
-For p = 2 the kernel gets a spanning subset of d(C^{1,q}), which has the
+The kernel gets a spanning subset of d(C^{1,q}), which has the
 same span, so the same rank and witnesses.  C^{2,q} is the closed arrow
 words y X, and y X -> c gives the word (X -> y*) of C^{1,q}, y* the
 reverse of y: these are all the words with no cycle class, and each has
@@ -269,15 +269,14 @@ def _spanning_words(alg: ZigzagAlgebra, q: int,
     yield from (((c,) + u, c) for u, c in _cochain_words(alg, 2, q - 2))
 
 
-def _image(alg: ZigzagAlgebra, p: int, q: int, basis: list[tuple[Word, int]]) -> Echelon:
-    """The echelon of d(C^{p-1,q}) in C^{p,q} = `basis`, each column sent to the kernel as
-    built: for p = 2 only `_spanning_words`, for p = 1 all of C^{0,q}, else none."""
-    if not basis or p not in (1, 2) or p - 1 + q < 0:
+def _image(alg: ZigzagAlgebra, q: int, basis: list[tuple[Word, int]]) -> Echelon:
+    """The echelon of d(C^{1,q}) in C^{2,q} = `basis`, from the columns of
+    `_spanning_words`, each sent to the kernel as built (C^{1,q} = 0 for q < -1)."""
+    if not basis or q < -1:
         return Echelon(alg.field, len(basis))
     index = {b: i for i, b in enumerate(basis)}
-    words = _spanning_words(alg, q, basis) if p == 2 else _cochain_words(alg, 0, q)
-    return echelonize(alg.field, (_delta_elementary(alg, w, z, index) for w, z in words),
-                      len(basis))
+    return echelonize(alg.field, (_delta_elementary(alg, w, z, index)
+                                  for w, z in _spanning_words(alg, q, basis)), len(basis))
 
 
 def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
@@ -290,41 +289,32 @@ def delta_columns(alg: ZigzagAlgebra, p: int, q: int) -> tuple[
     return source, target, cols
 
 
+def _only_p2(p: int):
+    if p != 2:
+        raise ValueError("the bar complex computes HH^{2,q} only, not p = %d" % p)
+
+
 def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
                    want_witnesses: bool = False) -> HHReport:
-    """dim HH^{p,q} of the zigzag algebra via the reduced complex.
+    """dim HH^{2,q} of the zigzag algebra via the reduced complex; p must be 2.
 
-    The rows of d: C^{p,q} -> C^{p+1,q} are eliminated once, for its rank
-    and its kernel vectors, and the incoming image once, by `_image`.  A
-    witness is a kernel vector, in free-column order, that the echelon of
-    the incoming columns and of the cocycles kept before it takes in with
-    `add`.
+    C^{3,q} is empty, so HH^{2,q} = dim C^{2,q} - rank of the incoming
+    image, eliminated once, by `_image`.  A witness is a basis word, in
+    order, that the echelon of the incoming columns and of the words kept
+    before it takes in with `add`.
     """
-    if p < 0:
-        raise ValueError("cohomological degree must be >= 0")
-    basis = cochain_basis(alg, p, q)
-    if not basis:
-        return HHReport(p, q, "zigzag", 0, () if want_witnesses else None)
-    fld = alg.field
-    target = cochain_basis(alg, p + 1, q)
-    rows: dict[int, dict[int, int]] = {}
-    if target:
-        tindex = {b: i for i, b in enumerate(target)}
-        for j, (w, z) in enumerate(basis):
-            for i, v in _delta_elementary(alg, w, z, tindex).items():
-                rows.setdefault(i, {})[j] = v
-    out = echelonize(fld, rows.values(), len(basis))
-    image = _image(alg, p, q, basis)
-    dimension = len(basis) - out.rank - image.rank
+    _only_p2(p)
+    basis = cochain_basis(alg, 2, q)
+    image = _image(alg, q, basis)
+    dimension = len(basis) - image.rank
     names = []
-    for cand in out.kernel_vectors() if want_witnesses and dimension else ():
-        if image.add(cand):
-            names.append("+".join("%s|%s" % (" ".join(alg.names[i] for i in w) or "1",
-                                             alg.names[z])
-                                  for w, z in (basis[i] for i in sorted(cand))))
+    for i in range(len(basis)) if want_witnesses and dimension else ():
+        if image.add({i: 1}):
+            w, z = basis[i]
+            names.append("%s|%s" % (" ".join(alg.names[x] for x in w) or "1", alg.names[z]))
             if len(names) == dimension:
                 break
-    return HHReport(p, q, "zigzag", dimension, tuple(names) if want_witnesses else None)
+    return HHReport(2, q, "zigzag", dimension, tuple(names) if want_witnesses else None)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +323,17 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
 
 
 class HochschildCochain:
-    """A (p, q) cochain: linear map on composable positive-basis words.
+    """A (2, q) cochain: linear map on composable positive-basis words.
 
     values maps an input word to the output expressed in the basis of the
     algebra; every (word, output) key must satisfy the endpoint and Adams
-    constraints of the (p, q) cochain space.  basis is that space as
-    walked once, by `cochain_basis`, and index its positions.
+    constraints of the (p, q) cochain space, and p must be 2.  basis is
+    that space as walked once, by `cochain_basis`, and index its positions.
     """
 
     def __init__(self, algebra: ZigzagAlgebra, p: int, q: int,
                  values: dict[Word, dict[int, Scalar]]):
+        _only_p2(p)
         alg = self.algebra = algebra
         self.p = p
         self.q = q
@@ -374,39 +365,12 @@ def zero_cochain(alg: ZigzagAlgebra, p: int, q: int) -> HochschildCochain:
     return HochschildCochain(alg, p, q, {})
 
 
-def _differential(c: HochschildCochain) -> tuple[list[tuple[Word, int]], dict[int, Scalar]]:
-    """(basis of C^{p+1,q}, coordinates of dc in it), from one walk of that space."""
-    alg = c.algebra
-    fld = alg.field
-    target = cochain_basis(alg, c.p + 1, c.q)
-    tindex = {b: i for i, b in enumerate(target)}
-    acc: dict[int, Scalar] = {}
-    for w, outs in c.values.items():
-        for z, coeff in outs.items():
-            for i, v in _delta_elementary(alg, w, z, tindex).items():
-                s = fld.add(acc.get(i, fld.zero()), fld.mul(fld.element(v), coeff))
-                if fld.is_zero(s):
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-    return target, acc
-
-
-def cochain_differential(c: HochschildCochain) -> HochschildCochain:
-    """The (p+1, q) cochain obtained by the standard alternating-sum rule."""
-    target, acc = _differential(c)
-    values: dict[Word, dict[int, Scalar]] = {}
-    for i, v in acc.items():
-        w, z = target[i]
-        values.setdefault(w, {})[z] = v
-    return HochschildCochain(c.algebra, c.p + 1, c.q, values)
-
-
 def is_cocycle(c: HochschildCochain) -> bool:
-    return not _differential(c)[1]
+    """True: a cochain is a (2, q) one, and C^{3,q} is empty, so dc = 0."""
+    return True
 
 
 def is_coboundary(c: HochschildCochain) -> bool:
     """Exact membership of c in the image of the incoming differential: the
     echelon of `_image` does not take c's vector in."""
-    return not _image(c.algebra, c.p, c.q, c.basis).add(c.vector())
+    return not _image(c.algebra, c.q, c.basis).add(c.vector())
