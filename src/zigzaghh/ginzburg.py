@@ -21,11 +21,22 @@ column r_v c per closed walk c of length q at v spans the rest, each
 term read as its necklace and the coefficients summed: `hh2_complex`.
 The full complex, rotation columns and domain paths included, is kept
 in `tests/oracle.py` as the reference.
+
+The columns are integral and take no field, so every field reads one
+assembly: `hh2_complex` is kept for the process, keyed by the quiver's
+value, like `pathalg.all_cycles`, and its lists are shared, not copied.
+A Q elimination whose echelon is unimodular (see exactla) has the same
+pivots mod every p, so it records its rank and free coordinates for the
+quiver, and an F_p `hh2_dim` at a recorded cell eliminates nothing.  At
+any other cell F_p eliminates the columns mod p, and it never starts a Q
+elimination, so a process asked only over F_p does no Q work.
 """
 
 from __future__ import annotations
 
-from .exactla import FieldSpec, span_info
+import functools
+
+from .exactla import FieldSpec, echelonize
 from .pathalg import Path, all_cycles, all_necklaces, largest_rotation, path_name
 from .preproj import lambda_piece, preprojective_relations
 from .quiver import Quiver, double
@@ -37,11 +48,13 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
     return lambda_piece(q, adams, fld).dimension if adams >= 0 else 0
 
 
+@functools.cache
 def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
     """The small complex in Adams degree adams >= -2, rotation columns
     eliminated: the necklaces of length adams + 2, ascending, and one
     relation column r_v c per closed walk c of length adams, sparse
-    {necklace index: coeff}."""
+    {necklace index: coeff}.  Kept for the process: callers must not
+    mutate the lists."""
     if adams < -2:
         raise ValueError("no complex below Adams degree -2")
     qd = double(q)
@@ -58,13 +71,27 @@ def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
     return necklaces, cols
 
 
+@functools.cache
+def _certified(q: Quiver) -> dict[int, tuple[int, list[int]]]:
+    """Adams degree -> (rank, free coordinates) of each cell of q whose Q
+    echelon was unimodular; empty until a Q `hh2_dim` fills it."""
+    return {}
+
+
 def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:
     """HH^{2,adams} of the dg algebra, as the cokernel of `hh2_complex`."""
     if adams < -2:
         return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
     necklaces, cols = hh2_complex(q, adams)
-    info = span_info(fld, cols, len(necklaces))
+    certified = _certified(q)
+    profile = certified.get(adams)
+    if profile is None:
+        ech = echelonize(fld, cols, len(necklaces))
+        profile = ech.rank, ech.free_cols()
+        if ech.unimodular:   # never over F_p
+            certified[adams] = profile
+    rank, free = profile
     reps = None
     if want_witnesses:
-        reps = tuple(path_name(double(q), necklaces[i]) for i in info.free_coords)
-    return HHReport(2, adams, "ginzburg", info.quotient_dim, reps)
+        reps = tuple(path_name(double(q), necklaces[i]) for i in free)
+    return HHReport(2, adams, "ginzburg", len(necklaces) - rank, reps)

@@ -5,16 +5,19 @@ function, so a call's new tables are the growth of those caches' sizes.
 The caches are never cleared here: the tables other tests built stay.  A
 test that needs nothing built yet renames its graph or quiver with
 `fresh`, and since doubles are keyed by value, gets a new double.
+"certified" counts the quivers given a record of certified Ginzburg cells,
+not the cells recorded.
 """
 
 import itertools
 
-from zigzaghh import pathalg, preproj
+from zigzaghh import ginzburg, pathalg, preproj
 from zigzaghh.quiver import Graph, Quiver
 
 MEMOS = {"all_words": pathalg.all_words, "words_by_endpoints": pathalg.words_by_endpoints,
          "all_cycles": pathalg.all_cycles, "all_necklaces": pathalg.all_necklaces,
-         "lambda": preproj._table}
+         "lambda": preproj._table, "hh2_complex": ginzburg.hh2_complex,
+         "certified": ginzburg._certified}
 
 _names = itertools.count()
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zigzaghh import pathalg
+from zigzaghh import ginzburg, pathalg
 from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
 from zigzaghh.ginzburg import h0_dim, hh2_complex, hh2_dim
 from zigzaghh.pathalg import Path, all_words, loop_count, make_path, path_name, paths_between
@@ -103,6 +103,7 @@ def test_equal_quivers_share_double_ginzburg_and_word_tables():
     assert ginzburg_of(q1).doubled is double(q1)
     assert all_words(double(q1), 3) is all_words(double(q2), 3)
     assert all_words(ginzburg_of(q1), 2) is all_words(ginzburg_of(q2), 2)
+    assert hh2_complex(q1, 4) is hh2_complex(q2, 4)
 
 
 def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
@@ -123,7 +124,99 @@ def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     hh2_dim(q, 8, GF(2))
     assert walks == [(double(q), 10, "necklace"), (double(q), 8, "closed")]
     assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 1,
-                                   "all_necklaces": 1, "lambda": 0}
+                                   "all_necklaces": 1, "lambda": 0, "hh2_complex": 1,
+                                   "certified": 1}
+    assert ginzburg._certified(q) == {}   # F2 records nothing
+
+
+def _echelonize_fields(monkeypatch) -> list:
+    """The field of each later elimination hh2_dim runs."""
+    seen = []
+
+    def spy(fld, rows, ncols):
+        seen.append(fld)
+        return echelonize(fld, rows, ncols)
+
+    monkeypatch.setattr(ginzburg, "echelonize", spy)
+    return seen
+
+
+def test_fp_reads_the_certified_q_record(monkeypatch):
+    # a unimodular Q echelon has the same pivots mod every p (exactla), so Q
+    # records its rank and free coordinates, and F_p eliminates only at the
+    # cells the certificate refuses, over the one assembly of each cell
+    seen = _echelonize_fields(monkeypatch)
+    q = fresh(_q("D~", 6))
+    fields = (GF(2), GF(3), GF(5))
+    before = memo_sizes()
+    qq = [hh2_dim(q, adams, QQ, want_witnesses=True) for adams in range(-2, 9)]
+    record = ginzburg._certified(q)
+    refused = [adams for adams in range(-2, 9) if adams not in record]
+    assert refused == [2, 4, 6] and seen == [QQ] * 11
+    for adams, (rank, free) in record.items():
+        necklaces, cols = hh2_complex(q, adams)
+        ech = echelonize(QQ, cols, len(necklaces))
+        assert ech.unimodular and (rank, free) == (ech.rank, ech.free_cols())
+    seen.clear()
+    for fld in fields:
+        fp = [hh2_dim(q, adams, fld, want_witnesses=True) for adams in range(-2, 9)]
+        assert all(fp[adams + 2] == qq[adams + 2] for adams in record), fld
+    assert seen == [fld for fld in fields for _ in refused]
+    built = built_since(before)
+    assert built["hh2_complex"] == 11 and built["certified"] == 1, built
+
+
+def test_fp_only_jobs_run_no_q_elimination(monkeypatch):
+    seen = _echelonize_fields(monkeypatch)
+    q = fresh(_q("E", 8))
+    for fld in (GF(2), GF(3), GF(5)):
+        for adams in range(-2, 9):
+            hh2_dim(q, adams, fld, want_witnesses=True)
+    assert len(seen) == 33 and QQ not in seen
+    assert ginzburg._certified(q) == {}
+
+
+_ORDER_GRID = [_q(family, n) for family, n in (("A", 5), ("D", 5), ("D", 6), ("E", 6), ("E", 7),
+                                               ("E", 8), ("D~", 4), ("D~", 5), ("D~", 6),
+                                               ("E~", 6), ("E~", 7))]
+
+
+@pytest.mark.parametrize("quiv", _ORDER_GRID, ids=lambda quiv: quiv.name)
+def test_fp_answers_do_not_depend_on_the_order(quiv):
+    # each fresh quiver is a process with nothing built: F_p alone, Q first,
+    # and F_p first with Q between two F_p passes give the same F_p reports
+    fields = (GF(2), GF(3), GF(5))
+    cells = [(fld, adams) for fld in fields for adams in range(-2, 9)]
+
+    def fp(q):
+        return [hh2_dim(q, adams, fld, want_witnesses=True) for fld, adams in cells]
+
+    def qq(q):
+        return [hh2_dim(q, adams, QQ, want_witnesses=True) for adams in range(-2, 9)]
+
+    alone = fp(fresh(quiv))
+    q_first = fresh(quiv)
+    q_answers = qq(q_first)
+    assert fp(q_first) == alone
+    fp_first = fresh(quiv)
+    assert fp(fp_first) == alone
+    assert qq(fp_first) == q_answers
+    assert fp(fp_first) == alone
+    assert ginzburg._certified(q_first) == ginzburg._certified(fp_first)
+
+
+@pytest.mark.parametrize("family, n, adams, dims", [("D~", 4, 2, (2, 3, 2, 2)),
+                                                    ("D~", 6, 4, (0, 0, 0, 0))])
+def test_refused_cells_eliminate_mod_p(family, n, adams, dims):
+    # D~4 at q = 2 has 2-torsion, so the certificate must refuse it; D~6 at
+    # q = 4 has none, yet the certificate refuses it too.  F_p eliminates
+    # both itself, whichever field is asked first.
+    fields = (QQ, GF(2), GF(3), GF(5))
+    for order in (fields, fields[::-1]):
+        q = fresh(_q(family, n))
+        got = {fld: hh2_dim(q, adams, fld).dimension for fld in order}
+        assert tuple(got[fld] for fld in fields) == dims, order
+        assert adams not in ginzburg._certified(q)
 
 
 def _random_nontree(seed: int, n: int) -> Graph:
@@ -189,23 +282,23 @@ def test_hh2_dim_eliminates_the_complex_columns(monkeypatch, quiv):
     # relation columns of the full complex read on necklaces, over one
     # coordinate per rotation class, and its dimension and witnesses are the
     # free columns of the full complex from the oracle.  At a loop a, the
-    # terms a a* c and a* a c of r_v c can share a necklace.
-    from zigzaghh import ginzburg
-
+    # terms a a* c and a* a c of r_v c can share a necklace.  Each field asks
+    # a fresh quiver, so no F_p call reads a Q record and every call is spied.
     seen = []
 
-    def spy(fld, vectors, ambient_dim):
-        vectors = list(vectors)
-        seen.append((vectors, ambient_dim))
-        return span_info(fld, vectors, ambient_dim)
+    def spy(fld, rows, ncols):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return echelonize(fld, rows, ncols)
 
-    monkeypatch.setattr(ginzburg, "span_info", spy)
-    qd = double(quiv)
+    monkeypatch.setattr(ginzburg, "echelonize", spy)
 
     def rotation_class(w):   # a trivial path is its own class
         return oracle_necklace(w.letters) if w.letters else (w.source,)
 
     for fld in (QQ, GF(2), GF(3)):
+        quiv = fresh(quiv)
+        qd = double(quiv)
         for adams in range(-2, 9):
             rep = hh2_dim(quiv, adams, fld, want_witnesses=True)
             cx = oracle_hh2_complex(quiv, adams, fld)

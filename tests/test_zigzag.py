@@ -310,6 +310,30 @@ def test_trace_witnesses_transport_to_independent_bar_classes(label, p, q):
     assert _row_reduce_rank(fld, image + classes) == _row_reduce_rank(fld, image) + dim
 
 
+@pytest.mark.parametrize("label, p, q", [(label, p, q) for label in ("D~4", "E~6")
+                                         for p in (0, 2, 3) for q in (2, 4)])
+def test_ginzburg_witnesses_transport_to_independent_bar_classes(label, p, q):
+    # the same check for the Ginzburg witnesses, necklaces named by their
+    # arrows; Q is asked first, so an F_p cell the certificate accepts reads
+    # its free necklaces off the Q record
+    from dg import path_from_names
+    from oracle import _row_reduce_rank, oracle_cochain_basis, oracle_delta_columns, transport
+    fld = GF(p) if p else QQ
+    g = parse_label(label)
+    quiv = orient_bipartite(g)
+    alg = build_zigzag(g, fld)
+    hh2_dim(quiv, q, QQ)
+    rep = hh2_dim(quiv, q, fld, want_witnesses=True)
+    witnesses = [path_from_names(double(quiv), name.split()) for name in rep.representatives]
+    target = cochain_basis(alg, 2, q)
+    index = {b: i for i, b in enumerate(target)}
+    classes = [{index[transport(alg, double(quiv), w)]: 1} for w in witnesses]
+    image = oracle_delta_columns(alg, oracle_cochain_basis(alg, 1, q), target, alg.positive)
+    dim = hochschild_dim(alg, 2, q).dimension
+    assert len(classes) == dim == rep.dimension
+    assert _row_reduce_rank(fld, image + classes) == _row_reduce_rank(fld, image) + dim
+
+
 def test_hochschild_dim_a2_vanishing():
     alg = build_zigzag(catalog("A", 2), QQ)
     for q in (1, 2, 3):
@@ -422,15 +446,23 @@ def test_zero_cochain_is_cocycle_and_coboundary():
 
 
 def test_delta_of_cochain_is_coboundary():
-    alg = build_zigzag(catalog("A", 3), QQ)
+    # C^{1,q} is empty on a tree at odd q, so the cells are trees at q = 2
+    # and the odd cycle A~2 at q = 1
     rng = random.Random(7)
-    basis = cochain_basis(alg, 1, 1)
-    for _ in range(8):
-        values = {}
-        for (w, z) in rng.sample(basis, min(4, len(basis))):
-            values.setdefault(w, {})[z] = rng.randint(-3, 3)
-        d = HochschildCochain(alg, 2, 1, differential(alg, 1, 1, values))
-        assert is_cocycle(d) and is_coboundary(d)
+    for label, q in (("A3", 2), ("D~4", 2), ("A~2", 1)):
+        alg = build_zigzag(parse_label(label), QQ)
+        basis = cochain_basis(alg, 1, q)
+        assert basis, (label, q)
+        nonzero = 0
+        for _ in range(8):
+            values = {}
+            for (w, z) in rng.sample(basis, min(4, len(basis))):
+                values.setdefault(w, {})[z] = rng.randint(-3, 3)
+            dc = differential(alg, 1, q, values)
+            nonzero += bool(dc)
+            d = HochschildCochain(alg, 2, q, dc)
+            assert is_cocycle(d) and is_coboundary(d)
+        assert nonzero, (label, q)
 
 
 def test_is_coboundary_is_membership_in_the_oracle_full_image():
