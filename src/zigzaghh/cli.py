@@ -12,6 +12,7 @@ disagreeing in some degree (after printing its usual output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -481,6 +482,7 @@ def cmd_ainfty_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache   # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zigzaghh",

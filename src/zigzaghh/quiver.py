@@ -277,6 +277,8 @@ def catalog(family: str, n: int) -> Graph:
 _LABEL_RE = re.compile(r"^([ADE])(~?)(\d+)$")
 
 
+# interned: a label is parsed once per process, and equal labels share one Graph
+@functools.cache
 def parse_label(label: str) -> Graph:
     """Parse a catalog label such as "A5", "D4", "D~4", "E~8"."""
     m = _LABEL_RE.match(label.strip())
@@ -304,6 +306,8 @@ def bad_characteristics(graph_name: str) -> frozenset[int]:
 # orientations and extensions
 # ---------------------------------------------------------------------------
 
+# interned by the graph's value: equal graphs share one quiver
+@functools.cache
 def orient_bipartite(g: Graph) -> Quiver:
     """Sink/source orientation from the two-coloring rooted at vertex 1.
 
@@ -322,6 +326,7 @@ def orient_bipartite(g: Graph) -> Quiver:
     return Quiver(g.vertex_count, tuple(arrows), name=g.name)
 
 
+@functools.cache
 def orient_by_edge_order(g: Graph) -> Quiver:
     """Fallback orientation: each stored edge (i, j) becomes the arrow i -> j."""
     return Quiver(g.vertex_count, tuple(g.edges), name=g.name)

@@ -12,9 +12,10 @@ class Frozen:
     An instance equals only an instance of the same class with equal
     fields, hashes by its fields, and refuses assignment once built:
     `__init__` validates, then sets the fields with `Frozen.__init__`.
+    The hash is kept in `_hash`, not a field, from the first `__hash__`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -29,7 +30,12 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -33,7 +33,8 @@ i.e. when p + c is even, so C^{p,q} = 0 for odd q.  The package asks
 for HH^{2,q} only; C^{3,q} is empty, so every (2, q) cochain is a
 cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
 image sent to the kernel as they are built, so no C^{1,q} table is kept.
-An algebra keeps no cache: each cochain basis is walked when asked for.
+An algebra keeps no cache; C^{2,q} is kept for the last graph asked
+(`_c2`), and any other cochain basis is walked when asked for.
 The module reads only `exactla`, `quiver` and `reports` of the package.
 
 The kernel gets a spanning subset of d(C^{1,q}), which has the
@@ -56,7 +57,7 @@ matrix A, against (q + 1) tr(A^q) relation columns in the full map.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exactla import Echelon, FieldSpec, Scalar, echelonize
 from .quiver import Graph
@@ -201,12 +202,32 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> Iterator[tuple[Word, int]
         yield from [(w + pair, x) for pair, x in pairs]
 
 
-def _cochain_words(alg: ZigzagAlgebra, p: int, q: int) -> Iterable[tuple[Word, int]]:
-    """The basis of `cochain_basis`, in its order, as walked (p <= 2, p + q >= 0)."""
+def _walk_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
+    """The basis of `cochain_basis`, in its order, walked anew."""
     n = p + q
+    if n < 0 or p > 2 or q % 2 and alg.graph.is_bipartite():
+        return []   # for p > 2 the output degree p + c exceeds 2 on every word
     if n == 0:
         return [((), z) for z in range(alg.dim) if alg.degrees[z] == p and alg.src[z] == alg.tgt[z]]
-    return _words(alg, n, 2 - p)
+    return list(_words(alg, n, 2 - p))
+
+
+# the last graph's only: a batch asks the fields of one graph in turn, and
+# bases are large (D~4 at q = 8: 0.38 MB, Python 3.11)
+@functools.lru_cache(maxsize=1)
+def _c2_bases(g: Graph) -> dict[int, list[tuple[Word, int]]]:
+    """q -> the basis of C^{2,q}, for each q `_c2` was asked."""
+    return {}
+
+
+def _c2(alg: ZigzagAlgebra, q: int) -> list[tuple[Word, int]]:
+    """C^{2,q}, shared by every field and by HH^{2,q+2} as its relation
+    words; callers must not mutate it."""
+    bases = _c2_bases(alg.graph)
+    basis = bases.get(q)
+    if basis is None:
+        basis = bases[q] = _walk_basis(alg, 2, q)
+    return basis
 
 
 def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
@@ -218,11 +239,10 @@ def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     idempotents, encoded as the empty word with the output carrying the
     vertex.  A word with c cycle classes has output degree p + c, so only
     the words with at most 2 - p of them are walked, and only those whose
-    ends admit that output; on a bipartite graph none do for odd q.
+    ends admit that output; on a bipartite graph none do for odd q.  The
+    list is the caller's own.
     """
-    if p + q < 0 or p > 2 or q % 2 and alg.graph.is_bipartite():
-        return []   # for p > 2 the output degree p + c exceeds 2 on every word
-    return list(_cochain_words(alg, p, q))
+    return list(_c2(alg, q)) if p == 2 else _walk_basis(alg, p, q)
 
 
 def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
@@ -266,7 +286,7 @@ def _spanning_words(alg: ZigzagAlgebra, q: int,
     arrow walk u at v, the basis of C^{2,q-2}, as the module docstring proves."""
     arrow, src, tgt = alg.arrow_index, alg.src, alg.tgt
     yield from ((w[1:], arrow[tgt[w[0]], src[w[0]]]) for w, _ in basis)
-    yield from (((c,) + u, c) for u, c in _cochain_words(alg, 2, q - 2))
+    yield from (((c,) + u, c) for u, c in _c2(alg, q - 2))
 
 
 def _image(alg: ZigzagAlgebra, q: int, basis: list[tuple[Word, int]]) -> Echelon:

@@ -23,6 +23,22 @@ def _run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; an earlier call's options and
+    # errors leave nothing behind for the next
+    from zigzaghh.cli import build_parser
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["hh2", "--graph", "A3", "--method", "nope"])
+    capsys.readouterr()
+    job = ("hh2", "--graph", "D~4", "--q", "2", "--method", "trace")
+    _, shown = _run_json(capsys, *job, "--witnesses")
+    _, plain = _run_json(capsys, *job)
+    assert shown["results"][0]["witnesses"] and "witnesses" not in plain["results"][0]
+    assert plain["job"] == {"command": "hh2", "graph": "D~4", "char": 0, "method": "trace",
+                            "q": [2, 2], "orientation": "sink-source"}
+
+
 def test_preproj_a2(capsys):
     code, doc = _run_json(capsys, "preproj", "--graph", "A2", "--char", "0", "--max", "4")
     assert code == 0

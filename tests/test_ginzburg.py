@@ -95,8 +95,10 @@ def test_h0_equals_lambda():
 
 
 def test_equal_quivers_share_double_ginzburg_and_word_tables():
-    # built apart, equal by value: warm batch callers rely on this reuse
-    q1, q2 = _q("D~", 5), _q("D~", 5)
+    # built apart, equal by value: warm batch callers rely on this reuse (the
+    # orientation is interned, so the two are built with `Quiver` itself)
+    q = _q("D~", 5)
+    q1, q2 = (Quiver(q.vertex_count, q.arrows, name=q.name) for _ in range(2))
     assert q1 == q2 and q1 is not q2
     assert double(q1) is double(q2)
     assert ginzburg_of(q1) is ginzburg_of(q2)
@@ -125,7 +127,8 @@ def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     assert walks == [(double(q), 10, "necklace"), (double(q), 8, "closed")]
     assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 1,
                                    "all_necklaces": 1, "lambda": 0, "hh2_complex": 1,
-                                   "certified": 1}
+                                   "certified": 1, "parse_label": 0, "orient_bipartite": 0,
+                                   "orient_by_edge_order": 0}
     assert ginzburg._certified(q) == {}   # F2 records nothing
 
 
@@ -206,11 +209,16 @@ def test_fp_answers_do_not_depend_on_the_order(quiv):
 
 
 @pytest.mark.parametrize("family, n, adams, dims", [("D~", 4, 2, (2, 3, 2, 2)),
-                                                    ("D~", 6, 4, (0, 0, 0, 0))])
+                                                    ("D~", 6, 4, (0, 0, 0, 0)),
+                                                    ("D~", 5, 4, (1, 1, 1, 1)),
+                                                    ("D~", 5, 6, (2, 2, 2, 2)),
+                                                    ("E", 7, 8, (0, 0, 0, 0))])
 def test_refused_cells_eliminate_mod_p(family, n, adams, dims):
     # D~4 at q = 2 has 2-torsion, so the certificate must refuse it; D~6 at
-    # q = 4 has none, yet the certificate refuses it too.  F_p eliminates
-    # both itself, whichever field is asked first.
+    # q = 4, D~5 at q = 4 and 6 and E7 at q = 8 have none, yet the
+    # certificate refuses them too (measured: their F2, F3 and F5 dimensions
+    # are the Q ones).  F_p eliminates each itself, whichever field is asked
+    # first.
     fields = (QQ, GF(2), GF(3), GF(5))
     for order in (fields, fields[::-1]):
         q = fresh(_q(family, n))

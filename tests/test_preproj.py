@@ -301,7 +301,8 @@ def test_witness_scan_stops_at_the_dimension(monkeypatch):
     preproj._table(qd, "preprojective", QQ)   # the one table built is this one
     assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 0,
                                    "all_necklaces": 0, "lambda": 1, "hh2_complex": 0,
-                                   "certified": 0}
+                                   "certified": 0, "parse_label": 0, "orient_bipartite": 0,
+                                   "orient_by_edge_order": 0}
     assert len(pathalg.all_necklaces(qd, 12)) == 761
     assert len(pathalg.all_cycles(qd, 12)) == 8838
 

@@ -65,6 +65,21 @@ def test_graph_rejects_loops_multiedges_disconnected():
         Graph(3, ((1, 2),))
 
 
+def test_labels_and_orientations_are_interned():
+    # equal inputs give one object, so every memo keyed by a graph or a
+    # quiver finds its key by identity
+    g = parse_label("E~8")
+    assert g is parse_label("E~8") and g == catalog("E~", 8)
+    assert orient_bipartite(g) is orient_bipartite(parse_label("E~8"))
+    assert orient_by_edge_order(g) is orient_by_edge_order(parse_label("E~8"))
+    # keyed by value: a graph built apart finds the same quivers
+    apart = Graph(g.vertex_count, g.edges, name=g.name)
+    assert apart is not g
+    assert orient_bipartite(apart) is orient_bipartite(g)
+    assert orient_by_edge_order(apart) is orient_by_edge_order(g)
+    assert double(orient_bipartite(apart)) is double(orient_bipartite(g))
+
+
 def test_orient_bipartite_a2():
     q = orient_bipartite(catalog("A", 2))
     assert q.arrows == ((1, 2),)

@@ -51,6 +51,37 @@ def test_copies_and_pickles_are_equal(make, field, other):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+@pytest.mark.parametrize("make, field, other", VALUES)
+def test_the_hash_is_computed_once_and_kept(make, field, other):
+    # not in __init__: a value that is never hashed never pays for it
+    a = make()
+    with pytest.raises(AttributeError):
+        a._hash
+    assert hash(a) == a._hash == hash(a._values()) == hash(make())
+    assert hash(a) == a._hash
+
+
+@pytest.mark.parametrize("make, field, other", VALUES)
+def test_copies_and_pickles_keep_equality_and_hash(make, field, other):
+    a = make()
+    h = hash(a)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == h and b._hash == h
+
+
+def test_repr_names_the_fields_only():
+    # the kept hash is not a field: repr reads as before, hashed or not
+    want = ["Graph(vertex_count=3, edges=((1, 2), (2, 3)), name='A3')",
+            "Quiver(vertex_count=3, arrows=((2, 1), (2, 3)), name='A3')",
+            "FieldSpec(characteristic=5)",
+            "HHReport(p=2, q=4, method='trace', dimension=1, representatives=('a1 a1*',))"]
+    for (make, _, _), text in zip(VALUES, want):
+        a = make()
+        assert repr(a) == text
+        hash(a)
+        assert repr(a) == text
+
+
 def test_a_graph_never_equals_a_quiver_with_the_same_fields():
     g = Graph(2, ((1, 2),))
     q = Quiver(2, ((1, 2),))

@@ -17,6 +17,7 @@ from zigzaghh.zigzag import (HochschildCochain, _words, build_zigzag, cochain_ba
                              zero_cochain)
 
 from barcomplex import differential
+from memos import fresh
 
 
 def _letters(alg):
@@ -183,7 +184,7 @@ def test_hh2_walks_only_the_budgeted_word_tables(monkeypatch):
     # module cannot reach `pathalg` or `preproj`, as the import pin shows)
     from oracle import _graded_walks
     walked = _calls(monkeypatch, "_words")
-    g = catalog("E~", 6)
+    g = fresh(catalog("E~", 6))   # no C^{2,q} of it is kept yet
     alg = build_zigzag(g, QQ)
     hochschild_dim(alg, 2, 6)
     assert walked == [(8, 0), (6, 0)]
@@ -191,6 +192,52 @@ def test_hh2_walks_only_the_budgeted_word_tables(monkeypatch):
     assert walked[2:] == [(7, 1)]
     assert len({w for w, _ in basis}) == len(basis) < sum(
         1 for *_, d in _graded_walks(_letters(alg), g.vertex_count, 7) if d <= 8)
+
+
+def test_every_field_reads_one_c2_walk_per_graph_and_q(monkeypatch):
+    # C^{2,q} is kept for the graph: HH^{2,q} over Q, F2 and F3 walks it once,
+    # HH^{2,q+2} reads it again as its relation words, and odd q on a tree
+    # walks nothing; each answer is the one of a graph nothing was kept for
+    walked = _calls(monkeypatch, "_words")
+    g = fresh(catalog("E~", 6))
+    fields = (QQ, GF(2), GF(3))
+    misses = zigzag._c2_bases.cache_info().misses
+    reports = {fld: [hochschild_dim(build_zigzag(g, fld), 2, q, want_witnesses=True)
+                     for q in range(4, 9)] for fld in fields}
+    assert walked == [(6, 0), (4, 0), (8, 0), (10, 0)]
+    assert zigzag._c2_bases.cache_info().misses == misses + 1
+    for fld in fields:
+        alone = build_zigzag(fresh(g), fld)
+        assert [hochschild_dim(alone, 2, q, want_witnesses=True)
+                for q in range(4, 9)] == reports[fld], fld
+        assert [r.dimension for r in reports[fld]] == [
+            hh2_dim(orient_bipartite(g), q, fld).dimension for q in range(4, 9)], fld
+    assert any(r.dimension for r in reports[QQ])
+
+
+def test_c2_bases_are_kept_for_the_last_graph_only(monkeypatch):
+    # a sweep over many graphs keeps one graph's bases: asking another graph
+    # drops them, and asking the first one again walks it anew
+    walked = _calls(monkeypatch, "_words")
+    first, other = (build_zigzag(fresh(catalog("D~", 4)), QQ) for _ in range(2))
+    want = hochschild_dim(first, 2, 4)
+    assert hochschild_dim(other, 2, 4) == want
+    assert hochschild_dim(first, 2, 4) == want
+    assert walked == [(6, 0), (4, 0)] * 3
+
+
+def test_cochain_basis_returns_the_callers_own_list():
+    # the kept C^{2,q} is copied out: mutating a returned basis changes no
+    # later basis, dimension or witness
+    alg = build_zigzag(fresh(catalog("D~", 4)), QQ)
+    want = [hochschild_dim(alg, 2, q, want_witnesses=True) for q in (2, 4)]
+    bases = [cochain_basis(alg, 2, q) for q in (0, 2, 4)]
+    copies = [list(b) for b in bases]
+    for b in bases:
+        b.reverse()
+        b.pop()
+    assert [cochain_basis(alg, 2, q) for q in (0, 2, 4)] == copies
+    assert [hochschild_dim(alg, 2, q, want_witnesses=True) for q in (2, 4)] == want
 
 
 @pytest.mark.parametrize("label", ["D~4", "E~6"])
@@ -201,9 +248,12 @@ def test_hh2_streams_the_incoming_columns(label):
     # rows, and no basis or column list outlives the call (Python 3.11:
     # about 0.8 MB peak and 0.01-0.02 MB kept for either graph; keeping all
     # of C^{1,8} and its columns peaks near 4.9 / 4.6 MB and keeps 1.9 / 1.7 MB).
-    # One walk first fills the graph's walk tables, which the process keeps.
+    # Two walks first fill what the process keeps of the graph: its walk
+    # tables, and C^{2,8} and C^{2,6}, the bases the call reads (C^{2,6} as
+    # its relation words; about 0.14 / 0.12 MB).
     alg = build_zigzag(parse_label(label), QQ)
     cochain_basis(alg, 2, 8)
+    cochain_basis(alg, 2, 6)
     tracemalloc.start()
     try:
         dim = hochschild_dim(alg, 2, 8).dimension
@@ -519,7 +569,7 @@ def test_is_coboundary_walks_no_c1(monkeypatch):
     walked, bases = _calls(monkeypatch, "_words"), _calls(monkeypatch, "cochain_basis")
     full = _calls(monkeypatch, "delta_columns")
     assert main(["ainfty-check"]) == 0
-    alg = build_zigzag(parse_label("D~4"), QQ)
+    alg = build_zigzag(fresh(parse_label("D~4")), QQ)   # walks C^{2,8} and C^{2,6}
     (w, z), *_ = cochain_basis(alg, 2, 8)
     assert is_coboundary(HochschildCochain(alg, 2, 8, {w: {z: 1}}))
     assert walked and all(cycles == 0 for _, cycles in walked), walked
