@@ -90,10 +90,18 @@ class FieldSpec(Frozen):
         super().__init__(c)
 
     def element(self, value) -> Scalar:
-        """Coerce an int or Fraction to a canonical field element."""
-        if self.characteristic == 0:
+        """Coerce an int or Fraction to a canonical field element; over F_p,
+        n/d is n times the inverse of d, and ValueError if p divides d."""
+        p = self.characteristic
+        if p == 0:
             return value if isinstance(value, Fraction) else Fraction(value)
-        return int(value) % self.characteristic
+        if type(value) is int:   # skips the ABC instance check below
+            return value % p
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ValueError("%s has no value mod %d" % (value, p))
+            return value.numerator * pow(value.denominator, -1, p) % p
+        return int(value) % p
 
     def zero(self) -> Scalar:
         return self.element(0)

@@ -33,8 +33,11 @@ i.e. when p + c is even, so C^{p,q} = 0 for odd q.  The package asks
 for HH^{2,q} only; C^{3,q} is empty, so every (2, q) cochain is a
 cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
 image sent to the kernel as they are built, so no C^{1,q} table is kept.
-An algebra keeps no cache; C^{2,q} is kept for the last graph asked
-(`_c2`), and any other cochain basis is walked when asked for.
+The basis lists, multiplication table and product index are built once
+per graph (`_algebra_tables`): each algebra owns copies of the lists and
+its `table`, and shares the read-only `products` over every field.
+C^{2,q} is kept for the last graph asked (`_c2`), and any other cochain
+basis is walked when asked for.
 The module reads only `exactla`, `quiver` and `reports` of the package.
 
 The kernel gets a spanning subset of d(C^{1,q}), which has the
@@ -57,7 +60,7 @@ matrix A, against (q + 1) tr(A^q) relation columns in the full map.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .exactla import Echelon, FieldSpec, Scalar, echelonize
 from .quiver import Graph
@@ -70,7 +73,7 @@ class ZigzagAlgebra:
     def __init__(self, graph: Graph, field: FieldSpec, names: list[str], degrees: list[int],
                  src: list[int], tgt: list[int], table: dict[tuple[int, int], int],
                  e_index: dict[int, int], arrow_index: dict[tuple[int, int], int],
-                 cycle_index: dict[int, int]):
+                 cycle_index: dict[int, int], products: Optional[tuple[dict, dict, dict]] = None):
         self.graph = graph
         self.field = field
         self.names = names
@@ -81,7 +84,8 @@ class ZigzagAlgebra:
         self.e_index = e_index
         self.arrow_index = arrow_index
         self.cycle_index = cycle_index
-        self.products = _table_index(table, degrees)   # built once, with the algebra
+        # the nonzero products, built with the algebra unless given: read, never mutated
+        self.products = _table_index(table, degrees) if products is None else products
 
     @property
     def dim(self) -> int:
@@ -110,10 +114,21 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     three positive elements are 0.  The idempotent rules only compare
     endpoints, and a a* = c_src(a) keeps the endpoints of the pair.  That
     holds on every graph `Graph` accepts (no loops, no multiple edges).
+
+    The algebra copies all of `_algebra_tables` but `products`.
     """
+    lists, dicts, products = _algebra_tables(g)
+    return ZigzagAlgebra(g, fld, *map(list, lists), *map(dict, dicts), products)
+
+
+@functools.cache
+def _algebra_tables(g: Graph) -> tuple:
+    """The field-free part of g's zigzag algebra, kept like `_walk_tables`:
+    (names, degrees, src, tgt), (table, e_index, arrow_index, cycle_index)
+    and the `_table_index` of the table."""
     basis = _basis(g)
     n = g.vertex_count
-    names, degrees, src, tgt = (list(column) for column in zip(*basis))
+    lists = names, degrees, src, tgt = tuple(zip(*basis))
     e_index = {v: v - 1 for v in range(1, n + 1)}
     arrow_index = {(i, j): x for x, (_, d, i, j) in enumerate(basis) if d == 1}
     cycle_index = {v: len(basis) - n + v - 1 for v in range(1, n + 1)}
@@ -124,8 +139,7 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
         table[(x, e_index[tgt[x]])] = x
     for (i, j), a in arrow_index.items():
         table[(a, arrow_index[(j, i)])] = cycle_index[i]
-    return ZigzagAlgebra(g, fld, names, degrees, src, tgt, table,
-                         e_index, arrow_index, cycle_index)
+    return lists, (table, e_index, arrow_index, cycle_index), _table_index(table, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +268,34 @@ def _delta_elementary(alg: ZigzagAlgebra, w: Word, z: int,
     u v of a letter of w.  The empty word (n = 0) follows the same rule.
     """
     col: dict[int, int] = {}
-
-    def put(word: Word, out: int, coeff: int):
-        i = target_index.get((word, out))
-        if i is None:
-            return
-        s = col.get(i, 0) + coeff
-        if s:
-            col[i] = s
-        else:
-            col.pop(i, None)
-
+    get = target_index.get
     left, right, factors = alg.products
     n = len(w)
-    for x, xz in left.get(z, ()):
-        put((x,) + w, xz, 1)
+    for x, xz in left.get(z, ()):   # distinct words: no two terms meet
+        i = get(((x,) + w, xz))
+        if i is not None:
+            col[i] = 1
+    coeff = 1 if n % 2 else -1
     for x, zx in right.get(z, ()):
-        put(w + (x,), zx, 1 if n % 2 else -1)
+        i = get((w + (x,), zx))
+        if i is not None:
+            s = col.get(i, 0) + coeff
+            if s:
+                col[i] = s
+            else:
+                del col[i]
     if factors.keys().isdisjoint(w):   # only the cycle classes factor
         return col
     for k in range(n):
+        coeff = 1 if k % 2 else -1
         for u, v in factors.get(w[k], ()):
-            put(w[:k] + (u, v) + w[k + 1:], z, 1 if k % 2 else -1)
+            i = get((w[:k] + (u, v) + w[k + 1:], z))
+            if i is not None:
+                s = col.get(i, 0) + coeff
+                if s:
+                    col[i] = s
+                else:
+                    del col[i]
     return col
 
 

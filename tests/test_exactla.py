@@ -65,6 +65,21 @@ def test_scalar_canonical_forms():
     assert QQ.mul(Fraction(3, 2), Fraction(2, 3)) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_element_of_a_fraction_is_its_residue(p):
+    # n/d is n times the inverse of d mod p, not int(n/d); no residue when p | d
+    for n in range(-7, 8):
+        for d in range(1, 13):
+            f = Fraction(n, d)
+            if f.denominator % p:
+                x = GF(p).element(f)
+                assert 0 <= x < p and x * d % p == n % p, (n, d)
+            else:
+                with pytest.raises(ValueError, match="mod %d" % p):
+                    GF(p).element(f)
+    assert GF(3).element(Fraction(1, 2)) == 2 and GF(5).element(Fraction(-1, 2)) == 2
+
+
 def test_rank_identity_and_zero():
     assert ExactMatrix(QQ, 2, 2, [{i: 1} for i in range(2)]).rank() == 2
     assert ExactMatrix(QQ, 3, 5).rank() == 0

@@ -1,13 +1,14 @@
 """Zigzag algebras and their reduced Hochschild complex."""
 
 import ast
+from fractions import Fraction
 import pathlib
 import random
 import tracemalloc
 
 import pytest
 
-from zigzaghh import zigzag
+from zigzaghh import quiver, zigzag
 from zigzaghh.exactla import GF, QQ, ExactMatrix, echelonize
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.preproj import trace_piece
@@ -238,6 +239,72 @@ def test_cochain_basis_returns_the_callers_own_list():
         b.pop()
     assert [cochain_basis(alg, 2, q) for q in (0, 2, 4)] == copies
     assert [hochschild_dim(alg, 2, q, want_witnesses=True) for q in (2, 4)] == want
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2)], ids=["Q", "F2"])
+def test_an_algebra_owns_its_table_and_lists(fld):
+    # the field-free part is kept per graph, but each algebra gets its own
+    # copies: corrupting one algebra's table, lists and indexes leaves a
+    # later algebra of the graph, and its HH^{2,q}, as those of a graph
+    # nothing was kept for
+    g = fresh(catalog("D~", 4))
+    alone = build_zigzag(fresh(g), fld)
+    want = [hochschild_dim(alone, 2, q, want_witnesses=True) for q in range(6)]
+    bad = build_zigzag(g, fld)
+    a, astar = bad.arrow_index[(1, 5)], bad.arrow_index[(5, 1)]
+    bad.table[(a, astar)] = bad.cycle_index[5]
+    del bad.table[(astar, a)]
+    bad.degrees[a] = 0
+    bad.src.reverse()
+    bad.names.append("x")
+    bad.arrow_index.clear()
+    again = build_zigzag(g, fld)
+    for name in ("names", "degrees", "src", "tgt", "table", "e_index", "arrow_index",
+                 "cycle_index", "products"):
+        assert getattr(again, name) == getattr(alone, name), name
+    assert [hochschild_dim(again, 2, q, want_witnesses=True) for q in range(6)] == want
+    assert any(r.dimension for r in want)
+
+
+def test_the_table_index_is_built_once_per_graph(monkeypatch):
+    # every algebra of one graph, over any field, shares one `products`,
+    # and owns its table
+    built = []
+    real = zigzag._table_index
+
+    def spy(table, degrees):
+        built.append(len(table))
+        return real(table, degrees)
+
+    monkeypatch.setattr(zigzag, "_table_index", spy)
+    g = fresh(catalog("E~", 6))
+    algs = [build_zigzag(g, fld) for fld in (QQ, GF(2), GF(3)) for _ in range(2)]
+    assert len(built) == 1
+    assert all(alg.products is algs[0].products for alg in algs)
+    assert len({id(alg.table) for alg in algs}) == len(algs)
+    assert build_zigzag(fresh(g), QQ).products == algs[0].products
+    assert len(built) == 2
+
+
+def test_a_sweep_colors_each_graph_once(monkeypatch):
+    # `_walk_basis` asks whether the graph is bipartite at every odd q; the
+    # answer is kept per graph, so a sweep over q = 0..9 and two fields
+    # colors each graph once, a tree and an odd cycle alike
+    colored = []
+    real = quiver.two_coloring
+
+    def spy(vertex_count, pairs):
+        colored.append(vertex_count)
+        return real(vertex_count, pairs)
+
+    monkeypatch.setattr(quiver, "two_coloring", spy)
+    dims = {}
+    for g in (fresh(catalog("D", 4)), fresh(catalog("A~", 2))):
+        for fld in (QQ, GF(2)):
+            alg = build_zigzag(g, fld)
+            dims[g.name, fld] = [hochschild_dim(alg, 2, q).dimension for q in range(10)]
+    assert colored == [4, 3]
+    assert any(any(d[1::2]) for d in dims.values())   # the odd cycle has odd classes
 
 
 @pytest.mark.parametrize("label", ["D~4", "E~6"])
@@ -616,6 +683,16 @@ def test_cochain_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         # output degree wrong for the Adams constraint
         HochschildCochain(alg, 2, 1, {(a, a): {alg.e_index[1]: 1}})
+
+
+def test_cochain_coefficients_over_fp_read_fractions():
+    # 1/2 over F3 is 2, not int(1/2) = 0, so the value is kept
+    alg = build_zigzag(catalog("A", 2), GF(3))
+    w, z = cochain_basis(alg, 2, 0)[0]
+    c = HochschildCochain(alg, 2, 0, {w: {z: Fraction(1, 2)}})
+    assert c.values == {w: {z: 2}} and not c.is_zero()
+    with pytest.raises(ValueError, match="mod 3"):
+        HochschildCochain(alg, 2, 0, {w: {z: Fraction(1, 3)}})
 
 
 def test_reduced_equals_unreduced_spot():
