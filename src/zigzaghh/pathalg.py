@@ -219,13 +219,7 @@ def largest_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _odd_on_two_colored(q, n: int) -> bool:
-    return n % 2 == 1 and _two_colored(q)
-
-
-@functools.cache
-def _two_colored(q) -> bool:
-    """Whether q's arrows join the two colors of a 2-coloring, kept per quiver."""
-    return two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target)) is not None
+    return bool(n % 2 and two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target)))
 
 
 def basis_of_bidegree(qg, p: int, q: int) -> list[Path]:

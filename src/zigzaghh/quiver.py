@@ -106,9 +106,7 @@ class Graph(Frozen):
         """A 2-coloring (colors[v] in {0,1}, colors[1] = 0), or None."""
         return two_coloring(self.vertex_count, self.edges)
 
-    @functools.cache
     def is_bipartite(self) -> bool:
-        """Kept per graph for the process: the bar complex asks at every odd q."""
         return self.two_coloring() is not None
 
 

@@ -33,11 +33,11 @@ i.e. when p + c is even, so C^{p,q} = 0 for odd q.  The package asks
 for HH^{2,q} only; C^{3,q} is empty, so every (2, q) cochain is a
 cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
 image sent to the kernel as they are built, so no C^{1,q} table is kept.
-The basis lists, multiplication table and product index are built once
-per graph (`_algebra_tables`): each algebra owns copies of the lists and
-its `table`, and shares the read-only `products` over every field.
-C^{2,q} is kept for the last graph asked (`_c2`), and any other cochain
-basis is walked when asked for.
+The basis lists, multiplication table and product index are kept for
+the last graph asked (`_algebra_tables`): each algebra owns copies of the
+lists and its `table`, and shares the read-only `products` over every
+field.  C^{2,q} is kept for the last graph asked too (`_c2`), and any
+other cochain basis is walked when asked for.
 The module reads only `exactla`, `quiver` and `reports` of the package.
 
 The kernel gets a spanning subset of d(C^{1,q}), which has the
@@ -60,7 +60,7 @@ matrix A, against (q + 1) tr(A^q) relation columns in the full map.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .exactla import Echelon, FieldSpec, Scalar, echelonize
 from .quiver import Graph
@@ -73,7 +73,7 @@ class ZigzagAlgebra:
     def __init__(self, graph: Graph, field: FieldSpec, names: list[str], degrees: list[int],
                  src: list[int], tgt: list[int], table: dict[tuple[int, int], int],
                  e_index: dict[int, int], arrow_index: dict[tuple[int, int], int],
-                 cycle_index: dict[int, int], products: Optional[tuple[dict, dict, dict]] = None):
+                 cycle_index: dict[int, int], products: tuple[dict, dict, dict]):
         self.graph = graph
         self.field = field
         self.names = names
@@ -84,8 +84,7 @@ class ZigzagAlgebra:
         self.e_index = e_index
         self.arrow_index = arrow_index
         self.cycle_index = cycle_index
-        # the nonzero products, built with the algebra unless given: read, never mutated
-        self.products = _table_index(table, degrees) if products is None else products
+        self.products = products   # the nonzero products (`_table_index`): read, never mutated
 
     @property
     def dim(self) -> int:
@@ -121,11 +120,11 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
     return ZigzagAlgebra(g, fld, *map(list, lists), *map(dict, dicts), products)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)   # a batch asks the fields of one graph in turn
 def _algebra_tables(g: Graph) -> tuple:
-    """The field-free part of g's zigzag algebra, kept like `_walk_tables`:
-    (names, degrees, src, tgt), (table, e_index, arrow_index, cycle_index)
-    and the `_table_index` of the table."""
+    """The field-free part of g's zigzag algebra: (names, degrees, src,
+    tgt), (table, e_index, arrow_index, cycle_index) and the `_table_index`
+    of the table."""
     basis = _basis(g)
     n = g.vertex_count
     lists = names, degrees, src, tgt = tuple(zip(*basis))

@@ -8,27 +8,22 @@ test that needs nothing built yet renames its graph or quiver with
 "certified" counts the quivers given a record of certified Ginzburg cells,
 not the cells recorded.  Labels and orientations are interned: a graph or
 quiver they return is shared, so a test that needs its own builds it with
-`Graph` or `Quiver`, or renames it with `fresh`.  "two_colored" and
-"is_bipartite" count the quivers and graphs whose coloring was asked, and
-"algebra_tables" the graphs given a zigzag algebra.  `zigzag._c2_bases` keeps
+`Graph` or `Quiver`, or renames it with `fresh`.  `zigzag._c2_bases` keeps
 the last graph's C^{2,q} bases only, so its size tells nothing and it is
 not listed; its misses count the graphs it walked for.
 """
 
 import itertools
 
-from zigzaghh import ginzburg, pathalg, preproj, quiver, zigzag
+from zigzaghh import ginzburg, pathalg, preproj, quiver
 from zigzaghh.quiver import Graph, Quiver
 
 MEMOS = {"all_words": pathalg.all_words, "words_by_endpoints": pathalg.words_by_endpoints,
          "all_cycles": pathalg.all_cycles, "all_necklaces": pathalg.all_necklaces,
-         "two_colored": pathalg._two_colored,
          "lambda": preproj._table, "hh2_complex": ginzburg.hh2_complex,
          "certified": ginzburg._certified, "parse_label": quiver.parse_label,
          "orient_bipartite": quiver.orient_bipartite,
-         "orient_by_edge_order": quiver.orient_by_edge_order,
-         "is_bipartite": quiver.Graph.is_bipartite,
-         "algebra_tables": zigzag._algebra_tables}
+         "orient_by_edge_order": quiver.orient_by_edge_order}
 
 _names = itertools.count()
 

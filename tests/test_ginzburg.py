@@ -128,8 +128,7 @@ def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 1,
                                    "all_necklaces": 1, "lambda": 0, "hh2_complex": 1,
                                    "certified": 1, "parse_label": 0, "orient_bipartite": 0,
-                                   "orient_by_edge_order": 0, "two_colored": 0,
-                                   "is_bipartite": 0, "algebra_tables": 0}
+                                   "orient_by_edge_order": 0}
     assert ginzburg._certified(q) == {}   # F2 records nothing
 
 

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from zigzaghh import pathalg
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.pathalg import (Path, all_cycles, all_words, basis_of_bidegree, make_path,
-                              necklaces_descending, path_name, paths_between, trivial_path)
-from zigzaghh.quiver import DoubledQuiver, GinzburgQuiver, catalog, double, orient_bipartite
+from zigzaghh.pathalg import (Path, all_words, basis_of_bidegree, make_path, path_name,
+                              paths_between, trivial_path)
+from zigzaghh.quiver import GinzburgQuiver, catalog, double, orient_bipartite
 
 from dg import (BigradedElement, commutator, concat, multiply, path_bidegree,
                 path_from_names)
@@ -150,23 +149,3 @@ def test_field_mismatch_raises():
         multiply(a, b)
     with pytest.raises(ValueError):
         commutator(a, b)
-
-
-def test_odd_lengths_color_each_quiver_once(monkeypatch):
-    # a 2-colored quiver has no odd cycle; whether it is 2-colored is kept
-    # per quiver, so every odd length asks the coloring once
-    colored = []
-    real = pathalg.two_coloring
-
-    def spy(vertex_count, pairs):
-        colored.append(vertex_count)
-        return real(vertex_count, pairs)
-
-    monkeypatch.setattr(pathalg, "two_coloring", spy)
-    qd = DoubledQuiver(orient_bipartite(catalog("D", 4)))   # a fresh double
-    for n in (1, 3, 5, 7):
-        assert all_cycles(qd, n) == [] and list(necklaces_descending(qd, n)) == []
-    assert colored == [4]
-    qg = GinzburgQuiver(qd)   # its loops are odd cycles
-    assert len(all_cycles(qg, 1)) == 4 and all_cycles(qg, 3) and all_cycles(qg, 5)
-    assert colored == [4, 4]

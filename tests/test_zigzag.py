@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from zigzaghh import quiver, zigzag
+from zigzaghh import zigzag
 from zigzaghh.exactla import GF, QQ, ExactMatrix, echelonize
 from zigzaghh.ginzburg import hh2_dim
 from zigzaghh.preproj import trace_piece
@@ -243,10 +243,10 @@ def test_cochain_basis_returns_the_callers_own_list():
 
 @pytest.mark.parametrize("fld", [QQ, GF(2)], ids=["Q", "F2"])
 def test_an_algebra_owns_its_table_and_lists(fld):
-    # the field-free part is kept per graph, but each algebra gets its own
-    # copies: corrupting one algebra's table, lists and indexes leaves a
-    # later algebra of the graph, and its HH^{2,q}, as those of a graph
-    # nothing was kept for
+    # the field-free part is kept for the last graph asked, but each algebra
+    # gets its own copies: corrupting one algebra's table, lists and indexes
+    # leaves a later algebra of the graph, and its HH^{2,q}, as those of a
+    # graph nothing was kept for
     g = fresh(catalog("D~", 4))
     alone = build_zigzag(fresh(g), fld)
     want = [hochschild_dim(alone, 2, q, want_witnesses=True) for q in range(6)]
@@ -267,8 +267,8 @@ def test_an_algebra_owns_its_table_and_lists(fld):
 
 
 def test_the_table_index_is_built_once_per_graph(monkeypatch):
-    # every algebra of one graph, over any field, shares one `products`,
-    # and owns its table
+    # every algebra of one graph, asked over each field in turn, shares one
+    # `products`, and owns its table; another graph builds its own
     built = []
     real = zigzag._table_index
 
@@ -284,27 +284,6 @@ def test_the_table_index_is_built_once_per_graph(monkeypatch):
     assert len({id(alg.table) for alg in algs}) == len(algs)
     assert build_zigzag(fresh(g), QQ).products == algs[0].products
     assert len(built) == 2
-
-
-def test_a_sweep_colors_each_graph_once(monkeypatch):
-    # `_walk_basis` asks whether the graph is bipartite at every odd q; the
-    # answer is kept per graph, so a sweep over q = 0..9 and two fields
-    # colors each graph once, a tree and an odd cycle alike
-    colored = []
-    real = quiver.two_coloring
-
-    def spy(vertex_count, pairs):
-        colored.append(vertex_count)
-        return real(vertex_count, pairs)
-
-    monkeypatch.setattr(quiver, "two_coloring", spy)
-    dims = {}
-    for g in (fresh(catalog("D", 4)), fresh(catalog("A~", 2))):
-        for fld in (QQ, GF(2)):
-            alg = build_zigzag(g, fld)
-            dims[g.name, fld] = [hochschild_dim(alg, 2, q).dimension for q in range(10)]
-    assert colored == [4, 3]
-    assert any(any(d[1::2]) for d in dims.values())   # the odd cycle has odd classes
 
 
 @pytest.mark.parametrize("label", ["D~4", "E~6"])
