@@ -38,4 +38,4 @@ __all__ = [
     "HHReport",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

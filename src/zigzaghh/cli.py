@@ -42,7 +42,7 @@ MAX_ARITY = 8
 # hh2's ginzburg and trace methods are bounded by the closed walks of length
 # q + 2 in the double quiver, tr(A^(q+2)) for the adjacency matrix A: E~8 has
 # 135,488 at q = 14, where ginzburg walks their 8,516 necklaces and takes
-# about 0.7 s and 40 MB cold, and 535,846 at q = 16 (2-vCPU Xeon, Python 3.11)
+# about 0.3 s and 37 MB cold, and 535,846 at q = 16 (2-vCPU Xeon, Python 3.11)
 MAX_CYCLES = 300_000
 
 # hh2's zigzag method is bounded by the words of C^{1,q} within its cycle

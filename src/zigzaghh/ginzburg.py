@@ -19,6 +19,10 @@ so the free necklaces are the free cycles of the full complex.  Modulo
 rotations the loop of a one-loop word u t_v u' can go first, so one
 column r_v c per closed walk c of length q at v spans the rest, each
 term read as its necklace and the coefficients summed: `hh2_complex`.
+A term x x^1 c of r_v c (x^1 the partner of x, sign + for a base arrow)
+is the rotation of its necklace at a position where x is followed by
+x^1, so one scan of each necklace over one period finds its terms, and c
+is looked up by its letters among the closed walks: no rotation is built.
 The full complex, rotation columns and domain paths included, is kept
 in `tests/oracle.py` as the reference.
 
@@ -37,8 +41,8 @@ from __future__ import annotations
 import functools
 
 from .exactla import FieldSpec, echelonize
-from .pathalg import Path, all_cycles, all_necklaces, largest_rotation, path_name
-from .preproj import lambda_piece, preprojective_relations
+from .pathalg import Path, all_cycles, all_necklaces, path_name
+from .preproj import lambda_piece
 from .quiver import Quiver, double
 from .reports import HHReport
 
@@ -51,23 +55,28 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
 @functools.cache
 def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
     """The small complex in Adams degree adams >= -2, rotation columns
-    eliminated: the necklaces of length adams + 2, ascending, and one
-    relation column r_v c per closed walk c of length adams, sparse
-    {necklace index: coeff}.  Kept for the process: callers must not
-    mutate the lists."""
+    eliminated: the necklaces of length adams + 2, ascending, and one column
+    r_v c per closed walk c of length adams, sparse {necklace index: coeff}.
+    Kept for the process: callers must not mutate the lists."""
     if adams < -2:
         raise ValueError("no complex below Adams degree -2")
     qd = double(q)
     necklaces = all_necklaces(qd, adams + 2)
-    index = {w.letters: i for i, w in enumerate(necklaces)}
-    rels = preprojective_relations(q)
-    cols: list[dict] = []
-    for c in all_cycles(qd, adams) if adams >= 0 else ():
-        col: dict[int, int] = {}
-        for coeff, pair in rels[c.source]:   # at a loop a, a a* c and a* a c may meet
-            i = index[largest_rotation(pair + c.letters)]
-            col[i] = col.get(i, 0) + coeff
-        cols.append(col)
+    cycles = all_cycles(qd, adams) if adams >= 0 else []
+    index = {c.letters or c.source: j for j, c in enumerate(cycles)}   # e_v has no letters
+    cols: list[dict] = [{} for _ in cycles]
+    for i, w in enumerate(necklaces):
+        twice, first = w.letters * 2, None
+        for k, x in enumerate(w.letters):
+            if twice[k + 1] != x ^ 1:
+                continue
+            c = twice[k + 2:k + adams + 2]   # the rotation at k is the term x x^1 c of r_v c
+            if first is None:
+                first = x, c
+            elif first == (x, c):
+                break   # a period after the first pair: the later rotations repeat
+            col = cols[index[c or qd.arrow_source[x]]]
+            col[i] = col.get(i, 0) + (-1 if x & 1 else 1)
     return necklaces, cols
 
 
@@ -91,7 +100,5 @@ def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False)
         if ech.unimodular:   # never over F_p
             certified[adams] = profile
     rank, free = profile
-    reps = None
-    if want_witnesses:
-        reps = tuple(path_name(double(q), necklaces[i]) for i in free)
+    reps = tuple(path_name(double(q), necklaces[i]) for i in free) if want_witnesses else None
     return HHReport(2, adams, "ginzburg", len(necklaces) - rank, reps)

@@ -14,9 +14,8 @@ walk; no code filters a word table for them.  In its necklace mode the
 walk keeps only the prefixes that can still grow into a necklace, a
 cycle that is its own largest rotation, so `all_necklaces` builds one
 cycle per rotation class and skips most prefixes (on the double of E~8
-at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes);
-`largest_rotation` maps any cycle to its necklace.  The walk builds each
-word when it reaches it.  Necklaces are walked one way, from the largest
+at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes).
+The walk builds each word when it reaches it.  Necklaces are walked one way, from the largest
 down: `necklaces_descending` reads them uncached, for a scan that stops
 early, and `all_necklaces` is that walk reversed.  The tables are
 `functools.cache` memos keyed by (quiver, length), kept for the process;
@@ -183,9 +182,8 @@ def all_necklaces(q, n: int) -> list[Path]:
     """The length-n cycles that are their own largest rotation, one per
     rotation class, in global lexicographic letter order.
 
-    They are the cycles c of all_cycles(q, n) with
-    c.letters == largest_rotation(c.letters), walked without the others:
-    `necklaces_descending`, reversed.
+    They are the cycles of all_cycles(q, n) that no rotation exceeds,
+    walked without the others: `necklaces_descending`, reversed.
     """
     return list(necklaces_descending(q, n))[::-1]
 
@@ -199,23 +197,6 @@ def necklaces_descending(q, n: int) -> Iterator[Path]:
     if _odd_on_two_colored(q, n):
         return iter(())
     return _walk(q, n, "necklace")
-
-
-def largest_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically largest rotation of a cyclic word: its necklace."""
-    if not letters:
-        return letters
-    top = max(letters)
-    k = letters.index(top)
-    best = letters[k:] + letters[:k]
-    # one slice per later top letter: faster than max() over the rotations
-    if letters.count(top) > 1:
-        n = len(letters)
-        twice = letters + letters
-        for j in range(k + 1, n):
-            if letters[j] == top and twice[j:j + n] > best:
-                best = twice[j:j + n]
-    return best
 
 
 def _odd_on_two_colored(q, n: int) -> bool:

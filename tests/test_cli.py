@@ -254,6 +254,22 @@ def test_hh2_ginzburg_q10_jobs_pinned(capsys, graph, char):
     assert out == golden.read_text()
 
 
+def test_hh2_ginzburg_deep_d4_is_pinned_and_matches_the_trace(capsys):
+    # recorded before the long rows that turn short went to the union-find:
+    # at q = 10..14 most relation columns settle there, and the free
+    # necklaces, which depend only on the row space, must not move; the
+    # dimensions are those of the trace golden that CI diffs beside it
+    golden = pathlib.Path(__file__).parent / "golden"
+    deep = golden / "hh2-ginzburg-D~4-char0-q10-14.json"
+    code, out = _run(capsys, "hh2", "--graph", "D~4", "--char", "0", "--q", "10..14",
+                     "--method", "ginzburg", "--witnesses", "--out", "json")
+    assert code == 0
+    assert out == deep.read_text()
+    dims = {name: [r["dim"] for r in json.loads((golden / name).read_text())["results"]]
+            for name in (deep.name, "hh2-trace-D~4-char0-q10-14.json")}
+    assert list(dims.values()) == [[4, 0, 3, 0, 5]] * 2
+
+
 @pytest.mark.parametrize("command,graph,char", [("classify", "E~8", 0), ("classify", "D~8", 3),
                                                 ("classify", "E8", 5), ("preproj", "E~8", 0)])
 def test_trace_classify_jobs_pinned(capsys, command, graph, char):

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from zigzaghh.exactla import GF, QQ, ExactMatrix, FieldSpec, echelonize, in_span, span_info
+from zigzaghh.exactla import GF, QQ, Echelon, ExactMatrix, FieldSpec, echelonize, in_span, span_info
 
 from oracle import _row_reduce_rank, oracle_times
 
@@ -78,6 +78,19 @@ def test_fp_element_of_a_fraction_is_its_residue(p):
                 with pytest.raises(ValueError, match="mod %d" % p):
                     GF(p).element(f)
     assert GF(3).element(Fraction(1, 2)) == 2 and GF(5).element(Fraction(-1, 2)) == 2
+
+
+def test_fp_element_reads_any_other_value_as_a_fraction():
+    # a float is its exact fraction, not int(value): 0.5 is 1/2, so 2 mod 3
+    # and no residue mod 2; bool and Decimal are read the same way
+    from decimal import Decimal
+    assert GF(3).element(0.5) == 2 and GF(5).element(-2.0) == 3
+    assert GF(7).element(Decimal("0.25")) == 2 and GF(3).element(True) == 1
+    assert QQ.element(0.5) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="mod 2"):
+        GF(2).element(0.5)
+    with pytest.raises(ValueError, match="mod 5"):
+        GF(5).element(Decimal("0.2"))   # the float 0.2 is not 1/5
 
 
 def test_rank_identity_and_zero():
@@ -492,6 +505,24 @@ def _small_integer_rows(rng, ncols):
     return rows
 
 
+def _certificate_is_sound(rows, ncols) -> bool:
+    """Whether the Q echelon of integral rows is certified; when it is,
+    check that it is the echelon mod 2, 3, 5 and 7."""
+    ech = echelonize(QQ, rows, ncols)
+    if not ech.unimodular:
+        return False
+    assert all(r[c] in (1, -1) for c, r in ech.pivot_row.items())
+    kernel = list(ech.kernel_vectors())
+    assert all(type(v) is int for x in kernel for v in x.values())
+    for p in (2, 3, 5, 7):
+        fp = echelonize(GF(p), rows, ncols)
+        assert not fp.unimodular
+        assert fp.pivot_cols == ech.pivot_cols, (p, rows)
+        assert [{c: v % p for c, v in x.items() if v % p} for x in kernel] == \
+            list(fp.kernel_vectors()), (p, rows)
+    return True
+
+
 def test_a_unimodular_echelon_over_q_is_the_echelon_mod_every_p():
     # a certified echelon spans the input's Z-lattice, so mod p it has the
     # F_p pivots, and its kernel vectors, integral, reduce to the F_p ones
@@ -499,21 +530,78 @@ def test_a_unimodular_echelon_over_q_is_the_echelon_mod_every_p():
     outcomes = set()
     for _ in range(300):
         ncols = rng.randint(3, 12)
-        rows = _small_integer_rows(rng, ncols)
-        ech = echelonize(QQ, rows, ncols)
-        outcomes.add(ech.unimodular)
-        if not ech.unimodular:
-            continue
-        assert all(r[c] in (1, -1) for c, r in ech.pivot_row.items())
-        kernel = list(ech.kernel_vectors())
-        assert all(type(v) is int for x in kernel for v in x.values())
-        for p in (2, 3, 5, 7):
-            fp = echelonize(GF(p), rows, ncols)
-            assert not fp.unimodular
-            assert fp.pivot_cols == ech.pivot_cols, (p, rows)
-            assert [{c: v % p for c, v in x.items() if v % p} for x in kernel] == \
-                list(fp.kernel_vectors()), (p, rows)
+        outcomes.add(_certificate_is_sound(_small_integer_rows(rng, ncols), ncols))
     assert outcomes == {True, False}
+
+
+def _cascading_rows(rng, entries, ncols):
+    """Short rows, and long rows that turn short only once earlier rows are
+    settled: each new row is a short row plus a multiple of the row before
+    it, so it projects short only after that one has gone in, and the
+    shuffle puts many a row ahead of the row it waits for."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        prev = None
+        for _ in range(rng.randint(2, 6)):
+            row = {c: rng.choice(entries) for c in rng.sample(range(ncols), rng.choice([1, 2, 2]))}
+            if prev is not None:
+                k = rng.choice(entries)
+                for c, v in prev.items():
+                    row[c] = row.get(c, 0) + k * v
+            rows.append(row)
+            prev = row
+    rows += _small_integer_rows(rng, ncols)[:rng.randint(0, 3)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
+def test_long_rows_that_turn_short_after_later_merges(monkeypatch, fld):
+    # the fixpoint settles them in the union-find, on later passes too: the
+    # echelon has the textbook pivots and the kernel it implies, and a
+    # certified Q echelon is still the echelon mod every p
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda ech, v: added.append(v) or add(ech, v))
+    rng = random.Random(3030 + fld.characteristic)
+    entries = [1, -1] if fld.characteristic else [1, -1, 1, -1, 1, -1, 2, -2]
+    settled = certified = 0
+    for _ in range(150):
+        ncols = rng.randint(4, 14)
+        rows = _cascading_rows(rng, entries, ncols)
+        added.clear()
+        ech = echelonize(fld, rows, ncols)
+        settled += len(added) < sum(1 for r in rows if sum(1 for v in r.values()
+                                                           if not fld.is_zero(v)) > 2)
+        assert ech.pivot_cols == _reference_pivots(fld, rows, ncols), rows
+        assert all(min(r) == c for r, c in zip(ech.rows, ech.pivot_cols))
+        kernel = list(ech.kernel_vectors())
+        assert len(kernel) == ncols - _row_reduce_rank(fld, rows)
+        for x in kernel:
+            for r in rows:
+                assert fld.is_zero(sum(fld.element(v) * x.get(c, 0) for c, v in r.items()))
+        if fld == QQ:
+            certified += _certificate_is_sound(rows, ncols)
+    assert settled > 100
+    assert fld != QQ or 0 < certified < 150
+
+
+def test_a_projected_short_row_with_a_non_unit_entry_stays_in_the_core(monkeypatch):
+    # e0 = e3, so the long rows project to e1 + 2 e2 and e4 - e5: over Q the
+    # first goes to the core, where its pivot is 1 and the echelon stays
+    # certified, while the union-find would have merged with weight -2; the
+    # second, all +-1, goes to the union-find, and over F3 both do
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda ech, v: added.append(dict(v)) or add(ech, v))
+    rows = [{0: 1, 1: 1, 2: 2, 3: -1}, {0: 1, 3: -1}, {0: -1, 3: 1, 4: 1, 5: -1}]
+    ech = echelonize(QQ, rows, 6)
+    assert added == [{1: 1, 2: 2}]
+    assert ech.unimodular and ech.pivot_cols == [0, 1, 4]
+    assert ech.pivot_row[1] == {1: 1, 2: 2} and ech.pivot_row[4] == {4: 1, 5: -1}
+    assert _certificate_is_sound(rows, 6)
+    added.clear()
+    assert echelonize(GF(3), rows, 6).pivot_cols == [0, 1, 4] and added == []
 
 
 @pytest.mark.parametrize("rows", [

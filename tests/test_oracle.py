@@ -7,9 +7,10 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ
+from zigzaghh.ginzburg import hh2_complex
 from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, basis_of_bidegree,
-                              largest_rotation, necklaces_descending)
-from zigzaghh.preproj import lambda_piece, trace_piece
+                              necklaces_descending)
+from zigzaghh.preproj import lambda_piece, preprojective_relations, trace_piece
 from zigzaghh.quiver import (DoubledQuiver, Graph, Quiver, catalog, double, orient_bipartite,
                              orient_by_edge_order)
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
@@ -106,8 +107,7 @@ _NECKLACE_QUIVERS = (
 @pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
 def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv):
     # the pruned walk emits exactly the cycles the oracle calls necklaces,
-    # in order and in reverse; largest_rotation is the oracle's necklace,
-    # and each length's ascending list is kept
+    # in order and in reverse, and each length's ascending list is kept
     qd = DoubledQuiver(quiv)   # a fresh double, with nothing cached
     before = memo_sizes()
     for n in range(11):
@@ -115,11 +115,31 @@ def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv):
         want = [c for c in cycles if c.letters == oracle_necklace(c.letters)]
         assert all_necklaces(qd, n) == want, (quiv.name, n)
         assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
-        assert all(largest_rotation(c.letters) == oracle_necklace(c.letters) for c in cycles)
     assert built_since(before)["all_necklaces"] == 11
     hits = all_necklaces.cache_info().hits
     assert all(all_necklaces(qd, n) is all_necklaces(qd, n) for n in range(11))
     assert all_necklaces.cache_info().hits - hits == 22
+
+
+@pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
+def test_hh2_complex_columns_read_each_term_on_its_oracle_necklace(quiv):
+    # hh2_complex scans each necklace for the terms x x^1 c that land on it;
+    # term by term from the closed walks c, each read on the oracle's
+    # necklace and summed, the columns are the same, zero sums included
+    qd = double(quiv)
+    rels = preprojective_relations(quiv)
+    for adams in range(-2, 9):
+        necklaces, cols = hh2_complex(quiv, adams)
+        assert necklaces == all_necklaces(qd, adams + 2), (quiv.name, adams)
+        index = {w.letters: i for i, w in enumerate(necklaces)}
+        want = []
+        for c in all_cycles(qd, adams) if adams >= 0 else ():
+            col: dict[int, int] = {}
+            for coeff, pair in rels[c.source]:
+                i = index[oracle_necklace(pair + c.letters)]
+                col[i] = col.get(i, 0) + coeff
+            want.append(col)
+        assert cols == want, (quiv.name, adams)
 
 
 def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy():
