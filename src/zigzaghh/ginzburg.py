@@ -27,11 +27,11 @@ The full complex, rotation columns and domain paths included, is kept
 in `tests/oracle.py` as the reference.
 
 The columns are integral and take no field, so every field reads one
-assembly: `hh2_complex` is kept for the process, keyed by the quiver's
-value, like `pathalg.all_cycles`, and its lists are shared, not copied.
-A Q elimination whose echelon is unimodular (see exactla) has the same
-pivots mod every p, so it records its rank and free coordinates for the
-quiver, and an F_p `hh2_dim` at a recorded cell eliminates nothing.  At
+assembly: `hh2_complex` is kept for the last quiver asked, in its state
+`_cells`, keyed by the quiver's value, and its lists are shared, not
+copied.  A Q elimination whose echelon is unimodular (see exactla) has
+the same pivots mod every p, so it records its rank and free coordinates
+in the cell, and an F_p `hh2_dim` at a recorded cell eliminates nothing.  At
 any other cell F_p eliminates the columns mod p, and it never starts a Q
 elimination, so a process asked only over F_p does no Q work.
 """
@@ -52,14 +52,23 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
     return lambda_piece(q, adams, fld).dimension if adams >= 0 else 0
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)   # a batch asks the fields of one quiver in turn
+def _cells(q: Quiver) -> dict[int, list]:
+    """Adams degree -> [`hh2_complex`, (rank, free coordinates) once a Q
+    elimination's echelon is unimodular, else None], for the last quiver asked."""
+    return {}
+
+
 def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
     """The small complex in Adams degree adams >= -2, rotation columns
     eliminated: the necklaces of length adams + 2, ascending, and one column
     r_v c per closed walk c of length adams, sparse {necklace index: coeff}.
-    Kept for the process: callers must not mutate the lists."""
+    Kept for the last quiver: callers must not mutate the lists."""
     if adams < -2:
         raise ValueError("no complex below Adams degree -2")
+    cells = _cells(q)
+    if adams in cells:
+        return cells[adams][0]
     qd = double(q)
     necklaces = all_necklaces(qd, adams + 2)
     cycles = all_cycles(qd, adams) if adams >= 0 else []
@@ -77,14 +86,8 @@ def hh2_complex(q: Quiver, adams: int) -> tuple[list[Path], list[dict]]:
                 break   # a period after the first pair: the later rotations repeat
             col = cols[index[c or qd.arrow_source[x]]]
             col[i] = col.get(i, 0) + (-1 if x & 1 else 1)
-    return necklaces, cols
-
-
-@functools.cache
-def _certified(q: Quiver) -> dict[int, tuple[int, list[int]]]:
-    """Adams degree -> (rank, free coordinates) of each cell of q whose Q
-    echelon was unimodular; empty until a Q `hh2_dim` fills it."""
-    return {}
+    cells[adams] = [(necklaces, cols), None]
+    return cells[adams][0]
 
 
 def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False) -> HHReport:
@@ -92,13 +95,13 @@ def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False)
     if adams < -2:
         return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
     necklaces, cols = hh2_complex(q, adams)
-    certified = _certified(q)
-    profile = certified.get(adams)
+    cell = _cells(q)[adams]
+    profile = cell[1]
     if profile is None:
         ech = echelonize(fld, cols, len(necklaces))
         profile = ech.rank, ech.free_cols()
         if ech.unimodular:   # never over F_p
-            certified[adams] = profile
+            cell[1] = profile
     rank, free = profile
     reps = tuple(path_name(double(q), necklaces[i]) for i in free) if want_witnesses else None
     return HHReport(2, adams, "ginzburg", len(necklaces) - rank, reps)

@@ -16,15 +16,14 @@ cycle that is its own largest rotation, so `all_necklaces` builds one
 cycle per rotation class and skips most prefixes (on the double of E~8
 at length 12: 761 of 8,838 cycles, after 3,065 of 15,502 prefixes).
 The walk builds each word when it reaches it.  Necklaces are walked one way, from the largest
-down: `necklaces_descending` reads them uncached, for a scan that stops
-early, and `all_necklaces` is that walk reversed.  The tables are
-`functools.cache` memos keyed by (quiver, length), kept for the process;
-equal quivers share them, as `quiver.double` gives them one double.
+down: `necklaces_descending` reads them lazily, for a scan that stops
+early, and `all_necklaces` is that walk reversed.  Nothing is kept: each
+call walks anew (`ginzburg.hh2_complex`, the one pipeline reader, keeps
+its complex for the last graph).  A negative length raises `ValueError`.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, NamedTuple
 
 from .quiver import two_coloring
@@ -89,6 +88,8 @@ def _walk(q, n: int, mode: str = "open") -> Iterator[Path]:
     one makes it t + 1; a word of n letters is a necklace iff p divides n.
     A closed walk's letters only narrow the alphabet, so none is pruned.
     """
+    if n < 0:
+        raise ValueError("length must be >= 0")
     necklace, closed = mode == "necklace", mode != "open"
     if n == 0:
         vertices = range(1, q.vertex_count + 1)
@@ -145,13 +146,11 @@ def _walk(q, n: int, mode: str = "open") -> Iterator[Path]:
             stack.pop()
 
 
-@functools.cache
 def all_words(q, n: int) -> list[Path]:
     """All length-n words in the quiver, in lexicographic letter order."""
     return list(_walk(q, n))
 
 
-@functools.cache
 def words_by_endpoints(q, n: int) -> dict[tuple[int, int], list[Path]]:
     table: dict[tuple[int, int], list[Path]] = {}
     for p in all_words(q, n):
@@ -160,13 +159,11 @@ def words_by_endpoints(q, n: int) -> dict[tuple[int, int], list[Path]]:
 
 
 def paths_between(qd, i: int, j: int, n: int) -> list[Path]:
-    """All length-n doubled-quiver paths from i to j, in lexicographic order."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    """All length-n doubled-quiver paths from i to j, in lexicographic order.  Each call
+    walks every length-n word: for many pairs, read `words_by_endpoints` once."""
     return words_by_endpoints(qd, n).get((i, j), [])
 
 
-@functools.cache
 def all_cycles(q, n: int) -> list[Path]:
     """All length-n cycles, in global lexicographic letter order.
 
@@ -177,7 +174,6 @@ def all_cycles(q, n: int) -> list[Path]:
     return [] if _odd_on_two_colored(q, n) else list(_walk(q, n, "closed"))
 
 
-@functools.cache
 def all_necklaces(q, n: int) -> list[Path]:
     """The length-n cycles that are their own largest rotation, one per
     rotation class, in global lexicographic letter order.
@@ -191,8 +187,7 @@ def all_necklaces(q, n: int) -> list[Path]:
 def necklaces_descending(q, n: int) -> Iterator[Path]:
     """all_necklaces(q, n) in reverse order, each necklace walked only when read.
 
-    Nothing is cached, so a scan that stops early walks only the
-    prenecklaces it passed.
+    A scan that stops early walks only the prenecklaces it passed.
     """
     if _odd_on_two_colored(q, n):
         return iter(())
@@ -200,6 +195,8 @@ def necklaces_descending(q, n: int) -> Iterator[Path]:
 
 
 def _odd_on_two_colored(q, n: int) -> bool:
+    if n < 0:
+        raise ValueError("length must be >= 0")
     return bool(n % 2 and two_coloring(q.vertex_count, zip(q.arrow_source, q.arrow_target)))
 
 

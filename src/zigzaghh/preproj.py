@@ -31,14 +31,15 @@ witness when its class lies outside the span of the classes of the
 larger ones, the free-column rule of the necklace matrix (Ginzburg,
 Calabi-Yau algebras, arXiv:math/0612139).
 
-A double has one table per relation kind and field, and the F_p tables
-read the Q one.  Its rows are integral, and a unimodular echelon (see
-exactla) holds mod every p: an F_p table shares the words and coordinates
-of each degree the Q table has already grown below its first degree that
-is not, and of the Q trace echelons already built there, the unimodular
-ones and the integral rows of the others, which it eliminates mod p.  It
-never grows the Q table, so a process that asks only over F_p eliminates
-only over F_p; every other degree and trace it eliminates itself.
+A double has one table per relation kind and field, kept for the last
+quiver asked, and the F_p tables read the Q one.  Its rows are integral,
+and a unimodular echelon (see exactla) holds mod every p: an F_p table
+shares the words and coordinates of each degree the Q table has already
+grown below its first degree that is not, and of the Q trace echelons
+already built there, the unimodular ones and the integral rows of the
+others, which it eliminates mod p.  It never grows the Q table, so a
+process that asks only over F_p eliminates only over F_p; every other
+degree and trace it eliminates itself.
 
 The same builder, fed the relation "sum of all 2-cycles at each vertex",
 computes the quadratic dual of the zigzag algebra for an arbitrary graph
@@ -268,21 +269,19 @@ class _Table:
         return self.normal_form(cycle.letters, stack)
 
 
-# Kept for the process, keyed by the double, which `double` shares among equal quivers,
-# and by relation kind, since a graph's double may also be a quiver's.
-@functools.cache
-def _table(qd: DoubledQuiver, kind: str, fld: FieldSpec) -> _Table:
-    rels = preprojective_relations(qd.base) if kind == "preprojective" else \
-        zigzag_dual_relations(qd)
-    return _Table(qd, rels, fld, None if fld == QQ else _table(qd, kind, QQ))
+@functools.lru_cache(maxsize=1)   # a batch asks the fields of one quiver in turn
+def _tables(q: Quiver) -> dict[tuple[str, FieldSpec], _Table]:
+    """(relation kind, field) -> the table of q's double, for the last quiver asked."""
+    return {}
 
 
-def _preprojective_table(q: Quiver, fld: FieldSpec) -> _Table:
-    return _table(double(q), "preprojective", fld)
-
-
-def _koszul_dual_table(g: Graph, fld: FieldSpec) -> _Table:
-    return _table(doubled_of_graph(g), "koszul-dual-zigzag", fld)
+def _table(q: Quiver, kind: str, fld: FieldSpec) -> _Table:
+    tables = _tables(q)
+    if (kind, fld) not in tables:
+        qd = double(q)
+        rels = preprojective_relations(q) if kind == "preprojective" else zigzag_dual_relations(qd)
+        tables[kind, fld] = _Table(qd, rels, fld, None if fld == QQ else _table(q, kind, QQ))
+    return tables[kind, fld]
 
 
 def _piece(table: _Table, n: int) -> GradedQuotientPiece:
@@ -294,19 +293,19 @@ def _piece(table: _Table, n: int) -> GradedQuotientPiece:
 
 def lambda_piece(q: Quiver, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """The degree-n piece of the preprojective algebra of q."""
-    return _piece(_preprojective_table(q, fld), n)
+    return _piece(_table(q, "preprojective", fld), n)
 
 
 def koszul_dual_zigzag_piece(g: Graph, n: int, fld: FieldSpec) -> GradedQuotientPiece:
     """Degree-n piece of the quadratic dual of the zigzag algebra of g."""
-    return _piece(_koszul_dual_table(g, fld), n)
+    return _piece(_table(orient_by_edge_order(g), "koszul-dual-zigzag", fld), n)
 
 
 def cyclic_piece_dim(q: Quiver, n: int, i: int, fld: FieldSpec) -> int:
     """dim e_i Lambda^n e_i: the normal words of degree n that start and end at i."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return sum(1 for b in _preprojective_table(q, fld).degree(n) if b.source == b.target == i)
+    return sum(1 for b in _table(q, "preprojective", fld).degree(n) if b.source == b.target == i)
 
 
 def _trace_of(table: _Table, n: int, want_witnesses: bool) -> TracePiece:
@@ -318,7 +317,7 @@ def _trace_of(table: _Table, n: int, want_witnesses: bool) -> TracePiece:
 
 def trace_piece(q: Quiver, n: int, fld: FieldSpec, want_witnesses: bool = True) -> TracePiece:
     """Dimension of (Lambda / [Lambda, Lambda])^n for the preprojective algebra."""
-    return _trace_of(_preprojective_table(q, fld), n, want_witnesses)
+    return _trace_of(_table(q, "preprojective", fld), n, want_witnesses)
 
 
 def trace_piece_general(kind: str, obj, n: int, fld: FieldSpec,
@@ -337,7 +336,8 @@ def trace_piece_general(kind: str, obj, n: int, fld: FieldSpec,
     if kind == "koszul-dual-zigzag":
         if not isinstance(obj, Graph):
             raise ValueError("koszul-dual trace needs a Graph")
-        return _trace_of(_koszul_dual_table(obj, fld), n, want_witnesses)
+        table = _table(orient_by_edge_order(obj), "koszul-dual-zigzag", fld)
+        return _trace_of(table, n, want_witnesses)
     raise ValueError("unknown quotient kind %r" % (kind,))
 
 
@@ -357,6 +357,6 @@ def cycle_class_in_trace_is_zero(q: Quiver, cycle: Path, fld: FieldSpec) -> bool
         raise ValueError("not a cycle: %r" % (cycle,))
     if not _is_walk(double(q), cycle):
         raise ValueError("cycle does not belong to this quiver")
-    table = _preprojective_table(q, fld)
+    table = _table(q, "preprojective", fld)
     _, ech = table.trace(cycle.length)
     return in_span(fld, ech, table.class_of(cycle, []))

@@ -306,8 +306,8 @@ def bad_characteristics(graph_name: str) -> frozenset[int]:
 # orientations and extensions
 # ---------------------------------------------------------------------------
 
-# interned by the graph's value: equal graphs share one quiver
-@functools.cache
+# kept for the last graph, by value: a job asks one graph's quiver in turn
+@functools.lru_cache(maxsize=1)
 def orient_bipartite(g: Graph) -> Quiver:
     """Sink/source orientation from the two-coloring rooted at vertex 1.
 
@@ -326,15 +326,14 @@ def orient_bipartite(g: Graph) -> Quiver:
     return Quiver(g.vertex_count, tuple(arrows), name=g.name)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def orient_by_edge_order(g: Graph) -> Quiver:
     """Fallback orientation: each stored edge (i, j) becomes the arrow i -> j."""
     return Quiver(g.vertex_count, tuple(g.edges), name=g.name)
 
 
-# Keyed by the frozen quiver's value and kept for the process: equal quivers share one
-# double, and so every table keyed by it (pathalg words, preproj Lambda).
-@functools.cache
+# Kept for the last quiver, by value; a double hashes by identity, so no table is keyed by it.
+@functools.lru_cache(maxsize=1)
 def double(q: Quiver) -> DoubledQuiver:
     return DoubledQuiver(q)
 

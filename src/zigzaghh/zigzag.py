@@ -33,11 +33,11 @@ i.e. when p + c is even, so C^{p,q} = 0 for odd q.  The package asks
 for HH^{2,q} only; C^{3,q} is empty, so every (2, q) cochain is a
 cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
 image sent to the kernel as they are built, so no C^{1,q} table is kept.
-The basis lists, multiplication table and product index are kept for
-the last graph asked (`_algebra_tables`): each algebra owns copies of the
-lists and its `table`, and shares the read-only `products` over every
-field.  C^{2,q} is kept for the last graph asked too (`_c2`), and any
-other cochain basis is walked when asked for.
+One state, `_tables`, keeps the last graph's field-free tables: the basis
+lists, multiplication table and product index, the walk's tables per cycle
+budget, and C^{2,q} per q asked.  Each algebra owns copies of the lists
+and its `table`, and shares the read-only `products` over every field;
+any other cochain basis is walked when asked for.
 The module reads only `exactla`, `quiver` and `reports` of the package.
 
 The kernel gets a spanning subset of d(C^{1,q}), which has the
@@ -116,11 +116,20 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
 
     The algebra copies all of `_algebra_tables` but `products`.
     """
-    lists, dicts, products = _algebra_tables(g)
+    tables = _tables(g)
+    if "algebra" not in tables:
+        tables["algebra"] = _algebra_tables(g)
+    lists, dicts, products = tables["algebra"]
     return ZigzagAlgebra(g, fld, *map(list, lists), *map(dict, dicts), products)
 
 
 @functools.lru_cache(maxsize=1)   # a batch asks the fields of one graph in turn
+def _tables(g: Graph) -> dict:
+    """The last graph's tables: "algebra" -> `_algebra_tables`, ("walk", cycles)
+    -> `_walk_tables`, ("c2", q) -> C^{2,q}.  Only the walk's `close` grows."""
+    return {}
+
+
 def _algebra_tables(g: Graph) -> tuple:
     """The field-free part of g's zigzag algebra: (names, degrees, src,
     tgt), (table, e_index, arrow_index, cycle_index) and the `_table_index`
@@ -165,11 +174,9 @@ def _table_index(table: dict[tuple[int, int], int], degrees: list[int]) -> tuple
     return left, right, factors
 
 
-@functools.cache
 def _walk_tables(g: Graph, cycles: int) -> tuple[dict, dict, dict]:
-    """(inner, close, ends) of `_words` within `cycles` classes, keyed by the
-    frozen graph's value and kept for the process, like the doubles of
-    `preproj`: every algebra of one graph, over any field, shares them."""
+    """(inner, close, ends) of `_words` within `cycles` classes: every
+    algebra of one graph, over any field, shares them (`_tables`)."""
     basis = _basis(g)
     letters = [(i, s, t, d - 1) for i, (_, d, s, t) in enumerate(basis) if d > 0]
     inner = {(0, 0): [(i, t, d) for i, _, t, d in letters if d <= cycles]}
@@ -193,7 +200,10 @@ def _words(alg: ZigzagAlgebra, n: int, cycles: int) -> Iterator[tuple[Word, int]
     letters, with the output, of the words from s whose prefix ends at v,
     so no prefix that cannot close is extended.  Lists are in index order.
     """
-    inner, close, ends = _walk_tables(alg.graph, cycles)
+    tables = _tables(alg.graph)
+    if ("walk", cycles) not in tables:
+        tables["walk", cycles] = _walk_tables(alg.graph, cycles)
+    inner, close, ends = tables["walk", cycles]
     src = alg.src
     if n == 1:
         yield from (((i,), x) for i, t, c in inner[0, 0]
@@ -225,22 +235,13 @@ def _walk_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:
     return list(_words(alg, n, 2 - p))
 
 
-# the last graph's only: a batch asks the fields of one graph in turn, and
-# bases are large (D~4 at q = 8: 0.38 MB, Python 3.11)
-@functools.lru_cache(maxsize=1)
-def _c2_bases(g: Graph) -> dict[int, list[tuple[Word, int]]]:
-    """q -> the basis of C^{2,q}, for each q `_c2` was asked."""
-    return {}
-
-
 def _c2(alg: ZigzagAlgebra, q: int) -> list[tuple[Word, int]]:
-    """C^{2,q}, shared by every field and by HH^{2,q+2} as its relation
-    words; callers must not mutate it."""
-    bases = _c2_bases(alg.graph)
-    basis = bases.get(q)
-    if basis is None:
-        basis = bases[q] = _walk_basis(alg, 2, q)
-    return basis
+    """C^{2,q}, shared by every field and by HH^{2,q+2} as its relation words
+    (D~4 at q = 8: 0.38 MB, Python 3.11); callers must not mutate it."""
+    tables = _tables(alg.graph)
+    if ("c2", q) not in tables:
+        tables["c2", q] = _walk_basis(alg, 2, q)
+    return tables["c2", q]
 
 
 def cochain_basis(alg: ZigzagAlgebra, p: int, q: int) -> list[tuple[Word, int]]:

@@ -1,40 +1,61 @@
-"""Probes of the process-wide memos, for tests that check which tables a call builds.
+"""Probes of the package's kept state, for tests that check which tables a call builds.
 
-Every table that outlives a call is a `functools.cache` on a module
-function, so a call's new tables are the growth of those caches' sizes.
-The caches are never cleared here: the tables other tests built stay.  A
-test that needs nothing built yet renames its graph or quiver with
-`fresh`, and since doubles are keyed by value, gets a new double.
-"certified" counts the quivers given a record of certified Ginzburg cells,
-not the cells recorded.  Labels and orientations are interned: a graph or
-quiver they return is shared, so a test that needs its own builds it with
-`Graph` or `Quiver`, or renames it with `fresh`.  `zigzag._c2_bases` keeps
-the last graph's C^{2,q} bases only, so its size tells nothing and it is
-not listed; its misses count the graphs it walked for.
+Every table that outlives a call lives in one `functools.lru_cache(maxsize=1)`
+state per pipeline module (`STATES`), keyed by the graph or quiver the
+tables hang from; each returns a plain dict keyed by what varies within
+that graph (Adams degree, relation kind and field, cycle budget, q), so a
+call's tables are the keys of its graph's dict.  The orientations and
+doubles are bounded to the last graph too (`BOUNDED`).  `pathalg` keeps
+nothing: its walks are counted with `walk_spy`.  A test that needs
+nothing built yet renames its graph or quiver with `fresh`, which gives
+it a new state.  Labels are interned for the process, so a test that needs
+its own graph builds it with `Graph`, or renames it with `fresh`.
 """
 
 import itertools
 
-from zigzaghh import ginzburg, pathalg, preproj, quiver
+from zigzaghh import ginzburg, pathalg, preproj, quiver, zigzag
 from zigzaghh.quiver import Graph, Quiver
 
-MEMOS = {"all_words": pathalg.all_words, "words_by_endpoints": pathalg.words_by_endpoints,
-         "all_cycles": pathalg.all_cycles, "all_necklaces": pathalg.all_necklaces,
-         "lambda": preproj._table, "hh2_complex": ginzburg.hh2_complex,
-         "certified": ginzburg._certified, "parse_label": quiver.parse_label,
-         "orient_bipartite": quiver.orient_bipartite,
-         "orient_by_edge_order": quiver.orient_by_edge_order}
+STATES = {"ginzburg": ginzburg._cells, "preproj": preproj._tables, "zigzag": zigzag._tables}
+BOUNDED = dict(STATES, orient_bipartite=quiver.orient_bipartite,
+               orient_by_edge_order=quiver.orient_by_edge_order, double=quiver.double)
 
 _names = itertools.count()
 
 
-def memo_sizes() -> dict[str, int]:
-    return {name: memo.cache_info().currsize for name, memo in MEMOS.items()}
+def kept(state, key):
+    """The keys of the tables `state` holds for the graph or quiver key, or
+    None when it holds none for key; the probe leaves it holding key."""
+    hits = state.cache_info().hits
+    tables = state(key)
+    return set(tables) if state.cache_info().hits > hits else None
 
 
-def built_since(before: dict[str, int]) -> dict[str, int]:
-    """The tables each memo gained since `memo_sizes()` returned before."""
-    return {name: size - before[name] for name, size in memo_sizes().items()}
+def asked() -> dict[str, int]:
+    """How often each pipeline state has been asked so far."""
+    return {name: state.cache_info().hits + state.cache_info().misses
+            for name, state in STATES.items()}
+
+
+def certified_cells(q) -> dict[int, tuple[int, list[int]]]:
+    """Adams degree -> (rank, free coordinates) of each cell of q that a Q
+    elimination certified, read from the Ginzburg state, which must hold q."""
+    assert kept(ginzburg._cells, q) is not None, "the Ginzburg state does not hold %r" % (q,)
+    return {adams: cell[1] for adams, cell in ginzburg._cells(q).items() if cell[1] is not None}
+
+
+def walk_spy(monkeypatch) -> list:
+    """(quiver, length, mode) of every `pathalg._walk` started from now on."""
+    walks = []
+    walk = pathalg._walk
+
+    def spy(q, n, mode="open"):
+        walks.append((q, n, mode))
+        return walk(q, n, mode)
+
+    monkeypatch.setattr(pathalg, "_walk", spy)
+    return walks
 
 
 def fresh(x):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zigzaghh import ginzburg, pathalg
+from zigzaghh import ginzburg
 from zigzaghh.exactla import GF, QQ, echelonize, in_span, span_info
 from zigzaghh.ginzburg import h0_dim, hh2_complex, hh2_dim
 from zigzaghh.pathalg import Path, all_words, loop_count, make_path, path_name, paths_between
@@ -15,7 +15,7 @@ from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, or
 from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential, ginzburg_of,
                 path_from_names)
-from memos import built_since, fresh, memo_sizes
+from memos import asked, certified_cells, fresh, kept, walk_spy
 from oracle import (oracle_basis_of_bidegree, oracle_hh2_complex, oracle_necklace,
                     oracle_necklace_space, oracle_times)
 
@@ -96,15 +96,14 @@ def test_h0_equals_lambda():
 
 def test_equal_quivers_share_double_ginzburg_and_word_tables():
     # built apart, equal by value: warm batch callers rely on this reuse (the
-    # orientation is interned, so the two are built with `Quiver` itself)
+    # orientation is kept for the last graph, so the two are built with
+    # `Quiver` itself); `pathalg` keeps no word table, so none is shared
     q = _q("D~", 5)
     q1, q2 = (Quiver(q.vertex_count, q.arrows, name=q.name) for _ in range(2))
     assert q1 == q2 and q1 is not q2
     assert double(q1) is double(q2)
     assert ginzburg_of(q1) is ginzburg_of(q2)
     assert ginzburg_of(q1).doubled is double(q1)
-    assert all_words(double(q1), 3) is all_words(double(q2), 3)
-    assert all_words(ginzburg_of(q1), 2) is all_words(ginzburg_of(q2), 2)
     assert hh2_complex(q1, 4) is hh2_complex(q2, 4)
 
 
@@ -112,24 +111,17 @@ def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     # the codomain necklaces and the relation columns' closed walks both come
     # from the doubled quiver's closed walk, and each relation column is
     # r_v c read on necklaces, so no Ginzburg word, no open path table and
-    # no table of the other cycles of length q + 2 is built
-    walks = []
-    walk = pathalg._walk
-
-    def spy(quiver, n, mode="open"):
-        walks.append((quiver, n, mode))
-        return walk(quiver, n, mode)
-
-    monkeypatch.setattr(pathalg, "_walk", spy)
+    # no table of the other cycles of length q + 2 is built; the one cell
+    # kept is q's, and no table of Lambda or of the zigzag algebra is asked
+    walks = walk_spy(monkeypatch)
     q = fresh(_q("E~", 6))
-    before = memo_sizes()
+    before = asked()
     hh2_dim(q, 8, GF(2))
     assert walks == [(double(q), 10, "necklace"), (double(q), 8, "closed")]
-    assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 1,
-                                   "all_necklaces": 1, "lambda": 0, "hh2_complex": 1,
-                                   "certified": 1, "parse_label": 0, "orient_bipartite": 0,
-                                   "orient_by_edge_order": 0}
-    assert ginzburg._certified(q) == {}   # F2 records nothing
+    assert kept(ginzburg._cells, q) == {8}
+    now = asked()
+    assert now["preproj"] == before["preproj"] and now["zigzag"] == before["zigzag"]
+    assert certified_cells(q) == {}   # F2 records nothing
 
 
 def _echelonize_fields(monkeypatch) -> list:
@@ -151,9 +143,8 @@ def test_fp_reads_the_certified_q_record(monkeypatch):
     seen = _echelonize_fields(monkeypatch)
     q = fresh(_q("D~", 6))
     fields = (GF(2), GF(3), GF(5))
-    before = memo_sizes()
     qq = [hh2_dim(q, adams, QQ, want_witnesses=True) for adams in range(-2, 9)]
-    record = ginzburg._certified(q)
+    record = certified_cells(q)
     refused = [adams for adams in range(-2, 9) if adams not in record]
     assert refused == [2, 6] and seen == [QQ] * 11
     for adams, (rank, free) in record.items():
@@ -161,12 +152,14 @@ def test_fp_reads_the_certified_q_record(monkeypatch):
         ech = echelonize(QQ, cols, len(necklaces))
         assert ech.unimodular and (rank, free) == (ech.rank, ech.free_cols())
     seen.clear()
+    walks = walk_spy(monkeypatch)
     for fld in fields:
         fp = [hh2_dim(q, adams, fld, want_witnesses=True) for adams in range(-2, 9)]
         assert all(fp[adams + 2] == qq[adams + 2] for adams in record), fld
     assert seen == [fld for fld in fields for _ in refused]
-    built = built_since(before)
-    assert built["hh2_complex"] == 11 and built["certified"] == 1, built
+    assert walks == []   # every cell was assembled by the Q pass
+    assert kept(ginzburg._cells, q) == set(range(-2, 9))
+    assert certified_cells(q) == record
 
 
 def test_fp_only_jobs_run_no_q_elimination(monkeypatch):
@@ -176,7 +169,7 @@ def test_fp_only_jobs_run_no_q_elimination(monkeypatch):
         for adams in range(-2, 9):
             hh2_dim(q, adams, fld, want_witnesses=True)
     assert len(seen) == 33 and QQ not in seen
-    assert ginzburg._certified(q) == {}
+    assert certified_cells(q) == {}
 
 
 _ORDER_GRID = [_q(family, n) for family, n in (("A", 5), ("D", 5), ("D", 6), ("E", 6), ("E", 7),
@@ -201,11 +194,12 @@ def test_fp_answers_do_not_depend_on_the_order(quiv):
     q_first = fresh(quiv)
     q_answers = qq(q_first)
     assert fp(q_first) == alone
+    q_record = certified_cells(q_first)
     fp_first = fresh(quiv)
     assert fp(fp_first) == alone
     assert qq(fp_first) == q_answers
     assert fp(fp_first) == alone
-    assert ginzburg._certified(q_first) == ginzburg._certified(fp_first)
+    assert certified_cells(fp_first) == q_record
 
 
 @pytest.mark.parametrize("family, n, adams, dims", [("D~", 4, 2, (2, 3, 2, 2)),
@@ -226,7 +220,7 @@ def test_refused_cells_eliminate_mod_p(family, n, adams, dims):
         q = fresh(_q(family, n))
         got = {fld: hh2_dim(q, adams, fld).dimension for fld in order}
         assert tuple(got[fld] for fld in fields) == dims, order
-        assert (adams in ginzburg._certified(q)) == certified, order
+        assert (adams in certified_cells(q)) == certified, order
 
 
 def _random_nontree(seed: int, n: int) -> Graph:

@@ -12,11 +12,11 @@ from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, basis_of_bidegree
                               necklaces_descending)
 from zigzaghh.preproj import lambda_piece, preprojective_relations, trace_piece
 from zigzaghh.quiver import (DoubledQuiver, Graph, Quiver, catalog, double, orient_bipartite,
-                             orient_by_edge_order)
+                             orient_by_edge_order, two_coloring)
 from zigzaghh.zigzag import build_zigzag, cochain_basis, hochschild_dim
 
 from dg import ginzburg_of
-from memos import built_since, memo_sizes
+from memos import asked, walk_spy
 from barcomplex import reduced_hh_dim
 from oracle import (OracleInfeasible, _walks, oracle_basis_of_bidegree, oracle_cochain_basis,
                     oracle_hh_unreduced, oracle_lambda_dim, oracle_necklace, oracle_trace_dim)
@@ -105,20 +105,22 @@ _NECKLACE_QUIVERS = (
 
 
 @pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
-def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv):
+def test_necklaces_are_the_cycles_that_are_their_largest_rotation(quiv, monkeypatch):
     # the pruned walk emits exactly the cycles the oracle calls necklaces,
-    # in order and in reverse, and each length's ascending list is kept
-    qd = DoubledQuiver(quiv)   # a fresh double, with nothing cached
-    before = memo_sizes()
+    # in order and in reverse; nothing is kept, so each call walks once,
+    # and an odd length on a 2-colored quiver walks nothing
+    qd = DoubledQuiver(quiv)
+    walks = walk_spy(monkeypatch)
+    before = asked()
     for n in range(11):
         cycles = all_cycles(qd, n)
         want = [c for c in cycles if c.letters == oracle_necklace(c.letters)]
         assert all_necklaces(qd, n) == want, (quiv.name, n)
         assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
-    assert built_since(before)["all_necklaces"] == 11
-    hits = all_necklaces.cache_info().hits
-    assert all(all_necklaces(qd, n) is all_necklaces(qd, n) for n in range(11))
-    assert all_necklaces.cache_info().hits - hits == 22
+    two_colored = two_coloring(quiv.vertex_count, quiv.arrows) is not None
+    assert walks == [(qd, n, mode) for n in range(11) if not (n % 2 and two_colored)
+                     for mode in ("closed", "necklace", "necklace")]
+    assert asked() == before
 
 
 @pytest.mark.parametrize("quiv", _NECKLACE_QUIVERS, ids=lambda quiv: quiv.name)
@@ -142,29 +144,31 @@ def test_hh2_complex_columns_read_each_term_on_its_oracle_necklace(quiv):
         assert cols == want, (quiv.name, adams)
 
 
-def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy():
+def test_necklaces_descending_is_the_oracle_necklaces_reversed_and_lazy(monkeypatch):
     # the witness scan reads the necklaces from the largest down and stops
-    # early: the oracle's necklaces in reverse, never cached, and built only
-    # as far as they are read
+    # early: the oracle's necklaces in reverse, never kept, walked once per
+    # call and built only as far as they are read
     quivers = [_q("D", 4), _q("E", 6), _q("D~", 4), _q("A~", 3),
                orient_by_edge_order(catalog("A~", 2))]
+    walks = walk_spy(monkeypatch)
+    before = asked()
     for quiv in quivers:
-        qd = DoubledQuiver(quiv)   # a fresh double, with nothing cached
+        qd = DoubledQuiver(quiv)
         arrows = list(zip(qd.arrow_source, qd.arrow_target))
-        before = memo_sizes()
+        two_colored = two_coloring(quiv.vertex_count, quiv.arrows) is not None
+        walks.clear()
         for n in range(9):
             want = [Path(s, word, t) for word, s, t in _walks(arrows, qd.vertex_count, n)
                     if s == t and word == oracle_necklace(word)]
             assert list(necklaces_descending(qd, n)) == want[::-1], (quiv.name, n)
-        assert not any(built_since(before).values())
+        assert walks == [(qd, n, "necklace") for n in range(9) if not (n % 2 and two_colored)]
     qd = DoubledQuiver(_q("D~", 4))
-    before = memo_sizes()
     top = list(itertools.islice(necklaces_descending(qd, 40), 5))   # of about 4^40 / 40
     assert all(c.source == c.target and len(c.letters) == 40 for c in top)
     assert all(c.letters == oracle_necklace(c.letters) for c in top)
     assert top[0].letters[0] == qd.arrow_count - 1
     assert [c.letters for c in top] == sorted({c.letters for c in top}, reverse=True)
-    assert not any(built_since(before).values())
+    assert asked() == before
 
 
 def test_oracle_cochain_basis_matches_budgeted_walk():

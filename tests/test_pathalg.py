@@ -5,9 +5,10 @@ import random
 import pytest
 
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.pathalg import (Path, all_words, basis_of_bidegree, make_path, path_name,
-                              paths_between, trivial_path)
-from zigzaghh.quiver import GinzburgQuiver, catalog, double, orient_bipartite
+from zigzaghh.pathalg import (Path, all_cycles, all_necklaces, all_words, basis_of_bidegree,
+                              make_path, necklaces_descending, path_name, paths_between,
+                              trivial_path, words_by_endpoints)
+from zigzaghh.quiver import GinzburgQuiver, catalog, double, orient_bipartite, orient_by_edge_order
 
 from dg import (BigradedElement, commutator, concat, multiply, path_bidegree,
                 path_from_names)
@@ -106,6 +107,20 @@ def test_make_path_rejects_non_composable():
     qd = _a2_doubled()
     with pytest.raises(ValueError):
         make_path(qd, [0, 0])
+
+
+@pytest.mark.parametrize("label", ["D~4", "A~2"], ids=["bipartite", "odd-cycle"])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_lengths_raise_before_any_walk(label, n):
+    # on a bipartite double an odd length is answered without a walk; a
+    # negative one is refused first, on either double, by every entry point
+    qd = double(orient_by_edge_order(catalog(label[:2], int(label[2:]))))
+    calls = [lambda: all_words(qd, n), lambda: words_by_endpoints(qd, n),
+             lambda: paths_between(qd, 1, 1, n), lambda: all_cycles(qd, n),
+             lambda: all_necklaces(qd, n), lambda: necklaces_descending(qd, n)]
+    for call in calls:
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            call()
 
 
 def test_multiplication_associative_exhaustive():

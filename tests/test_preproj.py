@@ -7,14 +7,15 @@ frozen.
 
 import pytest
 
+from zigzaghh import preproj
 from zigzaghh.exactla import GF, QQ
-from zigzaghh.preproj import (_preprojective_table, cycle_class_in_trace_is_zero,
+from zigzaghh.preproj import (_table, cycle_class_in_trace_is_zero,
                               cyclic_piece_dim, koszul_dual_zigzag_piece, lambda_piece,
                               trace_piece, trace_piece_general)
 from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, orient_by_edge_order
 
 from dg import BigradedElement, commutator, path_from_names
-from memos import built_since, fresh, memo_sizes
+from memos import asked, fresh, kept, walk_spy
 from oracle import oracle_class_is_zero, oracle_quotient_representatives, oracle_trace_witnesses
 
 
@@ -50,7 +51,7 @@ def test_lambda_representatives_project_to_basis():
     piece = lambda_piece(q, 2, QQ)
     assert len(piece.representatives) == piece.dimension
     # the three r_v are the relation rows in degree 2, with disjoint supports
-    assert len(_preprojective_table(q, QQ).spanning(2)) - piece.dimension == 3
+    assert len(_table(q, "preprojective", QQ).spanning(2)) - piece.dimension == 3
 
 
 def test_cyclic_piece_degree_zero():
@@ -258,24 +259,21 @@ def test_rotations_of_a_cycle_share_its_class():
                             assert _class_is_zero(q, {c: 1, r: -1}, fld)
 
 
-def test_trace_reads_only_closed_walks():
-    # the witness necklaces come from the uncached closed walk and everything
-    # else from the table of Lambda; an open word table left in the cache
-    # would mean a second way of making cycles
+def test_trace_reads_only_closed_walks(monkeypatch):
+    # the witness necklaces come from the necklace walk and everything else
+    # from the table of Lambda; an open word walk would mean a second way of
+    # making cycles
     from zigzaghh.pathalg import make_path
-    from zigzaghh.preproj import _table
 
+    walks = walk_spy(monkeypatch)
     q = fresh(_q("E~6"))
-    before = memo_sizes()
     trace_piece(q, 10, GF(2))
     cycle_class_in_trace_is_zero(q, make_path(double(q), (0, 1) * 3), GF(2))
+    assert walks == []   # over F2, E~6 has no trace in degree 10, so no witness is scanned
     # the two tables built are these: the F2 table, and the Q one it would
     # read, which an F2-only job never grows past the arrows
-    _table(double(q), "preprojective", GF(2))
-    assert len(_table(double(q), "preprojective", QQ).basis) == 2
-    built = built_since(before)
-    assert built["lambda"] == 2
-    assert built["all_words"] == built["words_by_endpoints"] == built["all_necklaces"] == 0, built
+    assert kept(preproj._tables, q) == {("preprojective", GF(2)), ("preprojective", QQ)}
+    assert len(_table(q, "preprojective", QQ).basis) == 2
 
 
 def test_witness_scan_stops_at_the_dimension(monkeypatch):
@@ -294,15 +292,14 @@ def test_witness_scan_stops_at_the_dimension(monkeypatch):
     monkeypatch.setattr(preproj, "necklaces_descending", counted)
     q = fresh(_q("E~8"))
     qd = double(q)
-    before = memo_sizes()
+    before = asked()
+    walks = walk_spy(monkeypatch)
     tr = trace_piece(q, 12, QQ)
     assert tr.dimension == len(tr.witnesses) == 1
     assert len(read) == 122 and read[-1] == tr.witnesses[0]
-    preproj._table(qd, "preprojective", QQ)   # the one table built is this one
-    assert built_since(before) == {"all_words": 0, "words_by_endpoints": 0, "all_cycles": 0,
-                                   "all_necklaces": 0, "lambda": 1, "hh2_complex": 0,
-                                   "certified": 0, "parse_label": 0, "orient_bipartite": 0,
-                                   "orient_by_edge_order": 0}
+    assert walks == [(qd, 12, "necklace")]   # the witness scan walks no word or cycle table
+    assert asked()["ginzburg"] == before["ginzburg"] and asked()["zigzag"] == before["zigzag"]
+    assert kept(preproj._tables, q) == {("preprojective", QQ)}   # the one table built
     assert len(pathalg.all_necklaces(qd, 12)) == 761
     assert len(pathalg.all_cycles(qd, 12)) == 8838
 
@@ -389,19 +386,23 @@ def test_quotient_pieces_pinned(label, char, orientation):
     assert _pieces(label, char, orientation) == golden["%s-char%d" % (label, char)]
 
 
-def test_quotient_pieces_build_no_endpoint_table():
-    # the relation rows come from the shorter words themselves, so no
-    # table of words keyed by their endpoints is built
+def test_quotient_pieces_build_no_endpoint_table(monkeypatch):
+    # the relation rows come from the shorter words themselves, so no word
+    # is walked, and no table of words keyed by their endpoints is built;
+    # D~4's edge order is its sink/source orientation, so one state holds all
+    walks = walk_spy(monkeypatch)
     g = fresh(catalog("D~", 4))
     q = orient_bipartite(g)
-    before = memo_sizes()
+    assert orient_by_edge_order(g) == q
     for n in range(7):
         lambda_piece(q, n, QQ)
         koszul_dual_zigzag_piece(g, n, GF(3))
         cyclic_piece_dim(q, n, 5, GF(2))
-    built = built_since(before)
+    assert walks == []
     # the Q and F2 preprojective tables, the F3 Koszul-dual one and the Q one it would read
-    assert built["lambda"] == 4 and built["words_by_endpoints"] == 0, built
+    assert kept(preproj._tables, q) == {("preprojective", QQ), ("preprojective", GF(2)),
+                                        ("koszul-dual-zigzag", GF(3)),
+                                        ("koszul-dual-zigzag", QQ)}
 
 
 @pytest.mark.parametrize("koszul_first", [False, True])
@@ -463,7 +464,7 @@ def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
             qd, preprojective_relations(q), n, fld)
         if n >= 2:   # the spanning words are b a, b normal one degree down
             prev = lambda_piece(q, n - 1, fld).representatives
-            assert [p.letters for p in _preprojective_table(q, fld).spanning(n)] == [
+            assert [p.letters for p in _table(q, "preprojective", fld).spanning(n)] == [
                 b.letters + (a,) for b in prev for a in range(qd.arrow_count)
                 if qd.arrow_source[a] == b.target]
         assert (koszul_dual_zigzag_piece(g, n, fld).representatives
@@ -480,7 +481,7 @@ def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
     from zigzaghh import preproj
 
     q = fresh(_q("E~6"))
-    over_q = preproj._table(double(q), "preprojective", QQ)
+    over_q = preproj._table(q, "preprojective", QQ)
     for n in range(9):
         trace_piece(q, n, QQ)
     assert over_q.exact > 8
@@ -495,7 +496,7 @@ def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
     for fld in (GF(2), GF(3)):
         for n in range(9):
             trace_piece(q, n, fld)
-        assert all(preproj._table(double(q), "preprojective", fld).basis[n] is over_q.basis[n]
+        assert all(preproj._table(q, "preprojective", fld).basis[n] is over_q.basis[n]
                    for n in range(2, 9))
     torsion = [n for n in range(9) if not over_q.trace(n)[1].unimodular]
     assert torsion and calls == [("trace", fld, len(over_q.basis[n]))
@@ -524,7 +525,7 @@ def test_fp_tables_read_only_what_q_has_grown(monkeypatch):
     monkeypatch.setattr(preproj, "echelonize", spy)
     for n in range(9):
         trace_piece(q, n, GF(2))
-    over_q = preproj._table(double(q), "preprojective", QQ)
+    over_q = preproj._table(q, "preprojective", QQ)
     assert {f for _, f in calls} == {GF(2)} and len(over_q.basis) == 2 and not over_q.traces
     for n in range(5):
         trace_piece(q, n, QQ)
@@ -533,7 +534,7 @@ def test_fp_tables_read_only_what_q_has_grown(monkeypatch):
     for n in range(11):
         assert trace_piece(q, n, GF(3)) == want[n, GF(3)], n
     assert calls and all(c == ("trace", GF(3)) for c in calls)
-    f2 = preproj._table(double(q), "preprojective", GF(2))
+    f2 = preproj._table(q, "preprojective", GF(2))
     assert f2.basis[8] is not over_q.basis[8]
     assert trace_piece(q, 10, GF(2)) == want[10, GF(2)]
     assert f2.basis[10] is over_q.basis[10]
@@ -594,7 +595,7 @@ def test_torsion_cells_eliminate_the_integral_trace_rows_mod_p(label, fld, n):
     for order in ((fld, QQ), (QQ, fld)):
         q = fresh(base)
         got = {f: trace_piece(q, n, f) for f in order}
-        assert not preproj._table(double(q), "preprojective", QQ).trace(n)[1].unimodular
+        assert not preproj._table(q, "preprojective", QQ).trace(n)[1].unimodular
         assert got[fld].dimension == dim > got[QQ].dimension
         for f, tr in got.items():
             assert tr.witnesses == want[f] and tr.dimension == len(tr.witnesses)

@@ -66,8 +66,8 @@ def test_graph_rejects_loops_multiedges_disconnected():
 
 
 def test_labels_and_orientations_are_interned():
-    # equal inputs give one object, so every memo keyed by a graph or a
-    # quiver finds its key by identity
+    # equal inputs asked in turn give one object, so a state keyed by a
+    # graph or a quiver finds its key by identity
     g = parse_label("E~8")
     assert g is parse_label("E~8") and g == catalog("E~", 8)
     assert orient_bipartite(g) is orient_bipartite(parse_label("E~8"))

@@ -119,8 +119,8 @@ def test_equal_quivers_share_one_double():
     b = Quiver(3, ((1, 2), (3, 2)), "A3")
     assert a is not b
     assert double(a) is double(b)
-    assert preproj._table(double(a), "preprojective", QQ) is \
-        preproj._table(double(b), "preprojective", FieldSpec(0))
+    assert preproj._table(a, "preprojective", QQ) is \
+        preproj._table(b, "preprojective", FieldSpec(0))
 
 
 def test_a_double_carries_no_state():
