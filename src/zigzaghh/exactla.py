@@ -1,49 +1,44 @@
 """Exact linear algebra over Q and prime fields F_p.
 
 Every rank, kernel, cokernel and membership question in this package is
-answered here with exact arithmetic: arbitrary-precision rationals in
-characteristic 0, reduced residues mod p otherwise.  Matrices are kept
-sparse (one dict per row).  Elimination is structured (LaMacchia and
-Odlyzko, *Solving large sparse linear systems over finite fields*, 1990).
-A weighted union-find over the columns settles the rows with one or two
-terms, keeping e_c = w_c e_root modulo them, the root being the largest
-column of its component; a one-term row, or a cycle whose weights
-disagree, sets a whole component to zero.  It reads a row only for which
-entries are nonzero and their ratio, so it never scales one integral.
-The longer rows are projected onto the live roots to a fixpoint: each
-projection that has become short goes to the union-find at once, and the
-rest are projected again until a pass sends none (Ginzburg columns of E~8
-at q = 10: 509 of 639 are short after one pass).  Over Q only entries
-+-1 go, as a merge by 2 would cost the certificate below, which the core
-keeps: e_i + 2 e_j has pivot 1 there.  What is left, normalized, reaches
-the sparse core, whose elimination over Q is fraction-free (a
-cross-multiplication, then a gcd division), so rows stay integral and
-coefficients tame.  Pivot columns are always taken in increasing column
-order, and the pivot set of an echelon depends only on the row space,
-which makes ranks, kernels and quotient representatives reproducible.
+answered here exactly: integers and rationals over Q, residues mod p
+otherwise, in sparse rows (one dict each).  Elimination is structured
+(LaMacchia and Odlyzko, *Solving large sparse linear systems over finite
+fields*, 1990).  A weighted union-find over the columns settles the rows
+with one or two terms, keeping e_c = w_c e_root modulo them, the root
+being the largest column of its component; a one-term row, or a cycle
+whose weights disagree, sets a whole component to zero.  The longer rows
+are projected onto the live roots to a fixpoint: each projection that has
+become short goes to the union-find at once (Ginzburg columns of E~8 at
+q = 10: 509 of 639 are short after one pass).  What is left reaches the
+sparse core, fraction-free over Q (a cross-multiplication, then a gcd
+division).  Pivots are taken in increasing column order, so the pivot set
+depends only on the row space, and ranks, kernels and quotient
+representatives are reproducible.
 
-Over Q an echelon also carries a certificate, `unimodular`: every pivot
-entry installed is +-1, no row had a content divided out or a denominator
-cleared (on input or in `_reduce`), and every union-find merge
-coefficient, one-term kill and cycle-closing sum is +-1.  Then each
-echelon row is an integral combination of the input rows with a unit
-pivot, so for integral input the echelon spans the same Z-lattice.  For
-every prime p its rows reduced mod p are therefore independent and lie in
-the span of the input rows reduced mod p, whose rank is at most the rank
-over Q: they are an echelon of those rows with the same pivot columns,
-and the kernel vectors, integral, reduce mod p to the F_p kernel vectors.
+Over Q the steps split in two.  The unit part E takes the union-find
+merges, kills and cycle closings by +-1 (e_i + 2 e_j goes to the core,
+where its pivot is 1), and the core rows that reduce against +-1 pivots,
+dividing out no content, to a pivot +-1.  Every other step sends its row,
+integral as it stood, to the residual S, reduced against E's pivots (all
++-1, so over Z) before it is eliminated.  Unit steps are unimodular, so
+for integral rows E and S span the input's Z-lattice; E's rows stay
+independent mod every p, and S holds none of their pivots.  So over Q and
+every F_p the rank is |E| + rank(S), and the free columns are E's less
+S's pivots: the `record` (|E|, E's free columns, S) answers every field by
+eliminating S alone.  `unimodular`, the certificate, says S is empty.  A
+row that holds a Fraction leaves no record.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .reports import Frozen
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]   # fractions is imported where a value leaves Z
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
@@ -95,10 +90,11 @@ class FieldSpec(Frozen):
         """Coerce a value to a canonical field element, read as a Fraction unless
         an int (a float exactly); over F_p, n/d is n / d mod p, ValueError if p | d."""
         p = self.characteristic
+        if p and type(value) is int:   # skips the ABC instance check below
+            return value % p
+        from fractions import Fraction
         if p == 0:
             return value if isinstance(value, Fraction) else Fraction(value)
-        if type(value) is int:   # skips the ABC instance check below
-            return value % p
         if not isinstance(value, Fraction):
             value = Fraction(value)
         if value.denominator % p == 0:
@@ -138,16 +134,25 @@ def GF(p: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon core
-#
-# Rows are dicts {column: nonzero entry}.  Over F_p entries are residues;
-# over Q they are ints (rows that reach the core get scaled integral on
-# input, and normalized by their gcd after each elimination step).  Incoming rows are reduced
-# against the installed pivots and then claim their leading column, so
-# each pivot is the first nonzero available in column order; the pivot
-# profile is the rank profile of the row space and does not depend on
-# the input ordering, nor on which rows the union-find settled.
+# sparse echelon core: a row {column: nonzero entry} is reduced against the
+# pivots, then claims its leading column, so the pivots are the rank profile
+# of the row space, whatever the input order or the rows the union-find settled
 # ---------------------------------------------------------------------------
+
+
+class Record(NamedTuple):
+    """What a Q elimination of integral rows leaves every field (module docstring)."""
+
+    rank: int                      # |E|
+    free: list[int]                # E's free columns
+    residual: list[dict[int, int]]   # S, reduced against E
+
+    def profile(self, fld: FieldSpec) -> tuple[int, list[int]]:
+        """Rank and free columns of the recorded rows over fld, S eliminated alone."""
+        if not self.residual:
+            return self.rank, self.free
+        s = echelonize(fld, self.residual, self.rank + len(self.free)).pivot_row
+        return self.rank + len(s), [c for c in self.free if c not in s]
 
 
 class Echelon:
@@ -158,7 +163,28 @@ class Echelon:
         self.ncols = ncols
         self.pivot_row: dict[int, dict[int, int]] = {}   # pivot column -> its row
         self._index: Optional[dict[int, list[int]]] = None   # see _users
-        self.unimodular = field.characteristic == 0   # the certificate above, Q only
+        self._refused: Optional[list[dict]] = None   # S while echelonize runs over Q
+        self._residual: Optional[list[dict]] = [] if field.characteristic == 0 else None   # S
+        self._s_pivots: list[int] = []   # where S's rows went over Q
+
+    @property
+    def unimodular(self) -> bool:
+        """The certificate: S is empty."""
+        return self._residual == []
+
+    def record(self) -> Optional[Record]:
+        """(|E|, E's free columns, S) of a Q elimination of integral rows, else None."""
+        if self._residual is None:
+            return None
+        free = sorted(self.free_cols() + self._s_pivots)
+        return Record(self.ncols - len(free), free, self._residual)
+
+    def mod(self, fld: FieldSpec) -> Echelon:
+        """The F_p echelon of the recorded rows: E's, shared (+-1 pivots), and S's mod p."""
+        ech = echelonize(fld, self._residual, self.ncols)
+        s = set(self._s_pivots)
+        ech.pivot_row.update((c, r) for c, r in self.pivot_row.items() if c not in s)
+        return ech
 
     @property
     def rank(self) -> int:
@@ -210,6 +236,7 @@ class Echelon:
             elif type(s) is int and s % row[c] == 0:
                 x[c] = -s // row[c]
             else:
+                from fractions import Fraction
                 v = Fraction(-s, row[c])
                 x[c] = v.numerator if v.denominator == 1 else v
             for d in users.get(c, ()):
@@ -234,60 +261,46 @@ class Echelon:
 
     def add(self, vector: dict) -> bool:
         """Reduce vector against the rows and install any residue under its
-        pivot; False when vector already lies in the row space."""
+        pivot; False when vector already lies in the row space.  While
+        echelonize runs over Q, a row that a step other than +-1 would install
+        goes to S as it stood; once it has run, a row installed voids the record."""
         p = self.field.characteristic
-        r = _normalized(vector, p)
-        for c in r:   # normalizing scales every entry alike
-            self.unimodular &= r[c] == vector[c]
-            break
-        r, divided = _reduce(r, self.pivot_row, p)
+        n = _normalized(vector, p)
+        r, divided = _reduce(n, self.pivot_row, p)
         if not r:
             return False
         c = min(r)
-        self.unimodular &= not divided and r[c] in (1, -1)
+        if self._refused is None:
+            self._residual = None
+        elif divided or r[c] not in (1, -1) or n != vector:
+            self._refused.append(vector)
+            return True
         self.pivot_row[c] = r
         self._index = None   # rebuilt by the next kernel_vector
         return True
 
 
-def _scale_integral(row: dict) -> dict[int, int]:
-    """Clear denominators and divide by the content, keeping exactness."""
-    if not row:
-        return {}
-    # `type(v) is int` skips the ABC instance check isinstance(v, Fraction)
-    # pays for every int entry
-    if all(type(v) is int for v in row.values()):
-        out = row
-    else:
-        lcm = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                d = v.denominator
-                lcm = lcm * d // gcd(lcm, d)
-        out = {c: int(v * lcm) for c, v in row.items()}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return {c: v for c, v in out.items() if v}
-
-
 def _normalized(row: dict, p: int) -> dict[int, int]:
-    """A row in the kernel's representation: integral over Q, residues mod p."""
-    if p == 0:
-        return _scale_integral(row)
-    return {c: v % p for c, v in row.items() if v % p}
+    """A row in the kernel's representation: residues mod p, or over Q
+    integral, denominators cleared and the content divided out."""
+    if p:
+        return {c: v % p for c, v in row.items() if v % p}
+    if not all(type(v) is int for v in row.values()):
+        m = lcm(*(v.denominator for v in row.values()))   # an int's is 1
+        row = {c: int(v * m) for c, v in row.items()}
+    g = gcd(*row.values()) or 1
+    return {c: v // g for c, v in row.items() if v}
 
 
 def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]],
-            p: int) -> tuple[dict[int, int], bool]:
-    """Eliminate r against the echelon rows until its leading column is free.
-
-    Returns the reduced row, empty when r lies in the echelon's row space,
-    and whether a content was divided out on the way (never over F_p).
-    """
+            p: int, full: bool = False) -> tuple[dict[int, int], bool]:
+    """Eliminate r against the echelon rows until its leading column is free,
+    or, full, until it holds no pivot column, dividing out no content: the
+    reduced row, empty when r lies in the row space, and whether a content
+    was divided out on the way (never over F_p)."""
     divided = False
     while r:
-        c = min(r)
+        c = min(filter(pivot_row.__contains__, r), default=None) if full else min(r)
         pr = pivot_row.get(c)
         if pr is None:
             break
@@ -295,18 +308,14 @@ def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]],
             a, b = pr[c], r[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = {}
-            for col, v in r.items():
-                new[col] = v * ma
+            new = {col: v * ma for col, v in r.items()}
             for col, v in pr.items():
                 w = new.get(col, 0) - v * mb
                 if w:
                     new[col] = w
                 elif col in new:
                     del new[col]
-            g2 = 0
-            for v in new.values():
-                g2 = gcd(g2, v)
+            g2 = 1 if full else gcd(*new.values())
             if g2 > 1:
                 new = {col: v // g2 for col, v in new.items()}
                 divided = True
@@ -325,23 +334,19 @@ def _reduce(r: dict[int, int], pivot_row: dict[int, dict[int, int]],
 
 
 def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
-    """Reduce a spanning set of row vectors to (sparse) row echelon form.
-
-    Short rows go to the union-find; the longer ones are projected onto its
-    live roots until no pass sends it a short one (over Q, all +-1: a
-    non-unit merge would cost the certificate that `_reduce` keeps), and
-    the rest reach `_reduce`.  The echelon holds e_c - w_c e_root for each
-    non-root c of a live component, e_c for each c of a zero component, and
-    the reduced long rows, each under its pivot column.
-    """
+    """Reduce a spanning set of row vectors to (sparse) row echelon form: e_c
+    - w_c e_root for each non-root c of a live component, e_c for each c of a
+    zero component, the long rows `add` reduced, and over Q S's echelon, each
+    under its pivot column (module docstring)."""
     p = field.characteristic
     # e_c = weight[c] * e_parent[c] modulo the short rows; a root, the largest
     # column of its component, has no parent entry, so every short-row
-    # echelon row e_c - w e_root leads with c.  Over Q a weight is an int
-    # wherever it is integral.
+    # echelon row e_c - w e_root leads with c.  Over Q a weight is +-1.
     parent: dict[int, int] = {}
-    weight: dict[int, Scalar] = {}
+    weight: dict[int, int] = {}
     dead: set[int] = set()   # roots of components the short rows set to zero
+    ech = Echelon(field, ncols)
+    refused: list[dict] = []   # S, over Q
 
     def find(c):
         """(root, w) with e_c = w * e_root modulo the short rows, c not a root."""
@@ -355,21 +360,13 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
             up, nxt = nxt, parent.get(nxt)
         w = 1
         for node in reversed(path):
-            w = weight[node] * w
-            if p:
-                w %= p
-            elif type(w) is Fraction and w.denominator == 1:
-                w = w.numerator
+            w = weight[node] * w % p if p else weight[node] * w
             weight[node] = w
             parent[node] = up
         return up, w
 
-    ech = Echelon(field, ncols)
-    unit = ech.unimodular   # see the certificate in the module docstring
-
     def settle(rows) -> list:
         """Read the short rows into the union-find; return the long ones' terms."""
-        nonlocal unit
         longer = []
         for row in rows:   # over Q a row with no zero is read in place
             terms = ([(c, v % p) for c, v in row.items() if v % p] if p else row.items()
@@ -382,47 +379,46 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
                 if j in parent:
                     j, w = find(j)
                     b *= w
-                # a e_i + b e_j = 0 with i and j roots
-                if i == j:
-                    if (a + b) % p if p else a + b:
-                        unit = unit and a + b in (1, -1)
+                # a e_i + b e_j = 0, i and j roots: over Q a cycle closes on 0 or +-2 e_i
+                if not p and (a not in (1, -1) or b not in (1, -1) or i == j and a + b):
+                    refused.append(dict(terms))
+                elif i == j:
+                    if p and (a + b) % p:
                         dead.add(i)
-                    continue
-                unit = unit and a in (1, -1) and b in (1, -1)
-                if i > j:
-                    i, j, a, b = j, i, b, a
-                if p:
-                    w = -b * pow(a, p - 2, p) % p
-                elif type(a) is int and type(b) is int and b % a == 0:
-                    w = -b // a
                 else:
-                    w = Fraction(-b, a)
-                    if w.denominator == 1:
-                        w = w.numerator
-                parent[i], weight[i] = j, w
-                if i in dead:
-                    dead.add(j)
+                    if i > j:
+                        i, j, a, b = j, i, b, a
+                    parent[i], weight[i] = j, -b * pow(a, p - 2, p) % p if p else int(-a * b)
+                    if i in dead:
+                        dead.add(j)
             elif len(terms) > 2:
                 longer.append(terms)
             elif terms:
                 (c, v), = terms
-                unit = unit and v in (1, -1)
-                dead.add(find(c)[0] if c in parent else c)
+                if p or v in (1, -1):
+                    dead.add(find(c)[0] if c in parent else c)
+                else:
+                    refused.append(dict(terms))
         return longer
+
+    def project(terms) -> dict:
+        """The row of terms read on the live roots."""
+        proj: dict[int, Scalar] = {}
+        for c, v in terms:
+            if c in parent:
+                c, w = find(c)
+                v *= w
+            if c not in dead:
+                proj[c] = proj.get(c, 0) + v
+        if len(proj) < len(terms):   # two terms met on a root, or one died: drop zeros
+            proj = {c: v for c, v in proj.items() if (v % p if p else v)}
+        return proj
 
     long_rows = settle(rows)
     while True:
         settled, rest = len(parent) + len(dead), []
         for r in long_rows:
-            proj: dict[int, Scalar] = {}
-            for c, v in r:
-                if c in parent:
-                    c, w = find(c)
-                    v *= w
-                if c not in dead:
-                    proj[c] = proj.get(c, 0) + v
-            if len(proj) < len(r):   # two terms met on a root, or one died: drop zeros
-                proj = {c: v for c, v in proj.items() if (v % p if p else v)}
+            proj = project(r)
             if len(proj) > 2 or not p and any(v not in (1, -1) for v in proj.values()):
                 rest.append(proj)
             elif proj:
@@ -430,27 +426,29 @@ def echelonize(field: FieldSpec, rows: Iterable[dict], ncols: int) -> Echelon:
         if len(parent) + len(dead) == settled:
             break
         long_rows = [r.items() for r in rest]
-    ech.unimodular &= unit
+    ech._refused = None if p else refused
     for r in rest:
         ech.add(r)
-
+    ech._refused = None
     pivot_row = ech.pivot_row
+    if refused:   # S, read on the live roots, then reduced against E's +-1 pivots: over Z
+        refused = [project(r.items()) for r in refused]
+        if any(type(v) is not int for r in refused for v in r.values()):
+            ech._residual = None   # a value off the integers leaves no lattice to record
+        else:
+            reduced = (_reduce(r, pivot_row, 0, full=True)[0] for r in refused)
+            ech._residual = refused = [r for r in reduced if r]
     for c, root in parent.items():
-        if root in parent:
-            root, w = find(c)
-        else:
-            w = weight[c]
-        if root in dead:
-            pivot_row[c] = {c: 1}
-        elif p:
-            pivot_row[c] = {c: 1, root: -w % p}
-        elif type(w) is int:
-            pivot_row[c] = {c: 1, root: -w}
-        else:
-            pivot_row[c] = {c: w.denominator, root: -w.numerator}
+        root, w = find(c) if root in parent else (root, weight[c])
+        pivot_row[c] = {c: 1} if root in dead else {c: 1, root: -w % p if p else -w}
     for c in dead:
         if c not in parent:
             pivot_row[c] = {c: 1}
+    for r in refused:   # S's echelon over Q
+        r = _reduce(_normalized(r, 0), pivot_row, 0)[0]
+        if r:
+            ech._s_pivots.append(min(r))
+            pivot_row[min(r)] = r
     return ech
 
 

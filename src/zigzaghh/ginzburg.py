@@ -29,11 +29,11 @@ in `tests/oracle.py` as the reference.
 The columns are integral and take no field, so every field reads one
 assembly: `hh2_complex` is kept for the last quiver asked, in its state
 `_cells`, keyed by the quiver's value, and its lists are shared, not
-copied.  A Q elimination whose echelon is unimodular (see exactla) has
-the same pivots mod every p, so it records its rank and free coordinates
-in the cell, and an F_p `hh2_dim` at a recorded cell eliminates nothing.  At
-any other cell F_p eliminates the columns mod p, and it never starts a Q
-elimination, so a process asked only over F_p does no Q work.
+copied.  The columns are integral, so a Q elimination leaves its record
+(see exactla) in the cell, and every later field eliminates only its
+residual S there.  At a cell with no record F_p eliminates the columns
+mod p, and it never starts a Q elimination, so a process asked only over
+F_p does no Q work.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def h0_dim(q: Quiver, adams: int, fld: FieldSpec) -> int:
 
 @functools.lru_cache(maxsize=1)   # a batch asks the fields of one quiver in turn
 def _cells(q: Quiver) -> dict[int, list]:
-    """Adams degree -> [`hh2_complex`, (rank, free coordinates) once a Q
-    elimination's echelon is unimodular, else None], for the last quiver asked."""
+    """Adams degree -> [`hh2_complex`, the `exactla.Record` of its Q
+    elimination once one ran, else None], for the last quiver asked."""
     return {}
 
 
@@ -96,12 +96,11 @@ def hh2_dim(q: Quiver, adams: int, fld: FieldSpec, want_witnesses: bool = False)
         return HHReport(2, adams, "ginzburg", 0, () if want_witnesses else None)
     necklaces, cols = hh2_complex(q, adams)
     cell = _cells(q)[adams]
-    profile = cell[1]
-    if profile is None:
+    if cell[1] is None:
         ech = echelonize(fld, cols, len(necklaces))
-        profile = ech.rank, ech.free_cols()
-        if ech.unimodular:   # never over F_p
-            cell[1] = profile
-    rank, free = profile
+        rank, free = ech.rank, ech.free_cols()
+        cell[1] = ech.record()   # None over F_p
+    else:
+        rank, free = cell[1].profile(fld)
     reps = tuple(path_name(double(q), necklaces[i]) for i in free) if want_witnesses else None
     return HHReport(2, adams, "ginzburg", len(necklaces) - rank, reps)

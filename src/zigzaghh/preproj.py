@@ -35,9 +35,9 @@ A double has one table per relation kind and field, kept for the last
 quiver asked, and the F_p tables read the Q one.  Its rows are integral,
 and a unimodular echelon (see exactla) holds mod every p: an F_p table
 shares the words and coordinates of each degree the Q table has already
-grown below its first degree that is not, and of the Q trace echelons
-already built there, the unimodular ones and the integral rows of the
-others, which it eliminates mod p.  It never grows the Q table, so a
+grown below its first degree that is not.  There the Q trace echelons
+already built have records: the F_p echelon is E's rows, shared, and
+the residual S eliminated mod p.  It never grows the Q table, so a
 process that asks only over F_p eliminates only over F_p; every other
 degree and trace it eliminates itself.
 
@@ -112,8 +112,7 @@ class _Table:
     coordinates in degree n of basis[n-1][b] times the arrow a.  traces[n]
     is (closed basis count, echelon of the trace rows).  Over Q the degrees
     below `exact` were eliminated unimodularly (on an F_p table it stays 2),
-    and torsion[n] keeps the trace rows of such a degree whose echelon is
-    not, for the F_p tables, which read this one as `over_q`.
+    for the F_p tables, which read this one as `over_q`.
     """
 
     def __init__(self, qd: DoubledQuiver, rels: RelationTable, fld: FieldSpec,
@@ -123,7 +122,6 @@ class _Table:
         self.fld = fld
         self.over_q = over_q
         self.exact = 2
-        self.torsion: dict[int, list[Coords]] = {}
         self.leaving: dict[int, list[int]] = {v: [] for v in range(1, qd.vertex_count + 1)}
         for a in range(qd.arrow_count):
             self.leaving[qd.arrow_source[a]].append(a)
@@ -218,10 +216,8 @@ class _Table:
         basis = self.degree(n)
         q = self.over_q
         hit = q.traces.get(n) if q is not None and n < q.exact else None
-        if hit is not None:
-            closed, ech = hit
-            if not ech.unimodular:
-                ech = echelonize(self.fld, q.torsion[n], len(basis))
+        if hit is not None:   # integral rows: the Q echelon has a record
+            closed, ech = hit[0], hit[1].mod(self.fld)
         else:
             closed = sum(1 for b in basis if b.source == b.target)
             rows: list[Coords] = []
@@ -239,8 +235,6 @@ class _Table:
                             row[y] = row.get(y, 0) - w
                         rows.append(row)
             ech = echelonize(self.fld, rows, len(basis))
-            if n < self.exact and not ech.unimodular:
-                self.torsion[n] = rows
         self.traces[n] = (closed, ech)
         return closed, ech
 

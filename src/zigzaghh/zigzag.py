@@ -35,9 +35,10 @@ cocycle and HH^{2,q} = dim C^{2,q} - rank d(C^{1,q}), the columns of the
 image sent to the kernel as they are built, so no C^{1,q} table is kept.
 One state, `_tables`, keeps the last graph's field-free tables: the basis
 lists, multiplication table and product index, the walk's tables per cycle
-budget, and C^{2,q} per q asked.  Each algebra owns copies of the lists
-and its `table`, and shares the read-only `products` over every field;
-any other cochain basis is walked when asked for.
+budget, C^{2,q} per q asked and the record of each Q image (exactla).
+Each algebra owns copies of the lists and its `table`, and shares the
+read-only `products` over every field; any other cochain basis is walked
+when asked for.
 The module reads only `exactla`, `quiver` and `reports` of the package.
 
 The kernel gets a spanning subset of d(C^{1,q}), which has the
@@ -126,7 +127,8 @@ def build_zigzag(g: Graph, fld: FieldSpec) -> ZigzagAlgebra:
 @functools.lru_cache(maxsize=1)   # a batch asks the fields of one graph in turn
 def _tables(g: Graph) -> dict:
     """The last graph's tables: "algebra" -> `_algebra_tables`, ("walk", cycles)
-    -> `_walk_tables`, ("c2", q) -> C^{2,q}.  Only the walk's `close` grows."""
+    -> `_walk_tables`, ("c2", q) -> C^{2,q}, ("image", q) -> the `exactla.Record`
+    of the Q image in C^{2,q}.  Only the walk's `close` grows."""
     return {}
 
 
@@ -339,14 +341,21 @@ def hochschild_dim(alg: ZigzagAlgebra, p: int, q: int,
     """dim HH^{2,q} of the zigzag algebra via the reduced complex; p must be 2.
 
     C^{3,q} is empty, so HH^{2,q} = dim C^{2,q} - rank of the incoming
-    image, eliminated once, by `_image`.  A witness is a basis word, in
-    order, that the echelon of the incoming columns and of the words kept
-    before it takes in with `add`.
+    image, eliminated by `_image`, or, asked without witnesses after Q, read
+    off the Q record.  A witness is a basis word, in order, that the echelon
+    of the incoming columns and of the words kept before it takes in with `add`.
     """
     _only_p2(p)
     basis = cochain_basis(alg, 2, q)
-    image = _image(alg, q, basis)
-    dimension = len(basis) - image.rank
+    tables = _tables(alg.graph)
+    if not want_witnesses and ("image", q) in tables:
+        rank = tables["image", q].profile(alg.field)[0]
+    else:
+        image = _image(alg, q, basis)
+        rank, record = image.rank, image.record()
+        if record is not None:
+            tables["image", q] = record
+    dimension = len(basis) - rank
     names = []
     for i in range(len(basis)) if want_witnesses and dimension else ():
         if image.add({i: 1}):

@@ -38,11 +38,30 @@ def asked() -> dict[str, int]:
             for name, state in STATES.items()}
 
 
-def certified_cells(q) -> dict[int, tuple[int, list[int]]]:
-    """Adams degree -> (rank, free coordinates) of each cell of q that a Q
-    elimination certified, read from the Ginzburg state, which must hold q."""
+def recorded_cells(q) -> dict:
+    """Adams degree -> the `exactla.Record` (|E|, E's free coordinates, the
+    residual S) that a Q elimination left in each cell of q, read from the
+    Ginzburg state, which must hold q."""
     assert kept(ginzburg._cells, q) is not None, "the Ginzburg state does not hold %r" % (q,)
     return {adams: cell[1] for adams, cell in ginzburg._cells(q).items() if cell[1] is not None}
+
+
+def eliminations(monkeypatch, *modules) -> list:
+    """(field, rows) of every elimination started from now on, from the
+    modules named or from `exactla` itself (a record's residual)."""
+    from zigzaghh import exactla
+
+    seen = []
+    real = exactla.echelonize
+
+    def spy(fld, rows, ncols):
+        rows = list(rows)
+        seen.append((fld, rows))
+        return real(fld, rows, ncols)
+
+    for m in (exactla,) + modules:
+        monkeypatch.setattr(m, "echelonize", spy)
+    return seen
 
 
 def walk_spy(monkeypatch) -> list:

@@ -138,3 +138,84 @@ def test_triangle_bar_complex_and_dual_trace_regressions():
     assert [hochschild_dim(alg, 2, q).dimension for q in (1, 2, 3)] == [2, 0, 0]
     assert [trace_piece_general("koszul-dual-zigzag", tri, q + 2, QQ).dimension
             for q in (1, 2, 3)] == [2, 1, 0]
+
+
+_GRID = ("A5", "D5", "E6", "E8", "D~4", "D~6", "E~6")   # the crosscheck grid's catalog graphs
+
+
+def _three_pipelines(g, fld, qs):
+    """Dimensions and witnesses of every pipeline over fld: the bar complex
+    without witnesses too, the one call that reads a Q record."""
+    from zigzaghh.quiver import parse_label
+
+    g = parse_label(g) if isinstance(g, str) else g
+    quiv, alg = orient_bipartite(g), build_zigzag(g, fld)
+    return [(hh2_dim(quiv, q, fld, want_witnesses=True),
+             trace_piece(quiv, q + 2, fld),
+             hochschild_dim(alg, 2, q),
+             hochschild_dim(alg, 2, q, want_witnesses=True)) for q in qs]
+
+
+def test_one_process_answers_as_a_fresh_one_per_field():
+    # Q, then F2, then F3 in one process (the F_p passes read the Q records)
+    # give the dimensions and witnesses of a process that asks one field
+    from memos import fresh
+    from zigzaghh.quiver import parse_label
+
+    for label in _GRID:
+        g = fresh(parse_label(label))
+        qs = range(0, 7)
+        one = [_three_pipelines(g, fld, qs) for fld in (QQ, GF(2), GF(3))]
+        for fld, got in zip((QQ, GF(2), GF(3)), one):
+            assert got == _three_pipelines(fresh(g), fld, qs), (label, fld)
+        for rows in one:
+            assert all(a.dimension == b.dimension == c.dimension == d.dimension
+                       for a, b, c, d in rows), label
+
+
+def test_dynkin_torsion_lies_in_the_bad_characteristics():
+    # every p whose F_p dimension differs from the Q one is bad for the
+    # graph (item 1's table); measured: a Ginzburg cell's Q residual is
+    # nonempty exactly where some p in 2, 3, 5, 7 differs
+    from memos import fresh, recorded_cells
+    from zigzaghh.quiver import bad_characteristics
+
+    primes = (2, 3, 5, 7)
+    for family, n in (("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)):
+        name = "%s%d" % (family, n)
+        quiv = fresh(orient_bipartite(catalog(family, n)))
+        moved = set()
+        for q in range(0, 9):
+            qq = hh2_dim(quiv, q, QQ).dimension
+            assert trace_piece(quiv, q + 2, QQ, want_witnesses=False).dimension == qq
+            differ = {p for p in primes if hh2_dim(quiv, q, GF(p)).dimension != qq}
+            assert differ == {p for p in primes if trace_piece(
+                quiv, q + 2, GF(p), want_witnesses=False).dimension != qq}, (name, q)
+            assert differ <= bad_characteristics(name), (name, q, differ)
+            assert bool(recorded_cells(quiv)[q].residual) == bool(differ), (name, q)
+            moved |= differ
+        assert moved == {2, 3, 5} & bad_characteristics(name), name
+
+
+def test_d5_tilde_at_q6_sends_rows_to_s_that_reduce_into_e(monkeypatch):
+    # pinned: two-term columns by -2 go to the residual S, but reduced
+    # against E over Z they vanish, so the residual is empty and the cell is
+    # certified; it has no torsion (F2, F3, F5 and F7 give the Q dimension)
+    from memos import fresh, recorded_cells
+    from zigzaghh import exactla
+
+    sent, real = [], exactla._reduce
+
+    def spy(r, pivot_row, p, full=False):
+        out = real(r, pivot_row, p, full)
+        if full:
+            sent.append((r, out[0]))
+        return out
+
+    monkeypatch.setattr(exactla, "_reduce", spy)
+    quiv = fresh(orient_bipartite(catalog("D~", 5)))
+    dims = [hh2_dim(quiv, 6, fld).dimension for fld in (QQ, GF(2), GF(3), GF(5), GF(7))]
+    assert dims == [2] * 5
+    assert sent and all(reduced == {} and any(v not in (1, -1) for v in r.values())
+                        for r, reduced in sent)
+    assert recorded_cells(quiv)[6].residual == []

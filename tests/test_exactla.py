@@ -432,14 +432,15 @@ def _short_pair(rng, kind, i, j):
 
 
 def test_short_rows_over_q_are_read_for_their_ratio():
-    # pinned: unscaled short rows give the same echelon rows as scaled ones
+    # pinned: unscaled short rows give the same echelon rows as scaled ones;
+    # over Q a ratio other than +-1 is S's, scaled as the core scales a row
     f = Fraction
     for rows, want in (([{0: 0, 1: 5}], [{1: 1}]),
                        ([{0: 2, 1: 6}], [{0: 1, 1: 3}]),
                        ([{0: 2, 1: 3}], [{0: 2, 1: 3}]),
                        ([{0: f(1, 2), 1: f(3, 2)}], [{0: 1, 1: 3}]),
                        ([{0: f(2, 3), 1: f(1, 2)}], [{0: 4, 1: 3}]),
-                       ([{0: f(-3, 5), 1: 0, 2: f(6, 5)}], [{0: 1, 2: -2}])):
+                       ([{0: f(-3, 5), 1: 0, 2: f(6, 5)}], [{0: -1, 2: 2}])):
         ech = echelonize(QQ, rows, 3)
         assert ech.rows == want
         assert all(type(v) is int for r in ech.rows for v in r.values())
@@ -559,31 +560,33 @@ def _cascading_rows(rng, entries, ncols):
 def test_long_rows_that_turn_short_after_later_merges(monkeypatch, fld):
     # the fixpoint settles them in the union-find, on later passes too: the
     # echelon has the textbook pivots and the kernel it implies, and a
-    # certified Q echelon is still the echelon mod every p
+    # certified Q echelon is still the echelon mod every p.  Over Q a merge
+    # by +-2 is a step of S, so the cascades that must settle are the +-1
+    # ones; Q also runs cascades with +-2 entries, for the certificate
     added = []
     add = Echelon.add
     monkeypatch.setattr(Echelon, "add", lambda ech, v: added.append(v) or add(ech, v))
     rng = random.Random(3030 + fld.characteristic)
-    entries = [1, -1] if fld.characteristic else [1, -1, 1, -1, 1, -1, 2, -2]
-    settled = certified = 0
-    for _ in range(150):
-        ncols = rng.randint(4, 14)
-        rows = _cascading_rows(rng, entries, ncols)
-        added.clear()
-        ech = echelonize(fld, rows, ncols)
-        settled += len(added) < sum(1 for r in rows if sum(1 for v in r.values()
-                                                           if not fld.is_zero(v)) > 2)
-        assert ech.pivot_cols == _reference_pivots(fld, rows, ncols), rows
-        assert all(min(r) == c for r, c in zip(ech.rows, ech.pivot_cols))
-        kernel = list(ech.kernel_vectors())
-        assert len(kernel) == ncols - _row_reduce_rank(fld, rows)
-        for x in kernel:
-            for r in rows:
-                assert fld.is_zero(sum(fld.element(v) * x.get(c, 0) for c, v in r.items()))
-        if fld == QQ:
-            certified += _certificate_is_sound(rows, ncols)
-    assert settled > 100
-    assert fld != QQ or 0 < certified < 150
+    for entries in [[1, -1]] + ([[1, -1, 1, -1, 1, -1, 2, -2]] if fld == QQ else []):
+        settled = certified = 0
+        for _ in range(150):
+            ncols = rng.randint(4, 14)
+            rows = _cascading_rows(rng, entries, ncols)
+            added.clear()
+            ech = echelonize(fld, rows, ncols)
+            settled += len(added) < sum(1 for r in rows if sum(1 for v in r.values()
+                                                               if not fld.is_zero(v)) > 2)
+            assert ech.pivot_cols == _reference_pivots(fld, rows, ncols), rows
+            assert all(min(r) == c for r, c in zip(ech.rows, ech.pivot_cols))
+            kernel = list(ech.kernel_vectors())
+            assert len(kernel) == ncols - _row_reduce_rank(fld, rows)
+            for x in kernel:
+                for r in rows:
+                    assert fld.is_zero(sum(fld.element(v) * x.get(c, 0) for c, v in r.items()))
+            if fld == QQ:
+                certified += _certificate_is_sound(rows, ncols)
+        assert len(entries) > 2 or settled > 100
+        assert fld != QQ or 0 < certified < 150
 
 
 def test_a_projected_short_row_with_a_non_unit_entry_stays_in_the_core(monkeypatch):
@@ -628,3 +631,66 @@ def test_unit_steps_keep_the_echelon_certified_until_add_takes_a_non_unit_step()
     # e2 + e4 + e5 reduces to -2 e5: in the span mod 2, not over Q
     assert ech.add({2: 1, 4: 1, 5: 1})
     assert not ech.unimodular
+
+
+def _integral_rows(rng, ncols):
+    """Sparse rows with entries in -3..3, explicit zeros among them: one-term
+    and two-term rows by non-units, long rows, rows of content 2 and 3, and
+    half the time a cycle of +-1 two-term rows that closes on 2 e_a."""
+    rows = []
+    for _ in range(rng.randint(ncols // 2, ncols + 3)):
+        roll = rng.random()
+        size = 1 if roll < 0.15 else 2 if roll < 0.5 else rng.randint(3, min(6, ncols))
+        row = {c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in rng.sample(range(ncols), size)}
+        if rng.random() < 0.2:
+            k = rng.choice([2, 3])
+            row = {c: k * rng.choice([-1, 1]) for c in row}
+        if rng.random() < 0.1:
+            row[rng.randrange(ncols)] = 0
+        rows.append(row)
+    if rng.random() < 0.5:
+        a, b, c = rng.sample(range(ncols), 3)
+        rows += [{a: 1, b: -1}, {b: 1, c: -1}, {c: 1, a: 1}]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_the_q_record_answers_every_field():
+    # E and the residual S span the rows' Z-lattice, so the rank and free
+    # columns over each F_p are E's corrected by S mod p alone, and over Q
+    # by S over Q; the F_p echelon built from the record has the F_p
+    # pivots and kernel vectors
+    rng = random.Random(3232)
+    nonempty = certified = 0
+    for _ in range(300):
+        ncols = rng.randint(3, 12)
+        rows = _integral_rows(rng, ncols)
+        ech = echelonize(QQ, rows, ncols)
+        rank, free, residual = record = ech.record()
+        assert record.profile(QQ) == (ech.rank, ech.free_cols()) and rank + len(free) == ncols
+        assert all(set(r) <= set(free) for r in residual)   # S holds no pivot of E
+        assert ech.unimodular == (not residual)
+        for p in (2, 3, 5, 7):
+            fp = echelonize(GF(p), rows, ncols)
+            assert record.profile(GF(p)) == (fp.rank, fp.free_cols()), (p, rows)
+            mod = ech.mod(GF(p))
+            assert mod.pivot_cols == fp.pivot_cols, (p, rows)
+            assert list(mod.kernel_vectors()) == list(fp.kernel_vectors()), (p, rows)
+        nonempty += bool(residual)
+        certified += _certificate_is_sound(rows, ncols)
+    assert 0 < nonempty < 300 and certified == 300 - nonempty
+
+
+def test_a_row_with_a_fraction_leaves_no_record():
+    # the Q answer does not change, but no lattice is recorded
+    rng = random.Random(3233)
+    for _ in range(60):
+        ncols = rng.randint(3, 12)
+        rows = _integral_rows(rng, ncols)
+        rows.append({ncols: Fraction(1, 2)} if rng.random() < 0.5
+                    else {ncols: Fraction(3, 2), rng.randrange(ncols): Fraction(-1, 3)})
+        ech = echelonize(QQ, rows, ncols + 1)
+        assert ech.record() is None and not ech.unimodular
+        assert ech.pivot_cols == _reference_pivots(QQ, rows, ncols + 1)
+        for x in ech.kernel_vectors():
+            assert all(sum(v * x.get(c, 0) for c, v in r.items()) == 0 for r in rows)

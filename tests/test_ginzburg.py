@@ -15,7 +15,7 @@ from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, or
 from cone import verify_cone_resolution
 from dg import (BigradedElement, dg_piece, differential, element_differential, ginzburg_of,
                 path_from_names)
-from memos import asked, certified_cells, fresh, kept, walk_spy
+from memos import asked, eliminations, fresh, kept, recorded_cells, walk_spy
 from oracle import (oracle_basis_of_bidegree, oracle_hh2_complex, oracle_necklace,
                     oracle_necklace_space, oracle_times)
 
@@ -121,55 +121,54 @@ def test_hh2_builds_no_ginzburg_word_table(monkeypatch):
     assert kept(ginzburg._cells, q) == {8}
     now = asked()
     assert now["preproj"] == before["preproj"] and now["zigzag"] == before["zigzag"]
-    assert certified_cells(q) == {}   # F2 records nothing
-
-
-def _echelonize_fields(monkeypatch) -> list:
-    """The field of each later elimination hh2_dim runs."""
-    seen = []
-
-    def spy(fld, rows, ncols):
-        seen.append(fld)
-        return echelonize(fld, rows, ncols)
-
-    monkeypatch.setattr(ginzburg, "echelonize", spy)
-    return seen
+    assert recorded_cells(q) == {}   # F2 records nothing
 
 
 def test_fp_reads_the_certified_q_record(monkeypatch):
-    # a unimodular Q echelon has the same pivots mod every p (exactla), so Q
-    # records its rank and free coordinates, and F_p eliminates only at the
-    # cells the certificate refuses, over the one assembly of each cell
-    seen = _echelonize_fields(monkeypatch)
+    # Q leaves a record in every cell (exactla): E's rank and free
+    # coordinates and the residual S, empty where the cell is certified.
+    # Every F_p then eliminates only S mod p, over the one assembly of each
+    # cell, nothing at a certified cell, and answers as a process that asks
+    # F_p alone
+    seen = eliminations(monkeypatch, ginzburg)
     q = fresh(_q("D~", 6))
     fields = (GF(2), GF(3), GF(5))
     qq = [hh2_dim(q, adams, QQ, want_witnesses=True) for adams in range(-2, 9)]
-    record = certified_cells(q)
-    refused = [adams for adams in range(-2, 9) if adams not in record]
-    assert refused == [2, 6] and seen == [QQ] * 11
-    for adams, (rank, free) in record.items():
+    record = recorded_cells(q)
+    refused = [adams for adams in range(-2, 9) if record[adams].residual]
+    assert sorted(record) == list(range(-2, 9)) and refused == [2, 6]
+    assert [fld for fld, _ in seen] == [QQ] * 11
+    for adams, (rank, free, residual) in record.items():
         necklaces, cols = hh2_complex(q, adams)
         ech = echelonize(QQ, cols, len(necklaces))
-        assert ech.unimodular and (rank, free) == (ech.rank, ech.free_cols())
+        assert ech.unimodular == (not residual) and ech.record() == record[adams]
+        assert rank == len(necklaces) - len(free)
+        assert all(set(r) <= set(free) for r in residual)   # S holds no pivot of E
     seen.clear()
     walks = walk_spy(monkeypatch)
+    fp = {}
     for fld in fields:
-        fp = [hh2_dim(q, adams, fld, want_witnesses=True) for adams in range(-2, 9)]
-        assert all(fp[adams + 2] == qq[adams + 2] for adams in record), fld
-    assert seen == [fld for fld in fields for _ in refused]
+        fp[fld] = [hh2_dim(q, adams, fld, want_witnesses=True) for adams in range(-2, 9)]
+        assert all(fp[fld][adams + 2] == qq[adams + 2] for adams in record
+                   if adams not in refused), fld
+    assert seen == [(fld, record[adams].residual) for fld in fields for adams in refused]
     assert walks == []   # every cell was assembled by the Q pass
     assert kept(ginzburg._cells, q) == set(range(-2, 9))
-    assert certified_cells(q) == record
+    assert recorded_cells(q) == record
+    for fld in fields:   # as a process that asks F_p alone
+        alone = fresh(q)
+        assert [hh2_dim(alone, adams, fld, want_witnesses=True)
+                for adams in range(-2, 9)] == fp[fld], fld
 
 
 def test_fp_only_jobs_run_no_q_elimination(monkeypatch):
-    seen = _echelonize_fields(monkeypatch)
+    seen = eliminations(monkeypatch, ginzburg)
     q = fresh(_q("E", 8))
     for fld in (GF(2), GF(3), GF(5)):
         for adams in range(-2, 9):
             hh2_dim(q, adams, fld, want_witnesses=True)
-    assert len(seen) == 33 and QQ not in seen
-    assert certified_cells(q) == {}
+    assert len(seen) == 33 and QQ not in [fld for fld, _ in seen]
+    assert recorded_cells(q) == {}
 
 
 _ORDER_GRID = [_q(family, n) for family, n in (("A", 5), ("D", 5), ("D", 6), ("E", 6), ("E", 7),
@@ -194,12 +193,12 @@ def test_fp_answers_do_not_depend_on_the_order(quiv):
     q_first = fresh(quiv)
     q_answers = qq(q_first)
     assert fp(q_first) == alone
-    q_record = certified_cells(q_first)
+    q_record = recorded_cells(q_first)
     fp_first = fresh(quiv)
     assert fp(fp_first) == alone
     assert qq(fp_first) == q_answers
     assert fp(fp_first) == alone
-    assert certified_cells(fp_first) == q_record
+    assert recorded_cells(fp_first) == q_record
 
 
 @pytest.mark.parametrize("family, n, adams, dims", [("D~", 4, 2, (2, 3, 2, 2)),
@@ -207,20 +206,28 @@ def test_fp_answers_do_not_depend_on_the_order(quiv):
                                                     ("D~", 5, 4, (1, 1, 1, 1)),
                                                     ("D~", 5, 6, (2, 2, 2, 2)),
                                                     ("E", 7, 8, (0, 0, 0, 0))])
-def test_refused_cells_eliminate_mod_p(family, n, adams, dims):
-    # D~4 at q = 2 has 2-torsion, so the certificate must refuse it; D~5 at
-    # q = 6 has none, yet the certificate refuses it too (measured: its F2,
-    # F3 and F5 dimensions are the Q ones), and F_p eliminates it itself,
-    # whichever field is asked first.  D~6 and D~5 at q = 4 and E7 at q = 8
-    # were refused until the long rows that turn short went to the
-    # union-find: now Q certifies them, in either order.
-    certified = (family, n, adams) in {("D~", 6, 4), ("D~", 5, 4), ("E", 7, 8)}
+def test_refused_cells_eliminate_mod_p(monkeypatch, family, n, adams, dims):
+    # D~4 at q = 2 has 2-torsion, so the certificate must refuse it: its
+    # residual S is not empty.  D~6 and D~5 at q = 4 and E7 at q = 8 were
+    # refused until the long rows that turn short went to the union-find,
+    # and D~5 at q = 6 (no torsion: its F2, F3 and F5 dimensions are the Q
+    # ones) until the rows sent to S were reduced against E over Z: now Q
+    # certifies all four.  An F_p asked after Q eliminates S alone, one
+    # asked before eliminates the columns, and no order changes an answer.
+    certified = (family, n, adams) in {("D~", 6, 4), ("D~", 5, 4), ("D~", 5, 6), ("E", 7, 8)}
     fields = (QQ, GF(2), GF(3), GF(5))
+    seen = eliminations(monkeypatch, ginzburg)
     for order in (fields, fields[::-1]):
         q = fresh(_q(family, n))
+        seen.clear()
         got = {fld: hh2_dim(q, adams, fld).dimension for fld in order}
         assert tuple(got[fld] for fld in fields) == dims, order
-        assert (adams in certified_cells(q)) == certified, order
+        residual = recorded_cells(q)[adams].residual
+        assert (not residual) == certified, order
+        cols = hh2_complex(q, adams)[1]
+        after = order[order.index(QQ) + 1:]
+        assert seen == [(fld, cols if fld not in after else residual) for fld in order
+                        if fld not in after or residual], order
 
 
 def _random_nontree(seed: int, n: int) -> Graph:

@@ -15,7 +15,7 @@ from zigzaghh.preproj import (_table, cycle_class_in_trace_is_zero,
 from zigzaghh.quiver import Graph, Quiver, catalog, double, orient_bipartite, orient_by_edge_order
 
 from dg import BigradedElement, commutator, path_from_names
-from memos import asked, fresh, kept, walk_spy
+from memos import asked, eliminations, fresh, kept, walk_spy
 from oracle import oracle_class_is_zero, oracle_quotient_representatives, oracle_trace_witnesses
 
 
@@ -474,10 +474,9 @@ def test_quotient_representatives_are_the_all_words_free_columns(label, fld):
 def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
     # every Lambda degree of E~6 to 8 is eliminated unimodularly over Q, so the
     # F2 and F3 tables share its words and coordinates and run no Lambda
-    # elimination; a trace echelon over Q is read as it is where it is
-    # unimodular too, and only the others are eliminated again mod p
-    import sys
-
+    # elimination; each trace echelon over Q has a record, so the F_p one
+    # shares E's rows and eliminates only the residual S mod p, empty where
+    # the Q echelon is unimodular, and it answers as a table that never saw Q
     from zigzaghh import preproj
 
     q = fresh(_q("E~6"))
@@ -485,22 +484,26 @@ def test_fp_traces_read_the_q_table_at_certified_degrees(monkeypatch):
     for n in range(9):
         trace_piece(q, n, QQ)
     assert over_q.exact > 8
-    calls = []
-    real = preproj.echelonize
-
-    def spy(fld, rows, ncols):
-        calls.append((sys._getframe(1).f_code.co_name, fld, ncols))
-        return real(fld, rows, ncols)
-
-    monkeypatch.setattr(preproj, "echelonize", spy)
+    seen = eliminations(monkeypatch, preproj)
+    want = {}
     for fld in (GF(2), GF(3)):
         for n in range(9):
-            trace_piece(q, n, fld)
+            want[fld, n] = trace_piece(q, n, fld)
         assert all(preproj._table(q, "preprojective", fld).basis[n] is over_q.basis[n]
                    for n in range(2, 9))
+    residual = {n: over_q.trace(n)[1].record().residual for n in range(9)}
     torsion = [n for n in range(9) if not over_q.trace(n)[1].unimodular]
-    assert torsion and calls == [("trace", fld, len(over_q.basis[n]))
-                                 for fld in (GF(2), GF(3)) for n in torsion]
+    assert torsion == [n for n in range(9) if residual[n]] and torsion
+    assert seen == [(fld, residual[n]) for fld in (GF(2), GF(3)) for n in range(9)]
+    for fld in (GF(2), GF(3)):
+        table = preproj._table(q, "preprojective", fld)
+        for n in range(9):   # E's rows are shared: only S's pivots are not
+            rows = over_q.trace(n)[1].pivot_row
+            fp = table.trace(n)[1].pivot_row
+            assert len(rows) - sum(fp.get(c) is r for c, r in rows.items()) <= len(residual[n])
+    alone = fresh(q)
+    assert {(fld, n): trace_piece(alone, n, fld) for fld in (GF(2), GF(3))
+            for n in range(9)} == want
 
 
 def test_fp_tables_read_only_what_q_has_grown(monkeypatch):

@@ -18,7 +18,7 @@ from zigzaghh.zigzag import (HochschildCochain, _words, build_zigzag, cochain_ba
                              zero_cochain)
 
 from barcomplex import differential
-from memos import fresh, kept
+from memos import eliminations, fresh, kept
 
 
 def _letters(alg):
@@ -198,7 +198,9 @@ def test_hh2_walks_only_the_budgeted_word_tables(monkeypatch):
 def test_every_field_reads_one_c2_walk_per_graph_and_q(monkeypatch):
     # C^{2,q} is kept for the graph: HH^{2,q} over Q, F2 and F3 walks it once,
     # HH^{2,q+2} reads it again as its relation words, and odd q on a tree
-    # walks nothing; each answer is the one of a graph nothing was kept for
+    # walks nothing; each answer is the one of a graph nothing was kept for.
+    # The Q image of each q leaves its record, which a field asked for
+    # witnesses does not read
     walked = _calls(monkeypatch, "_words")
     g = fresh(catalog("E~", 6))
     fields = (QQ, GF(2), GF(3))
@@ -206,7 +208,7 @@ def test_every_field_reads_one_c2_walk_per_graph_and_q(monkeypatch):
                      for q in range(4, 9)] for fld in fields}
     assert walked == [(6, 0), (4, 0), (8, 0), (10, 0)]
     assert kept(zigzag._tables, g) == {"algebra", ("walk", 0)} | {
-        ("c2", q) for q in (2, 4, 5, 6, 7, 8)}
+        ("c2", q) for q in (2, 4, 5, 6, 7, 8)} | {("image", q) for q in range(4, 9)}
     for fld in fields:
         alone = build_zigzag(fresh(g), fld)
         assert [hochschild_dim(alone, 2, q, want_witnesses=True)
@@ -214,6 +216,35 @@ def test_every_field_reads_one_c2_walk_per_graph_and_q(monkeypatch):
         assert [r.dimension for r in reports[fld]] == [
             hh2_dim(orient_bipartite(g), q, fld).dimension for q in range(4, 9)], fld
     assert any(r.dimension for r in reports[QQ])
+
+
+@pytest.mark.parametrize("label", ["D~4", "E~6", "D6"])
+def test_fp_without_witnesses_reads_the_q_record(monkeypatch, label):
+    # after Q, HH^{2,q} over F_p without witnesses walks no column: it
+    # eliminates the residual S of the kept Q record alone, nothing where
+    # the record is certified, and answers as a
+    # graph nothing was kept for; asked for witnesses, it runs the full path
+    g = fresh(parse_label(label))
+    qs = range(0, 7)
+    want = {(fld, q, w): hochschild_dim(build_zigzag(fresh(g), fld), 2, q, want_witnesses=w)
+            for fld in (GF(2), GF(3)) for q in qs for w in (False, True)}
+    for q in qs:
+        hochschild_dim(build_zigzag(g, QQ), 2, q)
+    records = {q: zigzag._tables(g)["image", q] for q in qs}
+    columns = _calls(monkeypatch, "_delta_elementary")
+    seen = eliminations(monkeypatch, zigzag)
+    for fld in (GF(2), GF(3)):
+        alg = build_zigzag(g, fld)
+        assert [hochschild_dim(alg, 2, q) for q in qs] == [want[fld, q, False] for q in qs]
+        assert columns == [] and seen == [(fld, records[q].residual) for q in qs
+                                          if records[q].residual], fld
+        seen.clear()
+        assert [hochschild_dim(alg, 2, q, want_witnesses=True) for q in qs] == [
+            want[fld, q, True] for q in qs]
+        assert columns and seen and all(f == fld for f, _ in seen)
+        columns.clear()
+        seen.clear()
+    assert any(r.residual for r in records.values())   # each graph has 2-torsion
 
 
 def test_c2_bases_are_kept_for_the_last_graph_only(monkeypatch):
